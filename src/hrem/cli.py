@@ -21,6 +21,7 @@ import numpy as np
 from hrem import diagnostics
 from hrem.events import (
     CovariateSet,
+    _covariates_document,
     build_risk_set,
     events_to_csv,
     load_covariates,
@@ -135,21 +136,8 @@ def cmd_simulate(args):
             {"file": fname, "tau": hist.tau, "n_events": hist.m, "sha256": _sha256(fname)}
         )
     cov_path = os.path.join(out_dir, "covariates.json")
-    _write(
-        cov_path,
-        json.dumps(
-            {
-                "actors": [
-                    dict({"id": i}, **{n: a[i] for n, a in cov.actor_attrs.items() if i in a})
-                    for i in range(risk.senders.max() + 1)
-                ],
-                "dyads": [],
-                "contexts": [{"start": s, "label": l} for s, l in cov.context_track],
-            },
-            indent=1,
-            sort_keys=True,
-        ),
-    )
+    cov_doc = _covariates_document(cov, int(risk.senders.max()) + 1)
+    _write(cov_path, json.dumps(cov_doc, indent=1, sort_keys=True))
     truths_path = os.path.join(out_dir, "truths.json")
     _write(
         truths_path,
@@ -498,8 +486,11 @@ def cmd_select(args):
     data_keys = set()
     for mpath in args.manifests:
         manifest, spec, risk, cov, histories, samples = _reload_fit(mpath)
-        key = tuple(s["sha256"] for s in manifest["sequences"])
-        data_keys.add(key)
+        # DIC is scored on the events the fit saw, as cut by `fit`.
+        n_train = manifest["settings"].get("n_train")
+        data_keys.add((n_train, tuple(s["sha256"] for s in manifest["sequences"])))
+        if n_train:
+            histories = [h.truncate(int(n_train)) for h in histories]
         tables = [unique_stat_table(spec, h, risk, cov) for h in histories]
         d = diagnostics.dic(samples, tables)
         loaded.append((mpath, d))

@@ -135,6 +135,16 @@ class RiskSet:
             self.__dict__["_recipients"] = arr
         return arr
 
+    @property
+    def actor_masks(self) -> tuple:
+        # (senders == a, recipients == a) as rows a of two boolean arrays
+        masks = self.__dict__.get("_actor_masks")
+        if masks is None:
+            nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 1)[:, None]
+            masks = (self.senders == nodes, self.recipients == nodes)
+            self.__dict__["_actor_masks"] = masks
+        return masks
+
 
 def build_risk_set(n_actors: int, include_broadcast: bool = False) -> RiskSet:
     """All non-reflexive ordered pairs, optionally plus a broadcast recipient.
@@ -421,10 +431,13 @@ def events_to_csv(history: EventHistory) -> str:
     return "\n".join(out) + "\n"
 
 
-def history_to_json(history: EventHistory, cov: CovariateSet, broadcast: int | None = None) -> str:
-    """Self-contained JSON with events, covariates, contexts, and tau."""
+def _covariates_document(cov: CovariateSet, n_actors: int) -> dict:
+    """The `actors`, `dyads` and `contexts` keys read by :func:`load_covariates`.
+
+    Every actor id below `n_actors` gets a record, even without attributes.
+    """
     actors = []
-    ids = sorted({i for attrs in cov.actor_attrs.values() for i in attrs} | set(range(history.n_actors)))
+    ids = sorted({i for attrs in cov.actor_attrs.values() for i in attrs} | set(range(n_actors)))
     for aid in ids:
         rec = {"id": aid}
         for name, attrs in cov.actor_attrs.items():
@@ -439,13 +452,17 @@ def history_to_json(history: EventHistory, cov: CovariateSet, broadcast: int | N
             if (i, j) in attrs:
                 rec[name] = attrs[(i, j)]
         dyads.append(rec)
-    doc = {
-        "events": [[t, i, j] for t, i, j in history.events],
-        "tau": history.tau,
+    return {
         "actors": actors,
         "dyads": dyads,
         "contexts": [{"start": s, "label": l} for s, l in cov.context_track],
     }
+
+
+def history_to_json(history: EventHistory, cov: CovariateSet, broadcast: int | None = None) -> str:
+    """Self-contained JSON with events, covariates, contexts, and tau."""
+    doc = {"events": [[t, i, j] for t, i, j in history.events], "tau": history.tau}
+    doc.update(_covariates_document(cov, history.n_actors))
     if broadcast is not None:
         doc["broadcast_id"] = broadcast
     return json.dumps(doc, indent=1)

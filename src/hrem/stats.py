@@ -9,6 +9,7 @@ A sequence's evolving endogenous information lives in :class:`SeqState`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -35,8 +36,6 @@ __all__ = [
     "SeqState",
     "UniqueStatTable",
     "unique_stat_table",
-    "compute_stat_vector",
-    "update_state",
     "recency_rank",
     "pshift_label",
 ]
@@ -110,11 +109,6 @@ class SeqState:
         return self
 
 
-def update_state(state: SeqState, event, cov: CovariateSet | None = None) -> SeqState:
-    """Functional form of :meth:`SeqState.apply`: returns an updated copy."""
-    return state.copy().apply(event, cov)
-
-
 def recency_rank(direction: str, state: SeqState, i: int, j: int) -> float:
     """Inverse rank of j in i's recency list; 0 when absent (rank infinity)."""
     if direction == "send":
@@ -135,6 +129,15 @@ def recency_rank(direction: str, state: SeqState, i: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class Effect:
+    @property
+    def endogenous(self) -> bool:
+        """True when the column depends on the sequence state.
+
+        Other columns depend only on the covariates, the risk set and the
+        context label, so :meth:`StatisticSpec.matrix` computes them once.
+        """
+        return False
+
     def value(self, state, cov, i, j, context):
         raise NotImplementedError
 
@@ -339,6 +342,8 @@ class PShift(Effect):
         if self.kind not in PSHIFT_KINDS:
             raise ValueError("unknown participation shift %r" % self.kind)
 
+    endogenous = True
+
     def value(self, state, cov, i, j, context):
         if state.last_event is None:
             return 0.0
@@ -349,20 +354,20 @@ class PShift(Effect):
         if state.last_event is None:
             return np.zeros(len(risk))
         a, b = state.last_event
-        s, r = risk.senders, risk.recipients
+        s_is, r_is = risk.actor_masks
         k = self.kind
         if k == "AB-BA":
-            hit = (s == b) & (r == a)
+            hit = s_is[b] & r_is[a]
         elif k == "AB-BY":
-            hit = (s == b) & (r != a) & (r != b)
+            hit = s_is[b] & ~(r_is[a] | r_is[b])
         elif k == "AB-XA":
-            hit = (s != a) & (s != b) & (r == a)
+            hit = r_is[a] & ~(s_is[a] | s_is[b])
         elif k == "AB-XB":
-            hit = (s != a) & (s != b) & (r == b)
+            hit = r_is[b] & ~(s_is[a] | s_is[b])
         elif k == "AB-XY":
-            hit = (s != a) & (s != b) & (r != a) & (r != b)
+            hit = ~(s_is[a] | s_is[b] | r_is[a] | r_is[b])
         else:  # AB-AY
-            hit = (s == a) & (r != b) & (r != a)
+            hit = s_is[a] & ~(r_is[a] | r_is[b])
         return hit.astype(float)
 
     def to_json(self):
@@ -397,18 +402,28 @@ def pshift_label(prev_event, event):
     return None
 
 
+def _recency_column(lists, risk):
+    """Inverse rank of j in lists[i] for every dyad (i, j); 0 when absent."""
+    n = max(len(lists), risk.actor_masks[0].shape[0])
+    lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    total = int(lens.sum())
+    targets = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=total)
+    owners = np.repeat(np.arange(len(lists)), lens)
+    ranks = np.arange(1, total + 1) - np.repeat(np.cumsum(lens) - lens, lens)
+    inverse = np.zeros((n, n))
+    inverse[owners, targets] = 1.0 / ranks
+    return inverse[risk.senders, risk.recipients]
+
+
 @dataclass(frozen=True)
 class RecencySend(Effect):
+    endogenous = True
+
     def value(self, state, cov, i, j, context):
         return recency_rank("send", state, i, j)
 
     def column(self, state, cov, risk, context):
-        out = np.zeros(len(risk))
-        for row, (i, j) in enumerate(risk.dyads):
-            lst = state.send_recency[i]
-            if j in lst:
-                out[row] = 1.0 / (lst.index(j) + 1)
-        return out
+        return _recency_column(state.send_recency, risk)
 
     def to_json(self):
         return {"type": "recency_send"}
@@ -416,16 +431,13 @@ class RecencySend(Effect):
 
 @dataclass(frozen=True)
 class RecencyReceive(Effect):
+    endogenous = True
+
     def value(self, state, cov, i, j, context):
         return recency_rank("receive", state, i, j)
 
     def column(self, state, cov, risk, context):
-        out = np.zeros(len(risk))
-        for row, (i, j) in enumerate(risk.dyads):
-            lst = state.receive_recency[i]
-            if j in lst:
-                out[row] = 1.0 / (lst.index(j) + 1)
-        return out
+        return _recency_column(state.receive_recency, risk)
 
     def to_json(self):
         return {"type": "recency_receive"}
@@ -449,6 +461,10 @@ class ContextIndicator(Effect):
 class ContextInteraction(Effect):
     base: Effect
     label: str
+
+    @property
+    def endogenous(self) -> bool:
+        return self.base.endogenous
 
     def value(self, state, cov, i, j, context):
         if context != self.label:
@@ -496,21 +512,25 @@ class ToBroadcast(Effect):
                 return 0.0
         return 1.0
 
+    @property
+    def endogenous(self) -> bool:
+        return self.prev
+
     def column(self, state, cov, risk, context):
         bc = risk.broadcast_actor
         if bc is None:
             return np.zeros(len(risk))
-        hit = risk.recipients == bc
-        if self.attr is not None:
-            n_actors = int(risk.senders.max()) + 1
-            ind = _actor_indicator(cov, self.attr, self.level, n_actors).astype(bool)
-            hit = hit & ind[risk.senders]
         if self.prev:
             if state.last_event is None:
                 return np.zeros(len(risk))
             a, b = state.last_event
             if b != bc or not self._sender_ok(cov, a):
                 return np.zeros(len(risk))
+        hit = risk.recipients == bc
+        if self.attr is not None:
+            n_actors = int(risk.senders.max()) + 1
+            ind = _actor_indicator(cov, self.attr, self.level, n_actors).astype(bool)
+            hit = hit & ind[risk.senders]
         return hit.astype(float)
 
     def check(self, cov, n_actors):
@@ -526,6 +546,8 @@ class EventCount(Effect):
     """N_ij(t-) raised to a power; unbounded and explosion-prone for power > 0."""
 
     power: float = 1.0
+
+    endogenous = True
 
     def value(self, state, cov, i, j, context):
         return float(state.counts[i, j]) ** self.power if state.counts[i, j] else 0.0
@@ -560,6 +582,8 @@ class StatisticSpec:
             raise ValueError("effect list must be nonempty")
         if len(set(self.effects)) != len(self.effects):
             raise ValueError("duplicate effect descriptors")
+        dynamic = tuple(p for p, eff in enumerate(self.effects) if eff.endogenous)
+        object.__setattr__(self, "_endogenous", dynamic)
 
     @property
     def p(self) -> int:
@@ -580,10 +604,30 @@ class StatisticSpec:
 
     def matrix(self, state: SeqState, cov: CovariateSet, risk: RiskSet,
                context=_UNSET) -> np.ndarray:
+        """|R| x P statistic matrix, one row per risk-set dyad.
+
+        The exogenous columns depend only on (cov, risk, context).  They are
+        computed once per context label and kept in a one-entry cache keyed
+        by the identity of cov and risk; each call copies that block and
+        fills in the endogenous columns from the state.
+        """
         if context is _UNSET:
             context = state.current_context
-        cols = [eff.column(state, cov, risk, context) for eff in self.effects]
-        return np.column_stack(cols)
+        cache = self.__dict__.get("_static")
+        if cache is None or cache[0] is not cov or cache[1] is not risk:
+            cache = (cov, risk, {})
+            self.__dict__["_static"] = cache
+        block = cache[2].get(context)
+        if block is None:
+            block = np.zeros((len(risk), self.p))
+            for p, eff in enumerate(self.effects):
+                if not eff.endogenous:
+                    block[:, p] = eff.column(state, cov, risk, context)
+            cache[2][context] = block
+        out = block.copy()
+        for p in self._endogenous:
+            out[:, p] = self.effects[p].column(state, cov, risk, context)
+        return out
 
     def to_json(self) -> str:
         return json.dumps([eff.to_json() for eff in self.effects], indent=1)
@@ -640,12 +684,6 @@ def _effect_from_obj(o, cov=None):
     raise ValueError("unknown effect type %r" % kind)
 
 
-def compute_stat_vector(spec: StatisticSpec, state: SeqState, cov: CovariateSet,
-                        i: int, j: int, context=_UNSET) -> np.ndarray:
-    """Statistic vector for one dyad at the current state."""
-    return spec.vector(state, cov, i, j, context=context)
-
-
 # ---------------------------------------------------------------------------
 # Unique-vector cache
 
@@ -676,48 +714,98 @@ class UniqueStatTable:
         return float(self.m.sum())
 
 
+class _RowIndex:
+    """Distinct rows in first-occurrence order, with their counts q and exposures m.
+
+    A row is looked up by its projection onto a fixed random vector in a
+    sorted array of the projections of known rows; every hit is then
+    checked bitwise against the stored row.  Misses and collisions go
+    through an exact dict of row bytes, which assigns new ids in order.
+    """
+
+    def __init__(self, p: int):
+        self.rows = np.empty((16, p))  # growing buffer; the first n rows are distinct
+        self.q = np.zeros(16, dtype=np.int64)
+        self.m = np.zeros(16)
+        self.n = 0
+        self.exact: dict = {}
+        self.direction = np.random.default_rng(0).standard_normal(p)
+        self.keys = np.empty(0)  # sorted projections
+        self.key_ids = np.empty(0, dtype=np.intp)  # row id of each projection
+
+    # Slots are found before q or m is read: finding one may grow the buffers.
+
+    def observe(self, row: np.ndarray):
+        r = self._slot(row)
+        self.q[r] += 1
+
+    def expose(self, mat: np.ndarray, dur: float):
+        ids = self._slots(mat)
+        np.add.at(self.m, ids, dur)
+
+    def _slot(self, row: np.ndarray) -> int:
+        key = row.tobytes()
+        r = self.exact.get(key)
+        if r is None:
+            r = self.n
+            if r == len(self.rows):
+                self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+                self.q = np.concatenate([self.q, np.zeros_like(self.q)])
+                self.m = np.concatenate([self.m, np.zeros_like(self.m)])
+            self.rows[r] = row
+            self.exact[key] = r
+            self.n += 1
+        return r
+
+    def _slots(self, mat: np.ndarray) -> np.ndarray:
+        h = mat @ self.direction
+        ids = np.zeros(len(mat), dtype=np.intp)
+        known = np.zeros(len(mat), dtype=bool)  # projection already in keys
+        hit = known
+        if len(self.keys):
+            pos = np.minimum(np.searchsorted(self.keys, h), len(self.keys) - 1)
+            ids = self.key_ids[pos]
+            known = self.keys[pos] == h
+            hit = known & (self.rows[ids].view(np.uint64) == mat.view(np.uint64)).all(axis=1)
+        if hit.all():
+            return ids
+        # Misses and collisions, in row order so new ids follow first occurrence.
+        new_keys: dict = {}
+        for r in np.flatnonzero(~hit):
+            ids[r] = self._slot(mat[r])
+            if not known[r] and h[r] == h[r]:  # a collision keeps the first row's key; NaN gets none
+                new_keys.setdefault(h[r], ids[r])
+        if new_keys:
+            hs = np.array(sorted(new_keys))
+            at = np.searchsorted(self.keys, hs)
+            self.keys = np.insert(self.keys, at, hs)
+            self.key_ids = np.insert(self.key_ids, at, [new_keys[x] for x in hs])
+        return ids
+
+    def table(self) -> UniqueStatTable:
+        n = self.n
+        return UniqueStatTable(vectors=self.rows[:n].copy(), q=self.q[:n].copy(),
+                               m=self.m[:n].copy())
+
+
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
                       cov: CovariateSet) -> UniqueStatTable:
     """Build the unique-vector cache for one sequence.
 
     Exposures accumulate piecewise across context boundaries, which add
     hazard changepoints between events.  Deduplication uses exact bitwise
-    equality of the float64 vectors.
+    equality of the float64 vectors; rows keep their order of first
+    occurrence, and each exposure is summed in event order.
     """
     state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
-    index: dict = {}
-    vectors: list = []
-    q: list = []
-    m: list = []
-
-    def slot(row: np.ndarray) -> int:
-        key = row.tobytes()
-        r = index.get(key)
-        if r is None:
-            r = len(vectors)
-            index[key] = r
-            vectors.append(row.copy())
-            q.append(0)
-            m.append(0.0)
-        return r
-
+    index = _RowIndex(spec.p)
     prev_t = 0.0
     for (t, i, j) in history.events:
         for dur, ctx in cov.context_segments(prev_t, t):
-            mat = spec.matrix(state, cov, risk, context=ctx)
-            for row in mat:
-                m[slot(row)] += dur
-        v = spec.vector(state, cov, i, j, context=cov.context_at(t))
-        q[slot(v)] += 1
+            index.expose(spec.matrix(state, cov, risk, context=ctx), dur)
+        index.observe(spec.vector(state, cov, i, j, context=cov.context_at(t)))
         state.apply((t, i, j), cov)
         prev_t = t
     for dur, ctx in cov.context_segments(prev_t, history.tau):
-        mat = spec.matrix(state, cov, risk, context=ctx)
-        for row in mat:
-            m[slot(row)] += dur
-
-    return UniqueStatTable(
-        vectors=np.array(vectors) if vectors else np.zeros((0, spec.p)),
-        q=np.array(q, dtype=np.int64),
-        m=np.array(m, dtype=float),
-    )
+        index.expose(spec.matrix(state, cov, risk, context=ctx), dur)
+    return index.table()

@@ -193,3 +193,45 @@ def test_select_rejects_different_data(sim_dir, tmp_path):
         str(sim_dir / "fit" / "manifest.json"),
         str(sim_dir / "fit2" / "manifest.json"),
     ]) == 1
+
+
+def test_select_scores_the_training_events(sim_dir, tmp_path):
+    from hrem import diagnostics
+    from hrem.cli import _reload_fit
+    from hrem.stats import unique_stat_table
+
+    reduced = [{"type": "baserate"}, {"type": "pshift", "kind": "AB-BA"}]
+    main(["fit", "--config", fit_config(sim_dir, out="fit_a"), "--sampler", "map"])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_b", preset=None, spec=reduced),
+          "--sampler", "map"])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_c", n_train=70), "--sampler", "map"])
+    fits = [str(sim_dir / name / "manifest.json") for name in ("fit_a", "fit_b", "fit_c")]
+    # same events, different training cut: not the same data
+    assert main(["select", fits[0], fits[2]]) == 1
+    out = str(tmp_path / "select.csv")
+    assert main(["select", fits[0], fits[1], "--out", out]) == 0
+    scored = {row.split(",")[0]: float(row.split(",")[1])
+              for row in open(out).read().splitlines()[1:]}
+    for path in fits[:2]:
+        manifest, spec, risk, cov, histories, samples = _reload_fit(path)
+        tables = [unique_stat_table(spec, h.truncate(60), risk, cov) for h in histories]
+        assert scored[path] == diagnostics.dic(samples, tables)["dic"]
+
+
+def test_simulate_fit_round_trip_keeps_dyad_covariates(tmp_path):
+    dyads = [{"i": i, "j": j, "w": 1.0} for i in range(5) for j in range(5)
+             if i != j and (i + j) % 3 == 0]
+    cov_in = write_json(tmp_path / "cov.json", {
+        "actors": [{"id": i} for i in range(5)], "dyads": dyads, "contexts": []})
+    spec = [{"type": "baserate"}, {"type": "dyad_value", "attr": "w"}]
+    sim = write_json(tmp_path / "sim.json", {
+        "seed": 11, "n_actors": 5, "covariates": cov_in, "spec": spec,
+        "beta": [-1.0, 1.5], "n_events": 600, "out_dir": str(tmp_path / "sim")})
+    assert main(["simulate", "--config", sim]) == 0
+    written = json.load(open(tmp_path / "sim" / "covariates.json"))
+    assert written["dyads"] == sorted(dyads, key=lambda d: (d["i"], d["j"]))
+    cfg = fit_config(tmp_path, out="fit_w", preset=None, spec=spec, n_train=None)
+    assert main(["fit", "--config", cfg, "--sampler", "map"]) == 0
+    rows = open(tmp_path / "fit_w" / "beta.csv").read().splitlines()[1:]
+    beta = {int(r.split(",")[2]): float(r.split(",")[3]) for r in rows}
+    assert abs(beta[1] - 1.5) < 0.3
