@@ -14,9 +14,8 @@ from hrem.events import (
     load_history,
     validate,
 )
-from hrem.stats import StatisticSpec, SeqState, UniqueStatTable, unique_stat_table
+from hrem.stats import StatisticSpec, SeqState, UniqueStatTable, unique_stat_table, walk
 from hrem.likelihood import (
-    hazard,
     loglik_full,
     loglik_naive,
     loglik_order,
@@ -25,17 +24,15 @@ from hrem.likelihood import (
 from hrem.simulate import simulate_history, simulate_hierarchical
 from hrem.inference import (
     Hyperparams,
-    PopulationParams,
     PosteriorSamples,
     gibbs_sigma,
     gibbs_mu,
-    marginal_logpost_beta,
     slice_sample,
     run_collapsed_sampler,
     map_estimate,
 )
 from hrem.tempering import run_parallel_tempering
-from hrem.presets import classroom_spec, syn52, syn6_population
+from hrem.presets import classroom_spec, syn52
 from hrem import diagnostics
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/data error, 2 nonconvergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import json
@@ -28,8 +29,8 @@ from hrem.events import (
     load_history,
 )
 from hrem.inference import Hyperparams, PosteriorSamples, map_estimate, run_collapsed_sampler
-from hrem.presets import classroom_spec, preset_names, syn52, syn6_population
-from hrem.simulate import simulate_hierarchical, simulate_history
+from hrem.presets import classroom_spec, preset_names, syn52
+from hrem.simulate import simulate_hierarchical
 from hrem.stats import StatisticSpec, pshift_label, unique_stat_table
 from hrem.tempering import run_parallel_tempering
 
@@ -303,8 +304,17 @@ def cmd_fit(args):
     cfg = _read_config(args.config)
     seed = args.seed if args.seed is not None else _require(cfg, "seed")
     sampler = args.sampler or cfg.get("sampler", "collapsed")
-    mu_update = args.mu_update or cfg.get("mu_update", "paper")
+    mu_update = args.mu_update or cfg.get("mu_update", "conjugate")
     out_dir = cfg.get("out_dir", "hrem_fit")
+    hyper_cfg = cfg.get("hyper", {})
+    unknown = sorted(set(hyper_cfg) - {f.name for f in dataclasses.fields(Hyperparams)})
+    if unknown:
+        raise CliError("unknown hyper key(s) %s in %s"
+                       % (", ".join(map(repr, unknown)), args.config))
+    try:
+        hyper = Hyperparams(**hyper_cfg)
+    except ValueError as exc:
+        raise CliError("bad hyper value in %s: %s" % (args.config, exc))
     os.makedirs(out_dir, exist_ok=True)
 
     histories, risk, cov, entries, cov_path = _load_sequences(cfg)
@@ -318,7 +328,6 @@ def cmd_fit(args):
         histories = [h.truncate(int(n_train)) for h in histories]
     tables = [unique_stat_table(spec, h, risk, cov) for h in histories]
 
-    hyper = Hyperparams(**cfg.get("hyper", {}))
     n_burnin = int(cfg.get("n_burnin", 500))
     n_keep = int(cfg.get("n_keep", 500))
     thin = int(cfg.get("thin", 1))
@@ -529,8 +538,6 @@ def build_parser():
     p_fit.add_argument("--sampler", choices=["collapsed", "tempering", "map"])
     p_fit.add_argument("--mu-update", dest="mu_update", choices=["paper", "conjugate"])
     p_fit.add_argument("--ladder", help="comma-separated temperatures, e.g. 1,2,4,8,16")
-    p_fit.add_argument("--threads", type=int, default=1,
-                       help="bound on internal parallelism (currently single-threaded)")
     p_fit.add_argument("--allow-nonconverged", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from hrem.events import CovariateSet, EventHistory, RiskSet
 from hrem.likelihood import loglik_full
-from hrem.stats import SeqState, StatisticSpec
+from hrem.stats import StatisticSpec, walk
 
 __all__ = [
     "dic",
@@ -75,28 +75,16 @@ def _rank_with_ties(scores: np.ndarray, idx: int, rng) -> int:
     return higher + 1 + int(rng.integers(ties))
 
 
-def _walk_ranks(score_fn, history: EventHistory, risk: RiskSet, cov: CovariateSet,
-                n_train: int, rng):
-    """Predicted rank of each observed event with index >= n_train."""
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
-    ranks = []
-    events = []
-    for m, (t, i, j) in enumerate(history.events):
-        if m >= n_train:
-            scores = score_fn(state, cov.context_at(t))
-            ranks.append(_rank_with_ties(scores, risk.index[(i, j)], rng))
-            events.append((t, i, j))
-        state.apply((t, i, j), cov)
-    return np.array(ranks, dtype=int), events
-
-
-def _model_score_fn(beta, spec, risk, cov):
+def _model_ranks(beta, history: EventHistory, spec: StatisticSpec, risk: RiskSet,
+                 cov: CovariateSet, n_train: int, rng) -> np.ndarray:
+    """Model rank of each observed event with index >= n_train."""
     beta = np.asarray(beta, dtype=float)
-
-    def score(state, context):
-        return spec.matrix(state, cov, risk, context=context) @ beta
-
-    return score
+    ranks = []
+    for step in walk(spec, history, risk, cov, start=n_train):
+        if step.event is None:
+            break
+        ranks.append(_rank_with_ties(step.x(step.context) @ beta, step.row, rng))
+    return np.array(ranks, dtype=int)
 
 
 def recall_at_z(params, history: EventHistory, spec: StatisticSpec, risk: RiskSet,
@@ -123,8 +111,7 @@ def recall_at_z(params, history: EventHistory, spec: StatisticSpec, risk: RiskSe
                 for b in params
             ])
         )
-    ranks, _ = _walk_ranks(_model_score_fn(params, spec, risk, cov), history, risk,
-                           cov, n_train, rng)
+    ranks = _model_ranks(params, history, spec, risk, cov, n_train, rng)
     return float(np.mean(ranks <= z))
 
 
@@ -152,11 +139,8 @@ def baseline_recall_at_z(history: EventHistory, risk: RiskSet, cov: CovariateSet
     if rng is None:
         rng = np.random.default_rng(0)
     counts = empirical_baseline(history, risk, n_train)
-
-    def score(state, context):
-        return counts
-
-    ranks, _ = _walk_ranks(score, history, risk, cov, n_train, rng)
+    ranks = np.array([_rank_with_ties(counts, risk.index[(i, j)], rng)
+                      for (t, i, j) in history.events[n_train:]])
     return float(np.mean(ranks <= z))
 
 
@@ -169,17 +153,12 @@ def deviance_residuals(beta, history: EventHistory, spec: StatisticSpec,
     censoring deviance decomposes -2 * loglik exactly.
     """
     beta = np.asarray(beta, dtype=float)
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     out = np.empty(history.m)
-    prev_t = 0.0
-    for m, (t, i, j) in enumerate(history.events):
-        expo = 0.0
-        for dur, ctx in cov.context_segments(prev_t, t):
-            expo += dur * float(np.exp(spec.matrix(state, cov, risk, context=ctx) @ beta).sum())
-        log_obs = float(beta @ spec.vector(state, cov, i, j, context=cov.context_at(t)))
-        out[m] = -2.0 * (log_obs - expo)
-        state.apply((t, i, j), cov)
-        prev_t = t
+    for step in walk(spec, history, risk, cov):
+        if step.event is None:
+            break
+        log_obs = float(beta @ step.x(step.context)[step.row])
+        out[step.index] = -2.0 * (log_obs - step.exposure(beta))
     return out
 
 
@@ -187,28 +166,22 @@ def censoring_deviance(beta, history: EventHistory, spec: StatisticSpec,
                        risk: RiskSet, cov: CovariateSet) -> float:
     """Deviance contribution of the empty interval (t_M, tau]."""
     beta = np.asarray(beta, dtype=float)
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
-    for ev in history.events:
-        state.apply(ev, cov)
-    t_last = history.events[-1][0] if history.m else 0.0
-    expo = 0.0
-    for dur, ctx in cov.context_segments(t_last, history.tau):
-        expo += dur * float(np.exp(spec.matrix(state, cov, risk, context=ctx) @ beta).sum())
-    return 2.0 * expo
+    tail = next(walk(spec, history, risk, cov, start=history.m))
+    return 2.0 * tail.exposure(beta)
 
 
 def event_probabilities(beta, history: EventHistory, spec: StatisticSpec,
                         risk: RiskSet, cov: CovariateSet) -> np.ndarray:
     """Multinomial probability of each observed event given the history."""
     beta = np.asarray(beta, dtype=float)
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     out = np.empty(history.m)
-    for m, (t, i, j) in enumerate(history.events):
-        eta = spec.matrix(state, cov, risk, context=cov.context_at(t)) @ beta
+    for step in walk(spec, history, risk, cov):
+        if step.event is None:
+            break
+        eta = step.x(step.context) @ beta
         eta -= eta.max()
         w = np.exp(eta)
-        out[m] = w[risk.index[(i, j)]] / w.sum()
-        state.apply((t, i, j), cov)
+        out[step.index] = w[step.row] / w.sum()
     return out
 
 
@@ -231,11 +204,10 @@ def surprise_matrix(beta, history: EventHistory, spec: StatisticSpec, risk: Risk
         raise ValueError("threshold must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    ranks, events = _walk_ranks(_model_score_fn(beta, spec, risk, cov), history,
-                                risk, cov, 0, rng)
+    ranks = _model_ranks(beta, history, spec, risk, cov, 0, rng)
     totals: dict = {}
     surprised: dict = {}
-    for rank, (t, i, j) in zip(ranks, events):
+    for rank, (t, i, j) in zip(ranks, history.events):
         totals[(i, j)] = totals.get((i, j), 0) + 1
         if rank > threshold:
             surprised[(i, j)] = surprised.get((i, j), 0) + 1

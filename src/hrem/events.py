@@ -276,14 +276,14 @@ def _parse_events_csv(text: str):
     return events
 
 
-def _dense_ids(raw_events, broadcast_label=None):
-    """Map original actor labels to dense integer ids (broadcast last)."""
-    labels = sorted(
-        {e[1] for e in raw_events} | {e[2] for e in raw_events} - {broadcast_label},
-        key=str,
-    )
-    if broadcast_label is not None and broadcast_label in labels:
-        labels.remove(broadcast_label)
+def _label_order(label):
+    # integer labels in numeric order, then string labels
+    return (isinstance(label, str), label)
+
+
+def _dense_ids(labels, broadcast_label=None):
+    """Map original actor labels to dense integer ids in label order (broadcast last)."""
+    labels = sorted(set(labels) - {broadcast_label}, key=_label_order)
     mapping = {lab: i for i, lab in enumerate(labels)}
     if broadcast_label is not None:
         mapping[broadcast_label] = len(labels)
@@ -347,17 +347,13 @@ def load_history(
     raw = [(t, norm(i), norm(j)) for t, i, j in raw]
     if broadcast_label is not None:
         broadcast_label = norm(broadcast_label)
-    mapping, labels = _dense_ids(raw, broadcast_label)
-    if n_actors is not None and n_actors > len(labels):
+    labels = {lab for _, i, j in raw for lab in (i, j)} - {broadcast_label}
+    if n_actors is not None:
         # Pad with unused integer labels so silent actors stay in the risk set.
-        pool = (x for x in range(2 * n_actors) if x not in mapping and x != broadcast_label)
-        labels = list(labels)
+        pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
         while len(labels) < n_actors:
-            labels.append(next(pool))
-        labels = tuple(labels)
-        mapping = {lab: i for i, lab in enumerate(labels)}
-        if broadcast_label is not None:
-            mapping[broadcast_label] = len(labels)
+            labels.add(next(pool))
+    mapping, labels = _dense_ids(labels, broadcast_label)
 
     events = [(t, mapping[i], mapping[j]) for t, i, j in raw]
     if jitter:

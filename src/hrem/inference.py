@@ -21,13 +21,11 @@ from hrem.stats import UniqueStatTable
 from hrem.likelihood import grad_loglik_full, hessian_loglik_full, loglik_full
 
 __all__ = [
-    "PopulationParams",
     "Hyperparams",
     "PosteriorSamples",
     "gibbs_sigma",
     "gibbs_mu",
     "collapsed_prior_logpdf",
-    "marginal_logpost_beta",
     "slice_sample",
     "CollapsedGibbs",
     "run_collapsed_sampler",
@@ -37,25 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class PopulationParams:
-    """Upper-level location/scale (and optional t-family dof) per effect."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-    nu: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.sigma2 = np.asarray(self.sigma2, dtype=float)
-        if np.any(self.sigma2 <= 0):
-            raise ValueError("sigma2 must be positive elementwise")
-        if self.nu is not None:
-            self.nu = np.asarray(self.nu, dtype=float)
-            if np.any(self.nu <= 0):
-                raise ValueError("nu must be positive")
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Priors: mu_p ~ N(0, mu_prior_sd^2), sigma_p^2 ~ Inv-Gamma(alpha, beta)."""
@@ -63,14 +42,11 @@ class Hyperparams:
     mu_prior_sd: float = 2.0
     alpha_sigma: float = 5.0
     beta_sigma: float = 1.0
-    t_rate: float | None = None
 
     def __post_init__(self):
         for name in ("mu_prior_sd", "alpha_sigma", "beta_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-        if self.t_rate is not None and self.t_rate <= 0:
-            raise ValueError("t_rate must be positive")
 
 
 def gibbs_sigma(betas_p: np.ndarray, mu_p: float, hyper: Hyperparams, rng) -> float:
@@ -84,13 +60,14 @@ def gibbs_sigma(betas_p: np.ndarray, mu_p: float, hyper: Hyperparams, rng) -> fl
     return rate / rng.gamma(shape)
 
 
-def gibbs_mu(betas_p: np.ndarray, sigma2_p: float, rng, mode: str = "paper",
+def gibbs_mu(betas_p: np.ndarray, sigma2_p: float, rng, mode: str = "conjugate",
              hyper: Hyperparams | None = None) -> float:
     """Draw mu_p | betas, sigma^2.
 
-    mode "paper" uses Normal(mean(betas), sigma^2/sqrt(K)); mode
-    "conjugate" is the standard update combining the N(0, mu_prior_sd^2)
-    prior with variance sigma^2/K.
+    mode "conjugate" (the default) is the posterior conditional: it combines
+    the N(0, mu_prior_sd^2) prior with variance sigma^2/K.  Mode "paper"
+    reproduces the source paper's Normal(mean(betas), sigma^2/sqrt(K)),
+    which is wider than the conditional by a factor K^(1/4) in sd.
     """
     betas_p = np.asarray(betas_p, dtype=float)
     k = betas_p.size
@@ -118,22 +95,6 @@ def collapsed_prior_logpdf(beta_kp, mu_p: float, hyper: Hyperparams):
     const = -0.5 * math.log(2 * math.pi) + a * math.log(b) - gammaln(a) + gammaln(a + 0.5)
     dev2 = (np.asarray(beta_kp, dtype=float) - mu_p) ** 2
     return const - (a + 0.5) * np.log(dev2 / 2.0 + b)
-
-
-def marginal_logpost_beta(beta_kp: float, mu_p: float, hyper: Hyperparams,
-                          loglik_partial, sq_others: float = 0.0,
-                          n_others: int = 0) -> float:
-    """Log posterior of one beta_{k,p} with sigma_p^2 integrated out.
-
-    With `sq_others` = sum of squared deviations of the other sequences
-    sharing sigma_p^2 (and `n_others` their count), the prior factor is
-    the exact collapsed conditional; the defaults give the single-sequence
-    closed form.
-    """
-    a, b = hyper.alpha_sigma, hyper.beta_sigma
-    dev2 = (beta_kp - mu_p) ** 2
-    prior = -(a + (n_others + 1) / 2.0) * math.log(b + 0.5 * (sq_others + dev2))
-    return float(loglik_partial(beta_kp)) + prior
 
 
 def slice_sample(x0: float, logf, width: float, rng, max_stepout: int = 50,
@@ -282,7 +243,7 @@ class CollapsedGibbs:
     sweeps with data re-simulation (successive-conditional simulation).
     """
 
-    def __init__(self, tables, hyper: Hyperparams, rng, mu_update: str = "paper",
+    def __init__(self, tables, hyper: Hyperparams, rng, mu_update: str = "conjugate",
                  prior_only: bool = False, init=None, width: float = 1.0):
         if not tables:
             raise ValueError("need at least one sequence table")
@@ -394,9 +355,8 @@ def joint_log_posterior(betas, mu, sigma2, tables, hyper: Hyperparams,
 
 def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
                           n_burnin: int = 500, n_keep: int = 500, thin: int = 1,
-                          seed: int | None = None, mu_update: str = "paper",
-                          prior_only: bool = False, init=None,
-                          progress: bool = False) -> PosteriorSamples:
+                          seed: int | None = None, mu_update: str = "conjugate",
+                          prior_only: bool = False, init=None) -> PosteriorSamples:
     """Run the collapsed Gibbs sampler and collect kept draws.
 
     Slice widths adapt during burn-in only and are frozen afterwards so

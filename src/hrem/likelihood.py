@@ -1,10 +1,10 @@
-"""Hazards, full-time and order-only log-likelihoods, explosion screening.
+"""Full-time and order-only log-likelihoods, explosion screening.
 
 The hazard of dyad (i, j) is log-linear in its statistic vector and
 piecewise constant between changepoints (events and context switches).
 `loglik_full` evaluates the cached form over unique statistic vectors;
-`loglik_naive` recomputes every statistic directly and serves as its
-independent oracle.
+`loglik_naive` sums over the statistic matrices of every changepoint
+instead, which checks the cache's deduplication and exposure sums.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from hrem.events import CovariateSet, EventHistory, RiskSet
-from hrem.stats import SeqState, StatisticSpec, UniqueStatTable
+from hrem.stats import SeqState, StatisticSpec, UniqueStatTable, walk
 
 __all__ = [
-    "hazard",
     "loglik_full",
     "loglik_naive",
     "loglik_order",
@@ -24,16 +23,6 @@ __all__ = [
     "explosion_check",
     "ExplosionReport",
 ]
-
-
-def hazard(beta: np.ndarray, s: np.ndarray) -> float:
-    """exp(beta' s); overflow yields +inf, rejected by downstream callers."""
-    beta = np.asarray(beta, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if beta.shape != s.shape:
-        raise ValueError("dimension mismatch: beta %s vs s %s" % (beta.shape, s.shape))
-    with np.errstate(over="ignore"):
-        return float(np.exp(beta @ s))
 
 
 def loglik_full(beta: np.ndarray, table: UniqueStatTable) -> float:
@@ -66,31 +55,17 @@ def loglik_naive(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
                  risk: RiskSet, cov: CovariateSet) -> float:
     """Direct evaluation of the full-time likelihood, O(M * P * N^2).
 
-    Recomputes every statistic vector from scratch; exposures integrate
-    piecewise across context boundaries, matching the cached form.
+    Sums the log hazard of each observed event and integrates the total
+    hazard piecewise across context boundaries, straight from the statistic
+    matrices, without the unique-vector cache.
     """
     beta = np.asarray(beta, dtype=float)
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     total = 0.0
-    prev_t = 0.0
-
-    def exposure(t0, t1):
-        acc = 0.0
-        for dur, ctx in cov.context_segments(t0, t1):
-            rate = 0.0
-            for (i, j) in risk.dyads:
-                s = spec.vector(state, cov, i, j, context=ctx)
-                rate += hazard(beta, s)
-            acc += dur * rate
-        return acc
-
-    for (t, i, j) in history.events:
-        total -= exposure(prev_t, t)
-        s = spec.vector(state, cov, i, j, context=cov.context_at(t))
-        total += float(beta @ s)
-        state.apply((t, i, j), cov)
-        prev_t = t
-    total -= exposure(prev_t, history.tau)
+    with np.errstate(over="ignore"):
+        for step in walk(spec, history, risk, cov):
+            total -= step.exposure(beta)
+            if step.event is not None:
+                total += float(beta @ step.x(step.context)[step.row])
     if not np.isfinite(total):
         raise FloatingPointError("non-finite log-likelihood")
     return total
@@ -104,14 +79,13 @@ def loglik_order(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
     constant to all log-hazards.  The normalizer uses max-subtraction.
     """
     beta = np.asarray(beta, dtype=float)
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     total = 0.0
-    for (t, i, j) in history.events:
-        ctx = cov.context_at(t)
-        eta = spec.matrix(state, cov, risk, context=ctx) @ beta
+    for step in walk(spec, history, risk, cov):
+        if step.event is None:
+            break
+        eta = step.x(step.context) @ beta
         top = eta.max()
-        total += eta[risk.index[(i, j)]] - (top + np.log(np.exp(eta - top).sum()))
-        state.apply((t, i, j), cov)
+        total += eta[step.row] - (top + np.log(np.exp(eta - top).sum()))
     return float(total)
 
 

@@ -1,8 +1,8 @@
 """Named model specifications and synthetic-experiment configurations.
 
 `syn52` is the two-class (triangle/square) ten-actor design with
-reciprocation, turn-taking, and turn-continuing effects; `syn6` wraps it
-in the hierarchical 20-sequence generator.  The classroom grid presets
+reciprocation, turn-taking, and turn-continuing effects; the CLI's `syn6`
+preset simulates 20 sequences of it with sigma 1.  The classroom grid presets
 (A1..G3) combine the covariate groups with conversational effect sets:
 
     letters: A = groups 1+2+3, B = 1, C = 2, D = 3,
@@ -38,7 +38,7 @@ from hrem.stats import (
     ToBroadcast,
 )
 
-__all__ = ["SyntheticDesign", "syn52", "syn6_population", "classroom_spec", "preset_names"]
+__all__ = ["SyntheticDesign", "syn52", "classroom_spec", "preset_names"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ def syn52(baserate: float = 0.0) -> SyntheticDesign:
     )
     beta = np.array([baserate, 1.5, 1.0, 1.5, 1.0, 0.5])
     return SyntheticDesign(spec=spec, beta=beta, risk=build_risk_set(n), cov=cov, n_actors=n)
-
-
-def syn6_population(sigma: float = 1.0, baserate: float = 0.0):
-    """Hierarchical variant: (design, mu, sigma vector) for K-sequence runs."""
-    design = syn52(baserate=baserate)
-    return design, design.beta.copy(), np.full(design.spec.p, float(sigma))
 
 
 _GROUPS = {

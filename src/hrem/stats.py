@@ -1,10 +1,12 @@
 """Statistic vectors s(t, i, j, A_t) and the unique-vector likelihood cache.
 
 Each effect contributes one entry of the P-vector of statistics entering
-the log-linear hazard.  Effects fall into three families: exogenous
-(actor/dyad attributes, contexts), first-order endogenous (participation
-shifts, recency ranks, event counts), and interactions between the two.
-A sequence's evolving endogenous information lives in :class:`SeqState`.
+the log-linear hazard, computed as a column over the whole risk set.
+Effects fall into three families: exogenous (actor/dyad attributes,
+contexts), first-order endogenous (participation shifts, recency ranks,
+event counts), and interactions between the two.  A sequence's evolving
+endogenous information lives in :class:`SeqState`, and :func:`walk` steps
+through a history's hazard intervals for every consumer of the statistics.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ __all__ = [
     "StatisticSpec",
     "SeqState",
     "UniqueStatTable",
+    "WalkStep",
+    "walk",
     "unique_stat_table",
-    "recency_rank",
     "pshift_label",
 ]
 
@@ -109,20 +112,6 @@ class SeqState:
         return self
 
 
-def recency_rank(direction: str, state: SeqState, i: int, j: int) -> float:
-    """Inverse rank of j in i's recency list; 0 when absent (rank infinity)."""
-    if direction == "send":
-        lst = state.send_recency[i]
-    elif direction == "receive":
-        lst = state.receive_recency[i]
-    else:
-        raise ValueError("direction must be 'send' or 'receive'")
-    try:
-        return 1.0 / (lst.index(j) + 1)
-    except ValueError:
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Effects
 
@@ -138,14 +127,9 @@ class Effect:
         """
         return False
 
-    def value(self, state, cov, i, j, context):
-        raise NotImplementedError
-
     def column(self, state, cov, risk, context):
-        # Generic fallback; numeric effects override with vectorized forms.
-        return np.array(
-            [self.value(state, cov, i, j, context) for i, j in risk.dyads], dtype=float
-        )
+        """The statistic of every risk-set dyad, in the order of ``risk.dyads``."""
+        raise NotImplementedError
 
     def check(self, cov: CovariateSet, n_actors: int):
         """Raise if a referenced attribute is missing for some actor."""
@@ -161,6 +145,14 @@ def _actor_indicator(cov, name, level, n_actors):
     return (vals == level).astype(float)
 
 
+def _recipient_indicator(cov, name, level, risk):
+    """`_actor_indicator` by recipient id; the broadcast recipient takes the room mean."""
+    ind = _actor_indicator(cov, name, level, int(risk.senders.max()) + 1)
+    if risk.broadcast_actor is not None:
+        ind = np.concatenate([ind, [ind.mean()]])
+    return ind
+
+
 def _check_actor_attr(cov, name, n_actors):
     attr = cov.actor_attrs.get(name)
     if attr is None:
@@ -172,9 +164,6 @@ def _check_actor_attr(cov, name, n_actors):
 
 @dataclass(frozen=True)
 class Baserate(Effect):
-    def value(self, state, cov, i, j, context):
-        return 1.0
-
     def column(self, state, cov, risk, context):
         return np.ones(len(risk))
 
@@ -186,10 +175,6 @@ class Baserate(Effect):
 class SenderAttr(Effect):
     attr: str
     level: object = None
-
-    def value(self, state, cov, i, j, context):
-        v = cov.actor_attrs[self.attr][i]
-        return float(v == self.level) if self.level is not None else float(v)
 
     def column(self, state, cov, risk, context):
         ind = _actor_indicator(cov, self.attr, self.level, int(risk.senders.max()) + 1)
@@ -207,24 +192,8 @@ class ReceiverAttr(Effect):
     attr: str
     level: object = None
 
-    def _indicator_ext(self, cov, risk):
-        # Broadcast recipients take the room mean of the statistic.
-        n_actors = int(risk.senders.max()) + 1
-        ind = _actor_indicator(cov, self.attr, self.level, n_actors)
-        if risk.broadcast_actor is not None:
-            ind = np.concatenate([ind, [ind.mean()]])
-        return ind
-
-    def value(self, state, cov, i, j, context):
-        n_actors = max(cov.actor_attrs[self.attr]) + 1
-        if j in cov.actor_attrs[self.attr]:
-            v = cov.actor_attrs[self.attr][j]
-            return float(v == self.level) if self.level is not None else float(v)
-        ind = _actor_indicator(cov, self.attr, self.level, n_actors)
-        return float(ind.mean())
-
     def column(self, state, cov, risk, context):
-        return self._indicator_ext(cov, risk)[risk.recipients]
+        return _recipient_indicator(cov, self.attr, self.level, risk)[risk.recipients]
 
     def check(self, cov, n_actors):
         _check_actor_attr(cov, self.attr, n_actors)
@@ -236,14 +205,6 @@ class ReceiverAttr(Effect):
 @dataclass(frozen=True)
 class DyadMatch(Effect):
     attr: str
-
-    def value(self, state, cov, i, j, context):
-        attrs = cov.actor_attrs[self.attr]
-        vi = attrs[i]
-        if j in attrs:
-            return float(attrs[j] == vi)
-        vals = np.array([attrs[a] for a in sorted(a for a in attrs)])
-        return float(np.mean(vals == vi))
 
     def column(self, state, cov, risk, context):
         n_actors = int(risk.senders.max()) + 1
@@ -273,9 +234,6 @@ class DyadMatch(Effect):
 class DyadValue(Effect):
     attr: str
 
-    def value(self, state, cov, i, j, context):
-        return cov.dyad_value(self.attr, i, j)
-
     def column(self, state, cov, risk, context):
         attr = cov.dyad_attrs[self.attr]
         return np.array([attr.get(d, 0.0) for d in risk.dyads], dtype=float)
@@ -296,21 +254,9 @@ class Mix(Effect):
     sender_level: object
     receiver_level: object
 
-    def value(self, state, cov, i, j, context):
-        attrs = cov.actor_attrs[self.attr]
-        si = float(attrs[i] == self.sender_level)
-        if j in attrs:
-            rj = float(attrs[j] == self.receiver_level)
-        else:
-            rj = float(np.mean([attrs[a] == self.receiver_level for a in attrs]))
-        return si * rj
-
     def column(self, state, cov, risk, context):
-        n_actors = int(risk.senders.max()) + 1
-        s_ind = _actor_indicator(cov, self.attr, self.sender_level, n_actors)
-        r_ind = _actor_indicator(cov, self.attr, self.receiver_level, n_actors)
-        if risk.broadcast_actor is not None:
-            r_ind = np.concatenate([r_ind, [r_ind.mean()]])
+        s_ind = _actor_indicator(cov, self.attr, self.sender_level, int(risk.senders.max()) + 1)
+        r_ind = _recipient_indicator(cov, self.attr, self.receiver_level, risk)
         return s_ind[risk.senders] * r_ind[risk.recipients]
 
     def check(self, cov, n_actors):
@@ -344,12 +290,6 @@ class PShift(Effect):
 
     endogenous = True
 
-    def value(self, state, cov, i, j, context):
-        if state.last_event is None:
-            return 0.0
-        a, b = state.last_event
-        return float(_pshift_match(self.kind, a, b, i, j))
-
     def column(self, state, cov, risk, context):
         if state.last_event is None:
             return np.zeros(len(risk))
@@ -374,32 +314,16 @@ class PShift(Effect):
         return {"type": "pshift", "kind": self.kind}
 
 
-def _pshift_match(kind, a, b, i, j):
-    if kind == "AB-BA":
-        return i == b and j == a
-    if kind == "AB-BY":
-        return i == b and j != a and j != b
-    if kind == "AB-XA":
-        return i != a and i != b and j == a
-    if kind == "AB-XB":
-        return i != a and i != b and j == b
-    if kind == "AB-XY":
-        return i != a and i != b and j != a and j != b
-    if kind == "AB-AY":
-        return i == a and j != b and j != a
-    raise ValueError(kind)
-
-
 def pshift_label(prev_event, event):
     """Classify an event relative to its predecessor; None for the first."""
     if prev_event is None:
         return None
     a, b = prev_event[-2:]
     i, j = event[-2:]
-    for kind in PSHIFT_KINDS:
-        if _pshift_match(kind, a, b, i, j):
-            return kind
-    return None
+    sender = "A" if i == a else "B" if i == b else "X"
+    recipient = "A" if j == a else "B" if j == b else "Y"
+    label = "AB-%s%s" % (sender, recipient)
+    return label if label in PSHIFT_KINDS else None
 
 
 def _recency_column(lists, risk):
@@ -419,9 +343,6 @@ def _recency_column(lists, risk):
 class RecencySend(Effect):
     endogenous = True
 
-    def value(self, state, cov, i, j, context):
-        return recency_rank("send", state, i, j)
-
     def column(self, state, cov, risk, context):
         return _recency_column(state.send_recency, risk)
 
@@ -433,9 +354,6 @@ class RecencySend(Effect):
 class RecencyReceive(Effect):
     endogenous = True
 
-    def value(self, state, cov, i, j, context):
-        return recency_rank("receive", state, i, j)
-
     def column(self, state, cov, risk, context):
         return _recency_column(state.receive_recency, risk)
 
@@ -446,9 +364,6 @@ class RecencyReceive(Effect):
 @dataclass(frozen=True)
 class ContextIndicator(Effect):
     label: str
-
-    def value(self, state, cov, i, j, context):
-        return float(context == self.label)
 
     def column(self, state, cov, risk, context):
         return np.full(len(risk), float(context == self.label))
@@ -465,11 +380,6 @@ class ContextInteraction(Effect):
     @property
     def endogenous(self) -> bool:
         return self.base.endogenous
-
-    def value(self, state, cov, i, j, context):
-        if context != self.label:
-            return 0.0
-        return self.base.value(state, cov, i, j, context)
 
     def column(self, state, cov, risk, context):
         if context != self.label:
@@ -499,18 +409,6 @@ class ToBroadcast(Effect):
         if self.attr is None:
             return True
         return cov.actor_attrs[self.attr][i] == self.level
-
-    def value(self, state, cov, i, j, context):
-        bc = state.broadcast
-        if bc is None or j != bc or not self._sender_ok(cov, i):
-            return 0.0
-        if self.prev:
-            if state.last_event is None:
-                return 0.0
-            a, b = state.last_event
-            if b != bc or not self._sender_ok(cov, a):
-                return 0.0
-        return 1.0
 
     @property
     def endogenous(self) -> bool:
@@ -548,9 +446,6 @@ class EventCount(Effect):
     power: float = 1.0
 
     endogenous = True
-
-    def value(self, state, cov, i, j, context):
-        return float(state.counts[i, j]) ** self.power if state.counts[i, j] else 0.0
 
     def column(self, state, cov, risk, context):
         c = state.counts[risk.senders, risk.recipients].astype(float)
@@ -593,14 +488,10 @@ class StatisticSpec:
         for eff in self.effects:
             eff.check(cov, n_actors)
 
-    def vector(self, state: SeqState, cov: CovariateSet, i: int, j: int,
+    def vector(self, state: SeqState, cov: CovariateSet, risk: RiskSet, i: int, j: int,
                context=_UNSET) -> np.ndarray:
-        if context is _UNSET:
-            context = state.current_context
-        out = np.empty(self.p)
-        for p, eff in enumerate(self.effects):
-            out[p] = eff.value(state, cov, i, j, context)
-        return out
+        """Statistic vector of dyad (i, j): its row of :meth:`matrix`."""
+        return self.matrix(state, cov, risk, context)[risk.index[(i, j)]]
 
     def matrix(self, state: SeqState, cov: CovariateSet, risk: RiskSet,
                context=_UNSET) -> np.ndarray:
@@ -788,6 +679,62 @@ class _RowIndex:
                                m=self.m[:n].copy())
 
 
+class WalkStep:
+    """One hazard interval of :func:`walk`: from the previous event to the next one.
+
+    `segments` iterates once over the (duration, context) pieces of the
+    interval (its tuples are built only when a consumer needs them), `event`
+    is the event that ends it (None for the censored tail, which ends at
+    tau), `context` the context at that event and `row` the event's
+    risk-set row.  `x(context)` is the statistic matrix of the state before
+    the event, built on first use; it is valid until the walk advances.
+    """
+
+    __slots__ = ("index", "event", "segments", "context", "row", "_build", "_memo")
+
+    def __init__(self, index, event, segments, context, row, build):
+        self.index = index
+        self.event = event
+        self.segments = segments
+        self.context = context
+        self.row = row
+        self._build = build
+        self._memo = {}
+
+    def x(self, context) -> np.ndarray:
+        mat = self._memo.get(context)
+        if mat is None:
+            mat = self._memo[context] = self._build(context)
+        return mat
+
+    def exposure(self, beta: np.ndarray) -> float:
+        """Total hazard sum exp(x beta) integrated over the segments."""
+        return sum(dur * float(np.exp(self.x(ctx) @ beta).sum()) for dur, ctx in self.segments)
+
+
+def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: CovariateSet,
+         start: int = 0):
+    """Yield a :class:`WalkStep` per event from index `start` on, then one for the tail.
+
+    Events before `start` only advance the state, and no step builds a
+    matrix that its consumer does not ask for.
+    """
+    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+
+    def build(context):
+        return spec.matrix(state, cov, risk, context=context)
+
+    prev_t = 0.0
+    for m, event in enumerate(history.events):
+        t, i, j = event
+        if m >= start:
+            yield WalkStep(m, event, cov.context_segments(prev_t, t), cov.context_at(t),
+                           risk.index[(i, j)], build)
+        state.apply(event, cov)
+        prev_t = t
+    yield WalkStep(history.m, None, cov.context_segments(prev_t, history.tau), None, None, build)
+
+
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
                       cov: CovariateSet) -> UniqueStatTable:
     """Build the unique-vector cache for one sequence.
@@ -797,15 +744,10 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     equality of the float64 vectors; rows keep their order of first
     occurrence, and each exposure is summed in event order.
     """
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     index = _RowIndex(spec.p)
-    prev_t = 0.0
-    for (t, i, j) in history.events:
-        for dur, ctx in cov.context_segments(prev_t, t):
-            index.expose(spec.matrix(state, cov, risk, context=ctx), dur)
-        index.observe(spec.vector(state, cov, i, j, context=cov.context_at(t)))
-        state.apply((t, i, j), cov)
-        prev_t = t
-    for dur, ctx in cov.context_segments(prev_t, history.tau):
-        index.expose(spec.matrix(state, cov, risk, context=ctx), dur)
+    for step in walk(spec, history, risk, cov):
+        for dur, ctx in step.segments:
+            index.expose(step.x(ctx), dur)
+        if step.event is not None:
+            index.observe(step.x(step.context)[step.row])
     return index.table()

@@ -1,0 +1,184 @@
+"""Scalar statistics, one dyad at a time: the reference for the vectorized columns.
+
+`hrem.stats` computes each effect as a whole column over the risk set.
+This module computes the same statistic for a single dyad straight from
+its definition, with no code shared with those columns, so the tests can
+check the statistic matrices, the unique-vector tables and the
+likelihoods against it.
+"""
+
+import numpy as np
+
+from hrem.stats import (
+    Baserate,
+    ContextIndicator,
+    ContextInteraction,
+    DyadMatch,
+    DyadValue,
+    EventCount,
+    Mix,
+    PShift,
+    ReceiverAttr,
+    RecencyReceive,
+    RecencySend,
+    SenderAttr,
+    SeqState,
+    ToBroadcast,
+)
+
+
+def recency_rank(direction, state, i, j):
+    """Inverse rank of j in i's recency list; 0 when absent (rank infinity)."""
+    if direction == "send":
+        lst = state.send_recency[i]
+    elif direction == "receive":
+        lst = state.receive_recency[i]
+    else:
+        raise ValueError("direction must be 'send' or 'receive'")
+    try:
+        return 1.0 / (lst.index(j) + 1)
+    except ValueError:
+        return 0.0
+
+
+def pshift_match(kind, a, b, i, j):
+    """Whether (i, j) is a `kind` participation shift after the event (a, b)."""
+    if kind == "AB-BA":
+        return i == b and j == a
+    if kind == "AB-BY":
+        return i == b and j != a and j != b
+    if kind == "AB-XA":
+        return i != a and i != b and j == a
+    if kind == "AB-XB":
+        return i != a and i != b and j == b
+    if kind == "AB-XY":
+        return i != a and i != b and j != a and j != b
+    if kind == "AB-AY":
+        return i == a and j != b and j != a
+    raise ValueError(kind)
+
+
+def _room(state):
+    """Real actor ids: every node but the broadcast recipient."""
+    n = state.n_nodes - (1 if state.broadcast is not None else 0)
+    return range(n)
+
+
+def _level(v, level):
+    return float(v == level) if level is not None else float(v)
+
+
+def _receiver(state, attrs, j, level):
+    # The broadcast recipient takes the mean over the room of real actors.
+    if j == state.broadcast:
+        return float(np.mean([_level(attrs[a], level) for a in _room(state)]))
+    return _level(attrs[j], level)
+
+
+def value(eff, state, cov, i, j, context):
+    """Statistic of effect `eff` for the single dyad (i, j)."""
+    if isinstance(eff, Baserate):
+        return 1.0
+    if isinstance(eff, SenderAttr):
+        return _level(cov.actor_attrs[eff.attr][i], eff.level)
+    if isinstance(eff, ReceiverAttr):
+        return _receiver(state, cov.actor_attrs[eff.attr], j, eff.level)
+    if isinstance(eff, DyadMatch):
+        attrs = cov.actor_attrs[eff.attr]
+        if j == state.broadcast:
+            return float(np.mean([attrs[a] == attrs[i] for a in _room(state)]))
+        return float(attrs[j] == attrs[i])
+    if isinstance(eff, DyadValue):
+        return cov.dyad_value(eff.attr, i, j)
+    if isinstance(eff, Mix):
+        attrs = cov.actor_attrs[eff.attr]
+        return _level(attrs[i], eff.sender_level) * _receiver(state, attrs, j, eff.receiver_level)
+    if isinstance(eff, PShift):
+        if state.last_event is None:
+            return 0.0
+        return float(pshift_match(eff.kind, *state.last_event, i, j))
+    if isinstance(eff, RecencySend):
+        return recency_rank("send", state, i, j)
+    if isinstance(eff, RecencyReceive):
+        return recency_rank("receive", state, i, j)
+    if isinstance(eff, ContextIndicator):
+        return float(context == eff.label)
+    if isinstance(eff, ContextInteraction):
+        return value(eff.base, state, cov, i, j, context) if context == eff.label else 0.0
+    if isinstance(eff, ToBroadcast):
+        def sender_ok(a):
+            return eff.attr is None or cov.actor_attrs[eff.attr][a] == eff.level
+
+        bc = state.broadcast
+        if bc is None or j != bc or not sender_ok(i):
+            return 0.0
+        if eff.prev:
+            if state.last_event is None:
+                return 0.0
+            a, b = state.last_event
+            if b != bc or not sender_ok(a):
+                return 0.0
+        return 1.0
+    if isinstance(eff, EventCount):
+        c = state.counts[i, j]
+        return float(c) ** eff.power if c else 0.0
+    raise TypeError("no scalar form for %r" % (eff,))
+
+
+def vector(spec, state, cov, i, j, context):
+    return np.array([value(eff, state, cov, i, j, context) for eff in spec.effects])
+
+
+def _intervals(history, risk, cov):
+    """Yield (state, pieces, event) per interval between changepoints.
+
+    `pieces` are the (duration, context) parts of the interval and `event`
+    is (i, j, context at the event), None for the censored tail.
+    """
+    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    prev_t = 0.0
+    for (t, i, j) in history.events:
+        yield state, cov.context_segments(prev_t, t), (i, j, cov.context_at(t))
+        state.apply((t, i, j), cov)
+        prev_t = t
+    yield state, cov.context_segments(prev_t, history.tau), None
+
+
+def table(spec, history, risk, cov):
+    """Per-row table build: every row from `vector`, deduplicated by its bytes.
+
+    Returns (vectors, q, m) in order of first occurrence.
+    """
+    index, vectors, q, m = {}, [], [], []
+
+    def slot(row):
+        key = row.tobytes()
+        r = index.get(key)
+        if r is None:
+            r = index[key] = len(vectors)
+            vectors.append(row)
+            q.append(0)
+            m.append(0.0)
+        return r
+
+    for state, pieces, event in _intervals(history, risk, cov):
+        for dur, ctx in pieces:
+            for i, j in risk.dyads:
+                m[slot(vector(spec, state, cov, i, j, ctx))] += dur
+        if event is not None:
+            q[slot(vector(spec, state, cov, *event))] += 1
+    vectors = np.array(vectors) if vectors else np.zeros((0, spec.p))
+    return vectors, np.array(q, dtype=np.int64), np.array(m, dtype=float)
+
+
+def loglik(beta, history, spec, risk, cov):
+    """Full-time log-likelihood from per-dyad scalar hazards, O(M * P * N^2)."""
+    beta = np.asarray(beta, dtype=float)
+    total = 0.0
+    for state, pieces, event in _intervals(history, risk, cov):
+        for dur, ctx in pieces:
+            total -= dur * sum(np.exp(beta @ vector(spec, state, cov, i, j, ctx))
+                               for i, j in risk.dyads)
+        if event is not None:
+            total += float(beta @ vector(spec, state, cov, *event))
+    return float(total)

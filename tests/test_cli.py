@@ -235,3 +235,36 @@ def test_simulate_fit_round_trip_keeps_dyad_covariates(tmp_path):
     rows = open(tmp_path / "fit_w" / "beta.csv").read().splitlines()[1:]
     beta = {int(r.split(",")[2]): float(r.split(",")[3]) for r in rows}
     assert abs(beta[1] - 1.5) < 0.3
+
+
+def test_simulate_fit_round_trip_keeps_actor_order_beyond_ten(tmp_path):
+    # Labels 10 and 11 must map to dense ids 10 and 11, where their covariates sit.
+    actors = [{"id": i, "x": float(i >= 10)} for i in range(12)]
+    cov_in = write_json(tmp_path / "cov.json", {"actors": actors, "dyads": [], "contexts": []})
+    spec = [{"type": "baserate"}, {"type": "sender_attr", "attr": "x"}]
+    sim = write_json(tmp_path / "sim.json", {
+        "seed": 5, "n_actors": 12, "covariates": cov_in, "spec": spec,
+        "beta": [-3.0, 2.0], "n_events": 800, "out_dir": str(tmp_path / "sim")})
+    assert main(["simulate", "--config", sim]) == 0
+    cfg = fit_config(tmp_path, out="fit_x", preset=None, spec=spec, n_train=None)
+    assert main(["fit", "--config", cfg, "--sampler", "map"]) == 0
+    rows = open(tmp_path / "fit_x" / "beta.csv").read().splitlines()[1:]
+    beta = {int(r.split(",")[2]): float(r.split(",")[3]) for r in rows}
+    assert abs(beta[1] - 2.0) < 0.3
+
+
+def test_fit_records_conjugate_mu_update_by_default(sim_dir):
+    cfg = fit_config(sim_dir, out="fit_mu", n_burnin=5, n_keep=5)
+    assert "mu_update" not in json.load(open(cfg))
+    assert main(["fit", "--config", cfg, "--allow-nonconverged"]) in (0, 2)
+    man = json.load(open(sim_dir / "fit_mu" / "manifest.json"))
+    assert man["settings"]["mu_update"] == "conjugate"
+
+
+def test_fit_bad_hyper_exits_one_naming_it(sim_dir, capsys):
+    cfg = fit_config(sim_dir, out="fit_hyper", hyper={"alpha_sigma": 3.0, "t_rate": 1.0})
+    assert main(["fit", "--config", cfg]) == 1
+    assert "'t_rate'" in capsys.readouterr().err
+    cfg = fit_config(sim_dir, out="fit_hyper", hyper={"alpha_sigma": 0.0})
+    assert main(["fit", "--config", cfg]) == 1
+    assert "alpha_sigma must be positive" in capsys.readouterr().err

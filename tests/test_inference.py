@@ -7,13 +7,11 @@ from scipy import optimize, stats
 from hrem.events import CovariateSet, build_risk_set
 from hrem.inference import (
     Hyperparams,
-    PopulationParams,
     collapsed_prior_logpdf,
     gibbs_mu,
     gibbs_sigma,
     joint_log_posterior,
     map_estimate,
-    marginal_logpost_beta,
     penalized_mle,
     run_collapsed_sampler,
     slice_sample,
@@ -35,13 +33,6 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(alpha_sigma=0.0)
 
 
-def test_population_params_validation():
-    with pytest.raises(ValueError):
-        PopulationParams(mu=np.zeros(2), sigma2=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        PopulationParams(mu=np.zeros(1), sigma2=np.ones(1), nu=np.array([-2.0]))
-
-
 def test_gibbs_sigma_matches_invgamma():
     rng = np.random.default_rng(0)
     # all betas equal mu, K=4: Inv-Gamma(7, 1)
@@ -57,7 +48,7 @@ def test_gibbs_sigma_matches_invgamma():
 def test_gibbs_mu_paper_form():
     rng = np.random.default_rng(1)
     betas = np.array([1.0, 2.0, 3.0, 4.0])
-    draws = np.array([gibbs_mu(betas, 1.0, rng) for _ in range(20000)])
+    draws = np.array([gibbs_mu(betas, 1.0, rng, mode="paper") for _ in range(20000)])
     assert draws.mean() == pytest.approx(2.5, abs=0.02)
     assert draws.var() == pytest.approx(0.5, rel=0.05)  # sigma^2/sqrt(K)
 
@@ -65,7 +56,7 @@ def test_gibbs_mu_paper_form():
 def test_gibbs_mu_degenerate_variance():
     rng = np.random.default_rng(2)
     betas = np.array([0.3, 0.5])
-    assert gibbs_mu(betas, 0.0, rng) == pytest.approx(0.4)
+    assert gibbs_mu(betas, 0.0, rng, mode="paper") == pytest.approx(0.4)
 
 
 def test_gibbs_mu_conjugate_shrinks_toward_zero():
@@ -91,14 +82,6 @@ def test_collapsed_prior_is_normalized():
     grid = np.linspace(-60, 60, 400001)
     dens = np.exp(collapsed_prior_logpdf(grid, 0.0, HYPER))
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_marginal_logpost_beta_default_matches_closed_form():
-    f = lambda b: 0.0
-    for d in (0.0, 0.7, 2.5):
-        got = marginal_logpost_beta(d, 0.0, HYPER, f)
-        want = -(HYPER.alpha_sigma + 0.5) * math.log(HYPER.beta_sigma + d**2 / 2)
-        assert got == pytest.approx(want)
 
 
 def test_slice_sample_standard_normal():

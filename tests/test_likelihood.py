@@ -7,7 +7,6 @@ from hrem.events import CovariateSet, EventHistory, build_risk_set
 from hrem.likelihood import (
     explosion_check,
     grad_loglik_full,
-    hazard,
     hessian_loglik_full,
     loglik_full,
     loglik_naive,
@@ -18,14 +17,6 @@ from hrem.simulate import simulate_history
 from hrem.stats import Baserate, EventCount, PShift, StatisticSpec, unique_stat_table
 
 COV = CovariateSet()
-
-
-def test_hazard_values():
-    assert hazard(np.zeros(3), np.ones(3)) == 1.0
-    assert hazard(np.array([1.5]), np.array([1.0])) == pytest.approx(4.4817, abs=1e-4)
-    assert hazard(np.array([-1.0]), np.array([1.0])) == pytest.approx(0.3679, abs=1e-4)
-    with pytest.raises(ValueError):
-        hazard(np.zeros(2), np.zeros(3))
 
 
 def intercept_table(events, tau, n_actors):

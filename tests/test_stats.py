@@ -24,11 +24,13 @@ from hrem.stats import (
     StatisticSpec,
     ToBroadcast,
     pshift_label,
-    recency_rank,
     unique_stat_table,
 )
 
+import scalar_oracle as oracle
+
 COV = CovariateSet()
+RISK = build_risk_set(4)
 
 
 def state_after(events, n_actors=4, cov=None):
@@ -41,16 +43,16 @@ def state_after(events, n_actors=4, cov=None):
 def test_pshift_ab_ba():
     s = state_after([(0.1, 0, 1)])
     spec = StatisticSpec((PShift("AB-BA"),))
-    assert spec.vector(s, COV, 1, 0)[0] == 1.0
-    assert spec.vector(s, COV, 0, 1)[0] == 0.0
+    assert spec.vector(s, COV, RISK, 1, 0)[0] == 1.0
+    assert spec.vector(s, COV, RISK, 0, 1)[0] == 0.0
 
 
 def test_pshift_ab_xb_requires_distinct_x():
     s = state_after([(0.1, 0, 1)])
     spec = StatisticSpec((PShift("AB-XB"),))
     # querying (B, A): sender is B, not a third actor X
-    assert spec.vector(s, COV, 1, 0)[0] == 0.0
-    assert spec.vector(s, COV, 2, 1)[0] == 1.0
+    assert spec.vector(s, COV, RISK, 1, 0)[0] == 0.0
+    assert spec.vector(s, COV, RISK, 2, 1)[0] == 1.0
 
 
 def test_pshifts_mutually_exclusive():
@@ -70,14 +72,14 @@ def test_pshifts_mutually_exclusive():
 def test_first_event_has_no_pshift():
     s = SeqState(4)
     spec = StatisticSpec(tuple(PShift(k) for k in PSHIFT_KINDS))
-    assert np.all(spec.vector(s, COV, 0, 1) == 0.0)
+    assert np.all(spec.vector(s, COV, RISK, 0, 1) == 0.0)
 
 
 def test_repeat_event_carries_no_indicator():
     s = state_after([(0.1, 0, 1)])
     assert pshift_label((0, 1), (0.2, 0, 1)) is None
     spec = StatisticSpec(tuple(PShift(k) for k in PSHIFT_KINDS))
-    assert np.all(spec.vector(s, COV, 0, 1) == 0.0)
+    assert np.all(spec.vector(s, COV, RISK, 0, 1) == 0.0)
 
 
 def test_pshift_label_kinds():
@@ -92,19 +94,19 @@ def test_pshift_label_kinds():
 
 def test_recency_rank_values():
     s = state_after([(0.1, 0, 1), (0.2, 0, 2), (0.3, 0, 3)])
-    assert recency_rank("send", s, 0, 3) == 1.0
-    assert recency_rank("send", s, 0, 2) == 0.5
-    assert recency_rank("send", s, 0, 1) == pytest.approx(1 / 3)
-    assert recency_rank("send", s, 1, 0) == 0.0  # absent: rank infinity
-    assert recency_rank("receive", s, 1, 0) == 1.0
+    assert oracle.recency_rank("send", s, 0, 3) == 1.0
+    assert oracle.recency_rank("send", s, 0, 2) == 0.5
+    assert oracle.recency_rank("send", s, 0, 1) == pytest.approx(1 / 3)
+    assert oracle.recency_rank("send", s, 1, 0) == 0.0  # absent: rank infinity
+    assert oracle.recency_rank("receive", s, 1, 0) == 1.0
 
 
 def test_recency_effect_falls_to_half():
     spec = StatisticSpec((RecencySend(),))
     s = state_after([(0.1, 0, 1)])
-    assert spec.vector(s, COV, 0, 1)[0] == 1.0
+    assert spec.vector(s, COV, RISK, 0, 1)[0] == 1.0
     s.apply((0.2, 0, 2))
-    assert spec.vector(s, COV, 0, 1)[0] == 0.5
+    assert spec.vector(s, COV, RISK, 0, 1)[0] == 0.5
 
 
 def test_update_state_examples():
@@ -179,8 +181,8 @@ def test_classroom_presets_build():
 def test_compute_stat_vector_deterministic():
     d = syn52()
     s = state_after([(0.1, 0, 1), (0.2, 1, 5)], n_actors=10)
-    v1 = d.spec.vector(s, d.cov, 5, 1)
-    v2 = d.spec.vector(s, d.cov, 5, 1)
+    v1 = d.spec.vector(s, d.cov, d.risk, 5, 1)
+    v2 = d.spec.vector(s, d.cov, d.risk, 5, 1)
     assert np.array_equal(v1, v2)
     assert v1.shape == (d.spec.p,)
 
@@ -233,42 +235,11 @@ def test_recency_receive_column_matches_values():
     spec = StatisticSpec((RecencyReceive(),))
     col = spec.matrix(s, COV, risk)[:, 0]
     for r, (i, j) in enumerate(risk.dyads):
-        assert col[r] == recency_rank("receive", s, i, j)
+        assert col[r] == oracle.recency_rank("receive", s, i, j)
 
 
 # ---------------------------------------------------------------------------
 # The table builder and the statistic matrix against per-dyad oracles
-
-
-def oracle_table(spec, history, risk, cov):
-    """Per-row builder: each dyad's row from spec.vector, deduplicated by its bytes."""
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
-    index, vectors, q, m = {}, [], [], []
-
-    def slot(row):
-        key = row.tobytes()
-        r = index.get(key)
-        if r is None:
-            r = index[key] = len(vectors)
-            vectors.append(row.copy())
-            q.append(0)
-            m.append(0.0)
-        return r
-
-    def expose(t0, t1):
-        for dur, ctx in cov.context_segments(t0, t1):
-            for i, j in risk.dyads:
-                m[slot(spec.vector(state, cov, i, j, context=ctx))] += dur
-
-    prev_t = 0.0
-    for (t, i, j) in history.events:
-        expose(prev_t, t)
-        q[slot(spec.vector(state, cov, i, j, context=cov.context_at(t)))] += 1
-        state.apply((t, i, j), cov)
-        prev_t = t
-    expose(prev_t, history.tau)
-    vectors = np.array(vectors) if vectors else np.zeros((0, spec.p))
-    return vectors, np.array(q, dtype=np.int64), np.array(m, dtype=float)
 
 
 def same_bits(a, b):
@@ -301,8 +272,11 @@ def designs(draw):
     n = draw(st.integers(3, 5))
     risk = build_risk_set(n, include_broadcast=True)
     # -0.0 and 0.0 project alike but differ bitwise, so they must stay distinct rows
-    x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.3]), min_size=n, max_size=n))
-    g = draw(st.lists(st.sampled_from("uv"), min_size=n, max_size=n))
+    x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.3]), min_size=n + 1,
+                      max_size=n + 1))
+    g = draw(st.lists(st.sampled_from("uv"), min_size=n + 1, max_size=n + 1))
+    # An attribute value for the broadcast id must not displace its room mean.
+    n_valued = n + draw(st.sampled_from([0, 1]))
     real = [d for d in risk.dyads if d[1] != risk.broadcast_actor]
     w_on = draw(st.lists(st.sampled_from(real), max_size=6, unique=True))
     w_val = draw(st.sampled_from([1.0, 0.5, 3.0]))
@@ -316,7 +290,7 @@ def designs(draw):
                              max_size=4, unique=True))
     track = [(0.0, "a")] + [(float(s), "ab"[k % 2 == 0]) for k, s in enumerate(sorted(switches))]
     cov = CovariateSet(
-        actor_attrs={"x": dict(enumerate(x)), "g": dict(enumerate(g))},
+        actor_attrs={"x": dict(enumerate(x[:n_valued])), "g": dict(enumerate(g[:n_valued]))},
         dyad_attrs={"w": {d: w_val for d in w_on}},
         context_track=tuple(track),
     )
@@ -331,9 +305,25 @@ def designs(draw):
 def test_unique_table_matches_per_row_oracle(design):
     spec, history, risk, cov = design
     table = unique_stat_table(spec, history, risk, cov)
-    vectors, q, m = oracle_table(spec, history, risk, cov)
+    vectors, q, m = oracle.table(spec, history, risk, cov)
     assert same_bits(table.vectors, vectors)  # also fixes the row order
     assert table.q.dtype == q.dtype and np.array_equal(table.q, q)
+    assert same_bits(table.m, m)
+
+
+def test_broadcast_recipient_counts_under_its_room_mean_row():
+    # The broadcast id 4 also carries an x value; its row takes the room mean of x.
+    cov = CovariateSet(actor_attrs={"x": {0: 1, 1: 0, 2: 0, 3: 1, 4: 1}})
+    risk = build_risk_set(4, include_broadcast=True)
+    spec = StatisticSpec((ReceiverAttr("x"), Mix("x", 1, 1)))
+    hist = EventHistory(events=((0.5, 0, 4), (1.0, 1, 2), (1.5, 0, 4)), tau=2.0, n_actors=4)
+    table = unique_stat_table(spec, hist, risk, cov)
+    q = {tuple(v): n for v, n in zip(table.vectors.tolist(), table.q)}
+    assert q[(0.5, 0.5)] == 2  # both (0, 4) events
+    assert q[(1.0, 1.0)] == 0  # the row of (0, 3), which never occurs
+    vectors, q, m = oracle.table(spec, hist, risk, cov)
+    assert same_bits(table.vectors, vectors)
+    assert np.array_equal(table.q, q)
     assert same_bits(table.m, m)
 
 
@@ -372,9 +362,11 @@ def test_matrix_rows_equal_vectors_in_every_context():
         for event in hist.events:
             for ctx in ("lecture", "groupwork", "silent"):
                 mat = spec.matrix(state, cov, risk, context=ctx)
-                rows = np.array([spec.vector(state, cov, i, j, context=ctx)
+                rows = np.array([oracle.vector(spec, state, cov, i, j, ctx)
                                  for i, j in risk.dyads])
                 assert same_bits(mat, rows), (code, ctx, state.n_applied)
+                i, j = risk.dyads[-1]
+                assert same_bits(spec.vector(state, cov, risk, i, j, context=ctx), mat[-1])
             state.apply(event, cov)
 
 
@@ -386,7 +378,7 @@ def test_unique_table_matches_per_row_oracle_on_presets():
     cases += [(classroom_spec(code), hist, risk, cov) for code in ("E1", "A1")]
     for spec, history, risk, cov in cases:
         table = unique_stat_table(spec, history, risk, cov)
-        vectors, q, m = oracle_table(spec, history, risk, cov)
+        vectors, q, m = oracle.table(spec, history, risk, cov)
         assert same_bits(table.vectors, vectors)
         assert np.array_equal(table.q, q)
         assert same_bits(table.m, m)
