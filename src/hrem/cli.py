@@ -2,7 +2,8 @@
 
 Every command takes a JSON config (or a fit manifest) and writes its
 outputs next to a manifest carrying content hashes, so runs are
-reproducible byte-for-byte given the same config and seed.
+reproducible byte-for-byte given the same config and seed.  A command that
+reads a manifest checks the files it loads against those hashes.
 
 Exit codes: 0 success, 1 usage/data error, 2 nonconvergence.
 """
@@ -13,6 +14,8 @@ import argparse
 import dataclasses
 import glob
 import hashlib
+import io
+import itertools
 import json
 import os
 import sys
@@ -41,12 +44,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_checked(path, sha256=None):
+    """The bytes of a file and their sha256, checked against `sha256` when given."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CliError("cannot read %s: %s" % (path, exc))
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise CliError("%s has changed since its manifest was written (sha256 mismatch)" % path)
+    return data, digest
+
+
 def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return _read_checked(path)[1]
 
 
 def _read_config(path):
@@ -70,20 +82,22 @@ def _write(path, text):
         fh.write(text)
 
 
-def _write_manifest(out_dir, doc):
-    path = os.path.join(out_dir, "manifest.json")
+def _write_json(path, doc):
     _write(path, json.dumps(doc, indent=1, sort_keys=True))
     return path
 
 
-def _resolve_spec(cfg, cov):
+def _resolve_spec(cfg, cov, where):
     preset = cfg.get("preset")
     if preset:
         if preset in ("syn52", "syn6"):
             return syn52().spec
         return classroom_spec(preset)
     if "spec" in cfg:
-        return StatisticSpec.from_obj(cfg["spec"], cov)
+        try:
+            return StatisticSpec.from_obj(cfg["spec"], cov)
+        except ValueError as exc:
+            raise CliError("%s: %s" % (where, exc))
     raise CliError("config needs either 'preset' (%s) or 'spec'" % ", ".join(preset_names()))
 
 
@@ -111,7 +125,7 @@ def cmd_simulate(args):
         cov = CovariateSet()
         if "covariates" in cfg:
             cov, _ = load_covariates(cfg["covariates"])
-        spec = _resolve_spec(cfg, cov)
+        spec = _resolve_spec(cfg, cov, args.config)
         n_actors = int(_require(cfg, "n_actors"))
         risk = build_risk_set(n_actors, include_broadcast=bool(cfg.get("broadcast", False)))
         mu = np.asarray(_require(cfg, "mu" if "mu" in cfg else "beta"), dtype=float)
@@ -136,34 +150,25 @@ def cmd_simulate(args):
         sequences.append(
             {"file": fname, "tau": hist.tau, "n_events": hist.m, "sha256": _sha256(fname)}
         )
-    cov_path = os.path.join(out_dir, "covariates.json")
-    cov_doc = _covariates_document(cov, int(risk.senders.max()) + 1)
-    _write(cov_path, json.dumps(cov_doc, indent=1, sort_keys=True))
-    truths_path = os.path.join(out_dir, "truths.json")
-    _write(
-        truths_path,
-        json.dumps(
-            {
-                "mu": mu.tolist(),
-                "sigma": np.broadcast_to(sigma, mu.shape).tolist(),
-                "beta_k": [b.tolist() for _, b in pairs],
-            },
-            indent=1,
-            sort_keys=True,
-        ),
-    )
+    cov_path = _write_json(os.path.join(out_dir, "covariates.json"),
+                           _covariates_document(cov, risk.n_actors))
+    truths_path = _write_json(os.path.join(out_dir, "truths.json"), {
+        "mu": mu.tolist(),
+        "sigma": np.broadcast_to(sigma, mu.shape).tolist(),
+        "beta_k": [b.tolist() for _, b in pairs],
+    })
     manifest = {
         "command": "simulate",
         "seed": int(seed),
         "preset": preset,
         "spec": json.loads(spec.to_json()),
-        "n_actors": int(risk.senders.max() + 1),
+        "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
         "sequences": sequences,
         "covariates": {"file": cov_path, "sha256": _sha256(cov_path)},
         "truths": {"file": truths_path, "sha256": _sha256(truths_path)},
     }
-    path = _write_manifest(out_dir, manifest)
+    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print("wrote %d sequences to %s (manifest: %s)" % (len(sequences), out_dir, path))
     return 0
 
@@ -182,7 +187,8 @@ def _load_sequences(cfg):
     entries = []
     if "from_manifest" in cfg:
         man = _read_config(cfg["from_manifest"])
-        entries = [{"file": s["file"], "tau": s["tau"]} for s in man["sequences"]]
+        entries = [{"file": s["file"], "tau": s["tau"], "sha256": s.get("sha256")}
+                   for s in man["sequences"]]
         if not cov_path and man.get("covariates"):
             cov_path = man["covariates"]["file"]
             cov, _ = load_covariates(cov_path)
@@ -195,108 +201,79 @@ def _load_sequences(cfg):
             if not raw:
                 raise CliError("no event files match %r" % cfg["events"])
         for e in raw:
-            if isinstance(e, str):
-                entries.append({"file": e, "tau": meta.get("tau")})
-            else:
-                entries.append({"file": e["file"], "tau": e.get("tau", meta.get("tau"))})
-    histories = []
-    for idx, e in enumerate(entries):
-        if e["tau"] is None:
-            raise CliError("no tau for %s (config, covariate JSON, or manifest)" % e["file"])
-        try:
-            hist, _ = load_history(
-                e["file"],
-                "csv",
-                tau=float(e["tau"]),
-                n_actors=meta.get("n_actors"),
-                broadcast_label=meta.get("broadcast_id"),
-                sequence_id="seq%03d" % idx,
-            )
-        except Exception as exc:
-            raise CliError("failed to load %s: %s" % (e["file"], exc))
-        histories.append(hist)
+            e = {"file": e} if isinstance(e, str) else e
+            entries.append({"file": e["file"], "tau": e.get("tau", meta.get("tau"))})
+    histories = _load_histories(entries, meta.get("n_actors"), meta.get("broadcast_id"))
     n_actors = meta.get("n_actors") or max(h.n_actors for h in histories)
     broadcast = meta.get("broadcast_id") is not None
     risk = build_risk_set(int(n_actors), include_broadcast=broadcast)
     return histories, risk, cov, entries, cov_path
 
 
+def _load_histories(entries, n_actors, broadcast):
+    """Load each entry's event CSV, checking it against the entry's sha256 if it has one.
+
+    Each entry then records the sha256 of the bytes that were parsed.
+    """
+    histories = []
+    for idx, e in enumerate(entries):
+        if e.get("tau") is None:
+            raise CliError("no tau for %s (config, covariate JSON, or manifest)" % e["file"])
+        data, e["sha256"] = _read_checked(e["file"], e.get("sha256"))
+        try:
+            hist, _ = load_history(
+                io.StringIO(data.decode("utf-8")), "csv", tau=float(e["tau"]),
+                n_actors=n_actors, broadcast_label=broadcast, sequence_id="seq%03d" % idx,
+            )
+        except Exception as exc:
+            raise CliError("failed to load %s: %s" % (e["file"], exc))
+        histories.append(hist)
+    return histories
+
+
+def _training_tables(spec, histories, risk, cov, n_train):
+    """Unique-vector tables of the events a fit sees: the first n_train of each history."""
+    if n_train:
+        histories = [h.truncate(int(n_train)) for h in histories]
+    return [unique_stat_table(spec, h, risk, cov) for h in histories]
+
+
+# One CSV per array of PosteriorSamples: (file, field, header).  Each has one
+# row per array entry in C order: the entry's indices, then its value.
+_POSTERIOR = (
+    ("beta.csv", "betas", "draw,sequence,effect,value"),
+    ("mu.csv", "mu", "draw,effect,value"),
+    ("sigma2.csv", "sigma2", "draw,effect,value"),
+    ("logpost.csv", "logpost", "draw,value"),
+)
+
+
 def _save_posterior(samples: PosteriorSamples, out_dir):
     paths = {}
-
-    def dump(name, rows, header):
-        p = os.path.join(out_dir, name)
-        _write(p, header + "\n" + "\n".join(rows) + "\n")
-        paths[name] = {"file": p, "sha256": _sha256(p)}
-
-    dump(
-        "beta.csv",
-        [
-            "%d,%d,%d,%r" % (l, k, p, float(samples.betas[l, k, p]))
-            for l in range(samples.n_draws)
-            for k in range(samples.k_sequences)
-            for p in range(samples.n_effects)
-        ],
-        "draw,sequence,effect,value",
-    )
-    dump(
-        "mu.csv",
-        [
-            "%d,%d,%r" % (l, p, float(samples.mu[l, p]))
-            for l in range(samples.n_draws)
-            for p in range(samples.n_effects)
-        ],
-        "draw,effect,value",
-    )
-    dump(
-        "sigma2.csv",
-        [
-            "%d,%d,%r" % (l, p, float(samples.sigma2[l, p]))
-            for l in range(samples.n_draws)
-            for p in range(samples.n_effects)
-        ],
-        "draw,effect,value",
-    )
-    dump(
-        "logpost.csv",
-        ["%d,%r" % (l, float(samples.logpost[l])) for l in range(samples.n_draws)],
-        "draw,value",
-    )
+    for name, field, header in _POSTERIOR:
+        arr = np.asarray(getattr(samples, field), dtype=float)
+        row = "%d," * arr.ndim + "%r"
+        indices = itertools.product(*map(range, arr.shape))
+        rows = [row % (*idx, v) for idx, v in zip(indices, arr.ravel().tolist())]
+        path = os.path.join(out_dir, name)
+        _write(path, header + "\n" + "\n".join(rows) + "\n")
+        paths[name] = {"file": path, "sha256": _sha256(path)}
     return paths
 
 
 def _load_posterior(manifest):
+    """Read the posterior CSVs in row order, after checking their sha256."""
     dims = manifest["dims"]
-    l, k, p = dims["draws"], dims["sequences"], dims["effects"]
-    out_dir = manifest["out_dir"]
-    betas = np.zeros((l, k, p))
-    with open(os.path.join(out_dir, "beta.csv")) as fh:
-        next(fh)
-        for line in fh:
-            dl, dk, dp, v = line.strip().split(",")
-            betas[int(dl), int(dk), int(dp)] = float(v)
-    mu = np.zeros((l, p))
-    with open(os.path.join(out_dir, "mu.csv")) as fh:
-        next(fh)
-        for line in fh:
-            dl, dp, v = line.strip().split(",")
-            mu[int(dl), int(dp)] = float(v)
-    sigma2 = np.zeros((l, p))
-    with open(os.path.join(out_dir, "sigma2.csv")) as fh:
-        next(fh)
-        for line in fh:
-            dl, dp, v = line.strip().split(",")
-            sigma2[int(dl), int(dp)] = float(v)
-    logpost = np.zeros(l)
-    with open(os.path.join(out_dir, "logpost.csv")) as fh:
-        next(fh)
-        for line in fh:
-            dl, v = line.strip().split(",")
-            logpost[int(dl)] = float(v)
+    size = {"draw": dims["draws"], "sequence": dims["sequences"], "effect": dims["effects"]}
+    arrays = {}
+    for name, field, header in _POSTERIOR:
+        entry = manifest["posterior"][name]
+        data, _ = _read_checked(entry["file"], entry["sha256"])
+        values = [float(r[r.rindex(",") + 1:]) for r in data.decode("utf-8").splitlines()[1:]]
+        arrays[field] = np.array(values).reshape([size[c] for c in header.split(",")[:-1]])
     return PosteriorSamples(
-        betas=betas, mu=mu, sigma2=sigma2, logpost=logpost,
-        n_burnin=manifest["settings"].get("n_burnin", 0),
-        n_keep=l, thin=manifest["settings"].get("thin", 1),
+        **arrays, n_burnin=manifest["settings"].get("n_burnin", 0),
+        n_keep=dims["draws"], thin=manifest["settings"].get("thin", 1),
     )
 
 
@@ -318,15 +295,13 @@ def cmd_fit(args):
     os.makedirs(out_dir, exist_ok=True)
 
     histories, risk, cov, entries, cov_path = _load_sequences(cfg)
-    spec = _resolve_spec(cfg, cov)
+    spec = _resolve_spec(cfg, cov, args.config)
     try:
-        spec.check(cov, int(risk.senders.max()) + 1)
+        spec.check(cov, risk.n_actors)
     except KeyError as exc:
         raise CliError("spec/data mismatch: %s" % exc)
     n_train = cfg.get("n_train")
-    if n_train:
-        histories = [h.truncate(int(n_train)) for h in histories]
-    tables = [unique_stat_table(spec, h, risk, cov) for h in histories]
+    tables = _training_tables(spec, histories, risk, cov, n_train)
 
     n_burnin = int(cfg.get("n_burnin", 500))
     n_keep = int(cfg.get("n_keep", 500))
@@ -363,12 +338,10 @@ def cmd_fit(args):
         "seed": int(seed),
         "out_dir": out_dir,
         "spec": json.loads(spec.to_json()),
-        "n_actors": int(risk.senders.max()) + 1,
+        "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
         "covariates": cov_path,
-        "sequences": [
-            dict(e, sha256=_sha256(e["file"]), n_train=n_train) for e in entries
-        ],
+        "sequences": [dict(e, n_train=n_train) for e in entries],
         "settings": {
             "sampler": sampler,
             "mu_update": mu_update,
@@ -387,7 +360,7 @@ def cmd_fit(args):
         "diagnostics": diag,
         "posterior": paths,
     }
-    path = _write_manifest(out_dir, manifest)
+    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     rhat_max = float(cfg.get("rhat_max", 1.2))
     converged = samples.diagnostics.get("max_rhat", 1.0) <= rhat_max
     print("fit written to %s (manifest: %s); max_rhat=%.3f" % (
@@ -413,13 +386,7 @@ def _reload_fit(manifest_path):
     spec = StatisticSpec.from_obj(manifest["spec"], cov)
     broadcast = manifest.get("broadcast")
     risk = build_risk_set(manifest["n_actors"], include_broadcast=broadcast is not None)
-    histories = []
-    for idx, e in enumerate(manifest["sequences"]):
-        hist, _ = load_history(
-            e["file"], "csv", tau=float(e["tau"]), n_actors=manifest["n_actors"],
-            broadcast_label=broadcast, sequence_id="seq%03d" % idx,
-        )
-        histories.append(hist)
+    histories = _load_histories(manifest["sequences"], manifest["n_actors"], broadcast)
     samples = _load_posterior(manifest)
     return manifest, spec, risk, cov, histories, samples
 
@@ -498,10 +465,7 @@ def cmd_select(args):
         # DIC is scored on the events the fit saw, as cut by `fit`.
         n_train = manifest["settings"].get("n_train")
         data_keys.add((n_train, tuple(s["sha256"] for s in manifest["sequences"])))
-        if n_train:
-            histories = [h.truncate(int(n_train)) for h in histories]
-        tables = [unique_stat_table(spec, h, risk, cov) for h in histories]
-        d = diagnostics.dic(samples, tables)
+        d = diagnostics.dic(samples, _training_tables(spec, histories, risk, cov, n_train))
         loaded.append((mpath, d))
     if len(data_keys) != 1:
         raise CliError("manifests were fit on different data sets")

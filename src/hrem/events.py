@@ -136,6 +136,14 @@ class RiskSet:
         return arr
 
     @property
+    def n_actors(self) -> int:
+        """Number of real actors: the broadcast recipient never sends."""
+        n = self.__dict__.get("_n_actors")
+        if n is None:
+            n = self.__dict__["_n_actors"] = int(self.senders.max()) + 1
+        return n
+
+    @property
     def actor_masks(self) -> tuple:
         # (senders == a, recipients == a) as rows a of two boolean arrays
         masks = self.__dict__.get("_actor_masks")
@@ -295,7 +303,6 @@ def load_history(
     format: str = "csv",
     *,
     tau: float | None = None,
-    covariates: CovariateSet | None = None,
     n_actors: int | None = None,
     broadcast_label=None,
     sequence_id: str = "seq",
@@ -320,7 +327,7 @@ def load_history(
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
 
-    cov = covariates
+    cov = CovariateSet()
     if format == "csv":
         raw = _parse_events_csv(text)
     elif format == "json":
@@ -374,8 +381,6 @@ def load_history(
         sequence_id=sequence_id,
         actor_labels=labels,
     )
-    if cov is None:
-        cov = CovariateSet()
     risk = build_risk_set(n_real, include_broadcast=broadcast_label is not None)
     report = validate(history, risk, cov)
     if report:

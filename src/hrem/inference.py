@@ -449,8 +449,7 @@ def penalized_mle(table: UniqueStatTable, prior_sd: float = 10.0, init=None):
 
 
 def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
-                 tol: float = 1e-8, sigma_floor: float = 1e-6,
-                 mu_update: str = "conjugate"):
+                 tol: float = 1e-8, sigma_floor: float = 1e-6):
     """Block-coordinate ascent on the joint log posterior.
 
     Returns (betas, mu, sigma2, warnings).  Effects whose fitted

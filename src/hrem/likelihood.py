@@ -119,8 +119,7 @@ def explosion_check(beta: np.ndarray, spec: StatisticSpec, risk: RiskSet,
     from hrem.simulate import simulate_history, SimulationExplosion
 
     beta = np.asarray(beta, dtype=float)
-    n_actors = int(risk.senders.max()) + 1
-    state0 = SeqState(n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    state0 = SeqState(risk.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     rate0 = float(np.exp(spec.matrix(state0, cov, risk) @ beta).sum())
     ceiling = rate_ceiling_factor * rate0
     cap = int(np.ceil(event_cap_factor * rate0 * horizon))

@@ -71,11 +71,10 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (spec.p,):
         raise ValueError("beta has dimension %s, spec has P=%d" % (beta.shape, spec.p))
-    n_actors = int(risk.senders.max()) + 1
     if max_events is None:
         max_events = 100 * (n_events if n_events is not None else 1000)
 
-    state = SeqState(n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    state = SeqState(risk.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     events = []
     t = 0.0
     peak = 0.0
@@ -119,7 +118,7 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
         t_last = events[-1][0]
         tau = t_last + t_last / len(events)
     history = EventHistory(
-        events=tuple(events), tau=float(tau), n_actors=n_actors, sequence_id=sequence_id
+        events=tuple(events), tau=float(tau), n_actors=risk.n_actors, sequence_id=sequence_id
     )
     if return_peak_rate:
         return history, peak

@@ -11,6 +11,7 @@ through a history's hazard intervals for every consumer of the statistics.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -132,10 +133,24 @@ class Effect:
         raise NotImplementedError
 
     def check(self, cov: CovariateSet, n_actors: int):
-        """Raise if a referenced attribute is missing for some actor."""
+        """Raise if the actor attribute `attr`, when set, is missing for some actor."""
+        name = getattr(self, "attr", None)
+        if name is None:
+            return
+        attr = cov.actor_attrs.get(name)
+        if attr is None:
+            raise KeyError("unbound actor attribute %r" % name)
+        missing = [i for i in range(n_actors) if i not in attr]
+        if missing:
+            raise KeyError("actor attribute %r missing for actors %s" % (name, missing))
 
-    def to_json(self):
-        raise NotImplementedError
+    def to_json(self) -> dict:
+        """`{"type": name, field: value, ...}` in field order; a nested effect as its own."""
+        obj = {"type": _NAMES[type(self)]}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            obj[f.name] = value.to_json() if isinstance(value, Effect) else value
+        return obj
 
 
 def _actor_indicator(cov, name, level, n_actors):
@@ -147,28 +162,16 @@ def _actor_indicator(cov, name, level, n_actors):
 
 def _recipient_indicator(cov, name, level, risk):
     """`_actor_indicator` by recipient id; the broadcast recipient takes the room mean."""
-    ind = _actor_indicator(cov, name, level, int(risk.senders.max()) + 1)
+    ind = _actor_indicator(cov, name, level, risk.n_actors)
     if risk.broadcast_actor is not None:
         ind = np.concatenate([ind, [ind.mean()]])
     return ind
-
-
-def _check_actor_attr(cov, name, n_actors):
-    attr = cov.actor_attrs.get(name)
-    if attr is None:
-        raise KeyError("unbound actor attribute %r" % name)
-    missing = [i for i in range(n_actors) if i not in attr]
-    if missing:
-        raise KeyError("actor attribute %r missing for actors %s" % (name, missing))
 
 
 @dataclass(frozen=True)
 class Baserate(Effect):
     def column(self, state, cov, risk, context):
         return np.ones(len(risk))
-
-    def to_json(self):
-        return {"type": "baserate"}
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,7 @@ class SenderAttr(Effect):
     level: object = None
 
     def column(self, state, cov, risk, context):
-        ind = _actor_indicator(cov, self.attr, self.level, int(risk.senders.max()) + 1)
-        return ind[risk.senders]
-
-    def check(self, cov, n_actors):
-        _check_actor_attr(cov, self.attr, n_actors)
-
-    def to_json(self):
-        return {"type": "sender_attr", "attr": self.attr, "level": self.level}
+        return _actor_indicator(cov, self.attr, self.level, risk.n_actors)[risk.senders]
 
 
 @dataclass(frozen=True)
@@ -195,19 +191,13 @@ class ReceiverAttr(Effect):
     def column(self, state, cov, risk, context):
         return _recipient_indicator(cov, self.attr, self.level, risk)[risk.recipients]
 
-    def check(self, cov, n_actors):
-        _check_actor_attr(cov, self.attr, n_actors)
-
-    def to_json(self):
-        return {"type": "receiver_attr", "attr": self.attr, "level": self.level}
-
 
 @dataclass(frozen=True)
 class DyadMatch(Effect):
     attr: str
 
     def column(self, state, cov, risk, context):
-        n_actors = int(risk.senders.max()) + 1
+        n_actors = risk.n_actors
         vals = cov.actor_values(self.attr, n_actors)
         vi = vals[risk.senders]
         out = np.zeros(len(risk))
@@ -223,12 +213,6 @@ class DyadMatch(Effect):
             out[bc] = [freq[v] for v in vi[bc]]
         return out
 
-    def check(self, cov, n_actors):
-        _check_actor_attr(cov, self.attr, n_actors)
-
-    def to_json(self):
-        return {"type": "dyad_match", "attr": self.attr}
-
 
 @dataclass(frozen=True)
 class DyadValue(Effect):
@@ -242,9 +226,6 @@ class DyadValue(Effect):
         if self.attr not in cov.dyad_attrs:
             raise KeyError("unbound dyad attribute %r" % self.attr)
 
-    def to_json(self):
-        return {"type": "dyad_value", "attr": self.attr}
-
 
 @dataclass(frozen=True)
 class Mix(Effect):
@@ -255,20 +236,9 @@ class Mix(Effect):
     receiver_level: object
 
     def column(self, state, cov, risk, context):
-        s_ind = _actor_indicator(cov, self.attr, self.sender_level, int(risk.senders.max()) + 1)
+        s_ind = _actor_indicator(cov, self.attr, self.sender_level, risk.n_actors)
         r_ind = _recipient_indicator(cov, self.attr, self.receiver_level, risk)
         return s_ind[risk.senders] * r_ind[risk.recipients]
-
-    def check(self, cov, n_actors):
-        _check_actor_attr(cov, self.attr, n_actors)
-
-    def to_json(self):
-        return {
-            "type": "mix",
-            "attr": self.attr,
-            "sender_level": self.sender_level,
-            "receiver_level": self.receiver_level,
-        }
 
 
 @dataclass(frozen=True)
@@ -310,9 +280,6 @@ class PShift(Effect):
             hit = s_is[a] & ~(r_is[a] | r_is[b])
         return hit.astype(float)
 
-    def to_json(self):
-        return {"type": "pshift", "kind": self.kind}
-
 
 def pshift_label(prev_event, event):
     """Classify an event relative to its predecessor; None for the first."""
@@ -346,9 +313,6 @@ class RecencySend(Effect):
     def column(self, state, cov, risk, context):
         return _recency_column(state.send_recency, risk)
 
-    def to_json(self):
-        return {"type": "recency_send"}
-
 
 @dataclass(frozen=True)
 class RecencyReceive(Effect):
@@ -357,9 +321,6 @@ class RecencyReceive(Effect):
     def column(self, state, cov, risk, context):
         return _recency_column(state.receive_recency, risk)
 
-    def to_json(self):
-        return {"type": "recency_receive"}
-
 
 @dataclass(frozen=True)
 class ContextIndicator(Effect):
@@ -367,9 +328,6 @@ class ContextIndicator(Effect):
 
     def column(self, state, cov, risk, context):
         return np.full(len(risk), float(context == self.label))
-
-    def to_json(self):
-        return {"type": "context", "label": self.label}
 
 
 @dataclass(frozen=True)
@@ -389,9 +347,6 @@ class ContextInteraction(Effect):
     def check(self, cov, n_actors):
         self.base.check(cov, n_actors)
 
-    def to_json(self):
-        return {"type": "context_interaction", "base": self.base.to_json(), "label": self.label}
-
 
 @dataclass(frozen=True)
 class ToBroadcast(Effect):
@@ -404,6 +359,9 @@ class ToBroadcast(Effect):
     attr: str | None = None
     level: object = None
     prev: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "prev", bool(self.prev))
 
     def _sender_ok(self, cov, i):
         if self.attr is None:
@@ -426,17 +384,9 @@ class ToBroadcast(Effect):
                 return np.zeros(len(risk))
         hit = risk.recipients == bc
         if self.attr is not None:
-            n_actors = int(risk.senders.max()) + 1
-            ind = _actor_indicator(cov, self.attr, self.level, n_actors).astype(bool)
+            ind = _actor_indicator(cov, self.attr, self.level, risk.n_actors).astype(bool)
             hit = hit & ind[risk.senders]
         return hit.astype(float)
-
-    def check(self, cov, n_actors):
-        if self.attr is not None:
-            _check_actor_attr(cov, self.attr, n_actors)
-
-    def to_json(self):
-        return {"type": "to_broadcast", "attr": self.attr, "level": self.level, "prev": self.prev}
 
 
 @dataclass(frozen=True)
@@ -447,6 +397,9 @@ class EventCount(Effect):
 
     endogenous = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "power", float(self.power))
+
     def column(self, state, cov, risk, context):
         c = state.counts[risk.senders, risk.recipients].astype(float)
         out = np.zeros(len(risk))
@@ -454,8 +407,24 @@ class EventCount(Effect):
         out[nz] = c[nz] ** self.power
         return out
 
-    def to_json(self):
-        return {"type": "event_count", "power": self.power}
+
+# The only place the JSON type names appear.
+_TYPES = {
+    "baserate": Baserate,
+    "sender_attr": SenderAttr,
+    "receiver_attr": ReceiverAttr,
+    "dyad_match": DyadMatch,
+    "dyad_value": DyadValue,
+    "mix": Mix,
+    "pshift": PShift,
+    "recency_send": RecencySend,
+    "recency_receive": RecencyReceive,
+    "context": ContextIndicator,
+    "context_interaction": ContextInteraction,
+    "to_broadcast": ToBroadcast,
+    "event_count": EventCount,
+}
+_NAMES = {klass: name for name, klass in _TYPES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -525,54 +494,48 @@ class StatisticSpec:
 
     @classmethod
     def from_obj(cls, obj, cov: CovariateSet | None = None) -> "StatisticSpec":
-        return cls(tuple(_effect_from_obj(o, cov) for o in obj))
+        effects = []
+        for pos, o in enumerate(obj):
+            try:
+                effects.extend(_effects_from_obj(o, cov))
+            except ValueError as exc:
+                raise ValueError("spec entry %d: %s" % (pos, exc)) from None
+        return cls(tuple(effects))
 
     @classmethod
     def from_json(cls, text: str, cov: CovariateSet | None = None) -> "StatisticSpec":
         return cls.from_obj(json.loads(text), cov)
 
 
-def _effect_from_obj(o, cov=None):
+def _effects_from_obj(o, cov=None) -> list:
+    """The effects of one JSON object: a categorical attribute expands to its levels."""
     if isinstance(o, Effect):
-        return o
-    kind = o["type"]
-    if kind == "baserate":
-        return Baserate()
-    if kind in ("sender_attr", "receiver_attr"):
-        klass = SenderAttr if kind == "sender_attr" else ReceiverAttr
-        if "level" in o and o["level"] is not None:
-            return klass(o["attr"], o["level"])
+        return [o]
+    if not isinstance(o, dict):
+        raise ValueError("an effect is a JSON object, not %r" % (o,))
+    name = o.get("type")
+    klass = _TYPES.get(name)
+    if klass is None:
+        raise ValueError("unknown effect type %r" % (name,))
+    fields = dataclasses.fields(klass)
+    missing = [f.name for f in fields if f.name not in o and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError("effect %r is missing field(s) %s" % (name, ", ".join(missing)))
+    kw = {f.name: o[f.name] for f in fields if f.name in o}
+    if "base" in kw:
+        return [klass(**dict(kw, base=b)) for b in _effects_from_obj(kw["base"], cov)]
+    if klass in (SenderAttr, ReceiverAttr) and kw.get("level") is None and cov is not None:
         # Categorical attributes expand to per-level indicators at bind
         # time; the reference level (default: smallest) is dropped.
-        if cov is not None and o["attr"] in cov.actor_attrs:
-            vals = set(cov.actor_attrs[o["attr"]].values())
-            if any(isinstance(v, str) for v in vals):
-                levels = sorted(vals, key=str)
-                ref = o.get("reference", levels[0])
-                expanded = [klass(o["attr"], lev) for lev in levels if lev != ref]
-                return expanded if len(expanded) != 1 else expanded[0]
-        return klass(o["attr"], None)
-    if kind == "dyad_match":
-        return DyadMatch(o["attr"])
-    if kind == "dyad_value":
-        return DyadValue(o["attr"])
-    if kind == "mix":
-        return Mix(o["attr"], o["sender_level"], o["receiver_level"])
-    if kind == "pshift":
-        return PShift(o["kind"])
-    if kind == "recency_send":
-        return RecencySend()
-    if kind == "recency_receive":
-        return RecencyReceive()
-    if kind == "context":
-        return ContextIndicator(o["label"])
-    if kind == "context_interaction":
-        return ContextInteraction(_effect_from_obj(o["base"], cov), o["label"])
-    if kind == "to_broadcast":
-        return ToBroadcast(o.get("attr"), o.get("level"), bool(o.get("prev", False)))
-    if kind == "event_count":
-        return EventCount(float(o.get("power", 1.0)))
-    raise ValueError("unknown effect type %r" % kind)
+        vals = set(cov.actor_attrs.get(kw["attr"], {}).values())
+        if any(isinstance(v, str) for v in vals):
+            levels = sorted(vals, key=str)
+            ref = o.get("reference", levels[0])
+            return [klass(kw["attr"], lev) for lev in levels if lev != ref]
+    try:
+        return [klass(**kw)]
+    except ValueError as exc:
+        raise ValueError("effect %r: %s" % (name, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +562,6 @@ class UniqueStatTable:
     @property
     def n_events(self) -> int:
         return int(self.q.sum())
-
-    @property
-    def total_exposure(self) -> float:
-        return float(self.m.sum())
 
 
 class _RowIndex:

@@ -268,3 +268,101 @@ def test_fit_bad_hyper_exits_one_naming_it(sim_dir, capsys):
     cfg = fit_config(sim_dir, out="fit_hyper", hyper={"alpha_sigma": 0.0})
     assert main(["fit", "--config", cfg]) == 1
     assert "alpha_sigma must be positive" in capsys.readouterr().err
+
+
+def test_fit_malformed_spec_entry_exits_one_naming_it(sim_dir, capsys):
+    cases = [
+        ({"type": "mix", "attr": "shape"}, ["entry 1", "'mix'", "sender_level, receiver_level"]),
+        ({"type": "triangle"}, ["entry 1", "unknown effect type 'triangle'"]),
+        ({"type": "pshift", "kind": "AB-ZZ"}, ["entry 1", "'pshift'", "'AB-ZZ'"]),
+    ]
+    for entry, words in cases:
+        cfg = fit_config(sim_dir, out="fit_spec", preset=None,
+                         spec=[{"type": "baserate"}, entry])
+        assert main(["fit", "--config", cfg, "--sampler", "map"]) == 1
+        err = capsys.readouterr().err
+        for word in [cfg] + words:
+            assert word in err, (word, err)
+
+
+def _fit_and_evaluate(sim_dir):
+    """Fit twice from the sim manifest; return the argv of predict, diagnose and select."""
+    for out in ("fit", "fit_b"):
+        assert main(["fit", "--config", fit_config(sim_dir, out=out), "--sampler", "map"]) == 0
+    manifest = str(sim_dir / "fit" / "manifest.json")
+    return [
+        ["predict", "--manifest", manifest, "--z", "5"],
+        ["diagnose", "--manifest", manifest],
+        ["select", manifest, str(sim_dir / "fit_b" / "manifest.json")],
+    ]
+
+
+def test_evaluate_with_a_deleted_event_file_exits_one_naming_it(sim_dir, capsys):
+    commands = _fit_and_evaluate(sim_dir)
+    events = str(sim_dir / "sim" / "events_001.csv")
+    os.remove(events)
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert events in capsys.readouterr().err
+
+
+def test_evaluate_with_a_changed_event_file_exits_one_naming_it(sim_dir, capsys):
+    commands = _fit_and_evaluate(sim_dir)
+    events = str(sim_dir / "sim" / "events_000.csv")
+    tau = json.load(open(sim_dir / "sim" / "manifest.json"))["sequences"][0]["tau"]
+    last = float(open(events).read().splitlines()[-1].split(",")[0])
+    with open(events, "a") as fh:
+        fh.write("%r,0,1\n" % ((last + tau) / 2))  # a valid event inside the window
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert events in capsys.readouterr().err
+    # a fit from the simulate manifest checks the files against it too
+    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c"), "--sampler", "map"]) == 1
+    assert events in capsys.readouterr().err
+
+
+def test_evaluate_with_an_edited_posterior_exits_one_naming_it(sim_dir, capsys):
+    commands = _fit_and_evaluate(sim_dir)
+    beta = str(sim_dir / "fit" / "beta.csv")
+    rows = open(beta).read().splitlines()
+    rows[1] = rows[1].rsplit(",", 1)[0] + ",0.5"
+    with open(beta, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert beta in capsys.readouterr().err
+
+
+def test_posterior_csvs_pin_their_layout_and_round_trip_bitwise(tmp_path):
+    import numpy as np
+
+    from hrem.cli import _load_posterior, _save_posterior
+    from hrem.inference import PosteriorSamples
+
+    draws, k, p = 3, 2, 4
+    values = np.linspace(-1.0, 1.0, draws * k * p) / 3.0
+    values[1] = -0.0
+    values[2] = 5e-324
+    samples = PosteriorSamples(
+        betas=values.reshape(draws, k, p), mu=values[: draws * p].reshape(draws, p) * 7.0,
+        sigma2=np.exp(values[: draws * p]).reshape(draws, p), logpost=values[:draws] - 100.0,
+        n_burnin=4, n_keep=draws, thin=2,
+    )
+    paths = _save_posterior(samples, str(tmp_path))
+    pinned = {
+        "beta.csv": ["draw,sequence,effect,value", "0,0,0,-0.3333333333333333",
+                     "0,0,1,-0.0", "0,0,2,5e-324"],
+        "mu.csv": ["draw,effect,value", "0,0,-2.333333333333333"],
+        "sigma2.csv": ["draw,effect,value", "0,0,0.7165313105737893"],
+        "logpost.csv": ["draw,value", "0,-100.33333333333333"],
+    }
+    for name, head in pinned.items():
+        assert open(paths[name]["file"]).read().splitlines()[: len(head)] == head
+    assert open(paths["beta.csv"]["file"]).read().splitlines()[-1].startswith("2,1,3,")
+    manifest = {"dims": {"draws": draws, "sequences": k, "effects": p}, "posterior": paths,
+                "out_dir": str(tmp_path), "settings": {"n_burnin": 4, "thin": 2}}
+    again = _load_posterior(manifest)
+    for field in ("betas", "mu", "sigma2", "logpost"):
+        a, b = getattr(samples, field), getattr(again, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert (again.n_burnin, again.n_keep, again.thin) == (4, draws, 2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from hrem.events import CovariateSet, EventHistory, build_risk_set
 from hrem.presets import classroom_spec, syn52
 from hrem.simulate import simulate_history
 from hrem.stats import (
+    _TYPES,
     PSHIFT_KINDS,
     Baserate,
     ContextIndicator,
     ContextInteraction,
     DyadMatch,
     DyadValue,
+    Effect,
     EventCount,
     Mix,
     PShift,
@@ -163,10 +167,48 @@ def test_spec_check_unknown_attribute():
         spec.check(CovariateSet(), 4)
 
 
+ALL_TYPES = StatisticSpec((
+    Baserate(), SenderAttr("female"), ReceiverAttr("race", "b"), DyadMatch("race"),
+    DyadValue("friends"), Mix("race", "a", "b"), PShift("AB-BA"), RecencySend(),
+    RecencyReceive(), ContextIndicator("lecture"), ContextInteraction(PShift("AB-XY"), "lecture"),
+    ToBroadcast("teacher", 1, True), EventCount(2.0),
+))
+ALL_TYPES_JSON = (
+    '[{"type": "baserate"}, {"type": "sender_attr", "attr": "female", "level": null}, '
+    '{"type": "receiver_attr", "attr": "race", "level": "b"}, '
+    '{"type": "dyad_match", "attr": "race"}, {"type": "dyad_value", "attr": "friends"}, '
+    '{"type": "mix", "attr": "race", "sender_level": "a", "receiver_level": "b"}, '
+    '{"type": "pshift", "kind": "AB-BA"}, {"type": "recency_send"}, '
+    '{"type": "recency_receive"}, {"type": "context", "label": "lecture"}, '
+    '{"type": "context_interaction", "base": {"type": "pshift", "kind": "AB-XY"}, '
+    '"label": "lecture"}, {"type": "to_broadcast", "attr": "teacher", "level": 1, "prev": true}, '
+    '{"type": "event_count", "power": 2.0}]'
+)
+
+
 def test_spec_json_round_trip():
-    spec = syn52().spec
-    again = StatisticSpec.from_json(spec.to_json())
-    assert again == spec
+    presets = [classroom_spec(letter + number) for letter in "ABCDEFG" for number in "123"]
+    for spec in [syn52().spec, ALL_TYPES] + presets:
+        assert StatisticSpec.from_json(spec.to_json()) == spec
+    # the text, key order included, is pinned: indent=1 of the literal's objects
+    assert ALL_TYPES.to_json() == json.dumps(json.loads(ALL_TYPES_JSON), indent=1)
+    # the all-types spec uses every registered type, and every Effect class is registered
+    used = {type(e) for e in ALL_TYPES.effects} | {type(ALL_TYPES.effects[10].base)}
+    assert used == set(_TYPES.values()) == set(Effect.__subclasses__())
+    # values are coerced when an effect is built, so the JSON does not depend on the caller
+    assert EventCount(2).to_json() == {"type": "event_count", "power": 2.0}
+    assert ToBroadcast(prev=1).to_json()["prev"] is True
+
+
+def test_categorical_attribute_expands_to_every_level_but_the_reference():
+    cov = CovariateSet(actor_attrs={"g": {0: "a", 1: "b", 2: "c", 3: "a"}})
+    obj = {"type": "sender_attr", "attr": "g"}
+    assert StatisticSpec.from_obj([obj], cov).effects == (SenderAttr("g", "b"), SenderAttr("g", "c"))
+    spec = StatisticSpec.from_obj([dict(obj, reference="b")], cov)
+    assert spec.effects == (SenderAttr("g", "a"), SenderAttr("g", "c"))
+    nested = {"type": "context_interaction", "base": obj, "label": "L"}
+    assert StatisticSpec.from_obj([nested], cov).effects == (
+        ContextInteraction(SenderAttr("g", "b"), "L"), ContextInteraction(SenderAttr("g", "c"), "L"))
 
 
 def test_classroom_presets_build():
