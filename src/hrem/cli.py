@@ -108,8 +108,6 @@ def _resolve_spec(cfg, cov, where):
 def cmd_simulate(args):
     cfg = _read_config(args.config)
     seed = args.seed if args.seed is not None else _require(cfg, "seed")
-    if args.preset:
-        cfg["preset"] = args.preset
     out_dir = cfg.get("out_dir", "hrem_sim")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -124,7 +122,7 @@ def cmd_simulate(args):
     else:
         cov = CovariateSet()
         if "covariates" in cfg:
-            cov, _ = load_covariates(cfg["covariates"])
+            cov, _ = _load_covariates({"file": cfg["covariates"]})
         spec = _resolve_spec(cfg, cov, args.config)
         n_actors = int(_require(cfg, "n_actors"))
         risk = build_risk_set(n_actors, include_broadcast=bool(cfg.get("broadcast", False)))
@@ -177,21 +175,35 @@ def cmd_simulate(args):
 # fit
 
 
+def _load_covariates(entry):
+    """Load an entry's covariate JSON, checking it against the entry's sha256 if it has one.
+
+    The entry then records the sha256 of the bytes that were parsed.
+    Returns load_covariates' (CovariateSet, meta).
+    """
+    data, entry["sha256"] = _read_checked(entry["file"], entry.get("sha256"))
+    try:
+        return load_covariates(io.StringIO(data.decode("utf-8")))
+    except (ValueError, KeyError) as exc:
+        raise CliError("failed to load %s: %s" % (entry["file"], exc))
+
+
 def _load_sequences(cfg):
     """Resolve event files + taus + covariates from a fit config."""
     cov = CovariateSet()
     meta = {}
-    cov_path = cfg.get("covariates")
-    if cov_path:
-        cov, meta = load_covariates(cov_path)
+    cov_entry = None
+    if cfg.get("covariates"):
+        cov_entry = {"file": cfg["covariates"]}
+        cov, meta = _load_covariates(cov_entry)
     entries = []
     if "from_manifest" in cfg:
         man = _read_config(cfg["from_manifest"])
         entries = [{"file": s["file"], "tau": s["tau"], "sha256": s.get("sha256")}
                    for s in man["sequences"]]
-        if not cov_path and man.get("covariates"):
-            cov_path = man["covariates"]["file"]
-            cov, _ = load_covariates(cov_path)
+        if cov_entry is None and man.get("covariates"):
+            cov_entry = man["covariates"]
+            cov, _ = _load_covariates(cov_entry)
         meta.setdefault("broadcast_id", man.get("broadcast"))
         meta.setdefault("n_actors", man.get("n_actors"))
     else:
@@ -207,7 +219,7 @@ def _load_sequences(cfg):
     n_actors = meta.get("n_actors") or max(h.n_actors for h in histories)
     broadcast = meta.get("broadcast_id") is not None
     risk = build_risk_set(int(n_actors), include_broadcast=broadcast)
-    return histories, risk, cov, entries, cov_path
+    return histories, risk, cov, entries, cov_entry
 
 
 def _load_histories(entries, n_actors, broadcast):
@@ -294,7 +306,7 @@ def cmd_fit(args):
         raise CliError("bad hyper value in %s: %s" % (args.config, exc))
     os.makedirs(out_dir, exist_ok=True)
 
-    histories, risk, cov, entries, cov_path = _load_sequences(cfg)
+    histories, risk, cov, entries, cov_entry = _load_sequences(cfg)
     spec = _resolve_spec(cfg, cov, args.config)
     try:
         spec.check(cov, risk.n_actors)
@@ -340,7 +352,7 @@ def cmd_fit(args):
         "spec": json.loads(spec.to_json()),
         "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
-        "covariates": cov_path,
+        "covariates": cov_entry,
         "sequences": [dict(e, n_train=n_train) for e in entries],
         "settings": {
             "sampler": sampler,
@@ -382,7 +394,7 @@ def _reload_fit(manifest_path):
         raise CliError("%s is not a fit manifest" % manifest_path)
     cov = CovariateSet()
     if manifest.get("covariates"):
-        cov, _ = load_covariates(manifest["covariates"])
+        cov, _ = _load_covariates(manifest["covariates"])
     spec = StatisticSpec.from_obj(manifest["spec"], cov)
     broadcast = manifest.get("broadcast")
     risk = build_risk_set(manifest["n_actors"], include_broadcast=broadcast is not None)
@@ -493,7 +505,6 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="generate synthetic event sequences")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--preset", choices=preset_names())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the hierarchical model")

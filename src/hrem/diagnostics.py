@@ -22,7 +22,6 @@ __all__ = [
     "baseline_recall_at_z",
     "deviance_residuals",
     "censoring_deviance",
-    "event_probability",
     "event_probabilities",
     "surprise_matrix",
     "mse",
@@ -183,14 +182,6 @@ def event_probabilities(beta, history: EventHistory, spec: StatisticSpec,
         w = np.exp(eta)
         out[step.index] = w[step.row] / w.sum()
     return out
-
-
-def event_probability(beta, history: EventHistory, spec: StatisticSpec,
-                      risk: RiskSet, cov: CovariateSet, m: int) -> float:
-    """Probability of the m-th observed event (1-based) being next."""
-    if not 1 <= m <= history.m:
-        raise ValueError("event index out of range")
-    return float(event_probabilities(beta, history, spec, risk, cov)[m - 1])
 
 
 def surprise_matrix(beta, history: EventHistory, spec: StatisticSpec, risk: RiskSet,

@@ -9,9 +9,9 @@ actor ("send to all") gets id N and only ever appears as a recipient.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "load_covariates",
     "validate",
     "events_to_csv",
-    "history_to_json",
 ]
 
 
@@ -60,30 +59,20 @@ class EventHistory:
     def times(self) -> np.ndarray:
         return np.array([e[0] for e in self.events], dtype=float)
 
-    @property
-    def senders(self) -> np.ndarray:
-        return np.array([e[1] for e in self.events], dtype=int)
-
-    @property
-    def recipients(self) -> np.ndarray:
-        return np.array([e[2] for e in self.events], dtype=int)
-
-    def truncate(self, n_events: int, pad: float | None = None) -> "EventHistory":
+    def truncate(self, n_events: int) -> "EventHistory":
         """First `n_events` events with the window shortened accordingly.
 
-        The new tau is the last kept time plus `pad` (default: the mean
-        inter-event gap of the kept segment) so the censoring term of the
-        likelihood stays well-defined.
+        The new tau is the last kept time plus the mean inter-event gap of
+        the kept segment, so the censoring term of the likelihood stays
+        well-defined.
         """
         if n_events <= 0 or n_events > self.m:
             raise ValueError("n_events must be in 1..M")
         kept = self.events[:n_events]
         t_last = kept[-1][0]
-        if pad is None:
-            pad = t_last / n_events
         return EventHistory(
             events=kept,
-            tau=t_last + pad,
+            tau=t_last + t_last / n_events,
             n_actors=self.n_actors,
             sequence_id=self.sequence_id,
             actor_labels=self.actor_labels,
@@ -107,51 +96,29 @@ class RiskSet:
     def __len__(self):
         return len(self.dyads)
 
-    def __contains__(self, dyad):
-        return tuple(dyad) in self.index
-
-    @property
+    @functools.cached_property
     def index(self) -> dict:
-        # dyad -> row position, cached on first use
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = {d: r for r, d in enumerate(self.dyads)}
-            self.__dict__["_index"] = idx
-        return idx
+        """dyad -> row position."""
+        return {d: r for r, d in enumerate(self.dyads)}
 
-    @property
+    @functools.cached_property
     def senders(self) -> np.ndarray:
-        arr = self.__dict__.get("_senders")
-        if arr is None:
-            arr = np.array([d[0] for d in self.dyads], dtype=int)
-            self.__dict__["_senders"] = arr
-        return arr
+        return np.array([d[0] for d in self.dyads], dtype=int)
 
-    @property
+    @functools.cached_property
     def recipients(self) -> np.ndarray:
-        arr = self.__dict__.get("_recipients")
-        if arr is None:
-            arr = np.array([d[1] for d in self.dyads], dtype=int)
-            self.__dict__["_recipients"] = arr
-        return arr
+        return np.array([d[1] for d in self.dyads], dtype=int)
 
-    @property
+    @functools.cached_property
     def n_actors(self) -> int:
         """Number of real actors: the broadcast recipient never sends."""
-        n = self.__dict__.get("_n_actors")
-        if n is None:
-            n = self.__dict__["_n_actors"] = int(self.senders.max()) + 1
-        return n
+        return int(self.senders.max()) + 1
 
-    @property
+    @functools.cached_property
     def actor_masks(self) -> tuple:
-        # (senders == a, recipients == a) as rows a of two boolean arrays
-        masks = self.__dict__.get("_actor_masks")
-        if masks is None:
-            nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 1)[:, None]
-            masks = (self.senders == nodes, self.recipients == nodes)
-            self.__dict__["_actor_masks"] = masks
-        return masks
+        """(senders == a, recipients == a) as rows a of two boolean arrays."""
+        nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 1)[:, None]
+        return (self.senders == nodes, self.recipients == nodes)
 
 
 def build_risk_set(n_actors: int, include_broadcast: bool = False) -> RiskSet:
@@ -298,6 +265,15 @@ def _dense_ids(labels, broadcast_label=None):
     return mapping, tuple(labels)
 
 
+def _read_text(source) -> str:
+    """The text of a byte/text stream or of the file at a path."""
+    if hasattr(source, "read"):
+        text = source.read()
+        return text.decode("utf-8") if isinstance(text, bytes) else text
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_history(
     source,
     format: str = "csv",
@@ -306,39 +282,18 @@ def load_history(
     n_actors: int | None = None,
     broadcast_label=None,
     sequence_id: str = "seq",
-    jitter: bool = False,
-    jitter_eps: float = 1e-9,
 ):
-    """Parse and validate an event sequence from a byte/text stream or path.
+    """Parse and validate an event CSV from a byte/text stream or path.
 
-    CSV carries only events (header `t,sender,recipient`); tau must then
-    come from the `tau` argument or an accompanying covariate JSON.  The
-    JSON format is self-contained: `events` plus the covariate keys
-    accepted by :func:`load_covariates`.
+    The CSV carries only events (header `t,sender,recipient`), so tau comes
+    from the `tau` argument.  `format` must be "csv".
 
-    Returns (EventHistory, CovariateSet).  With `jitter=True` tied times
-    are nudged apart deterministically instead of rejected.
+    Returns (EventHistory, CovariateSet); the covariate set is always empty,
+    because covariates come from :func:`load_covariates`.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-
-    cov = CovariateSet()
-    if format == "csv":
-        raw = _parse_events_csv(text)
-    elif format == "json":
-        doc = json.loads(text)
-        raw = [(float(e[0]), e[1], e[2]) for e in doc.get("events", [])]
-        cov, meta = _covariates_from_doc(doc)
-        tau = meta.get("tau", tau)
-        broadcast_label = meta.get("broadcast_id", broadcast_label)
-    else:
+    if format != "csv":
         raise ValueError("unknown format %r" % format)
-
+    raw = _parse_events_csv(_read_text(source))
     if tau is None:
         raise ValidationError("tau is required and was not provided")
 
@@ -363,16 +318,6 @@ def load_history(
     mapping, labels = _dense_ids(labels, broadcast_label)
 
     events = [(t, mapping[i], mapping[j]) for t, i, j in raw]
-    if jitter:
-        fixed = []
-        prev = -math.inf
-        for t, i, j in events:
-            if t <= prev:
-                t = prev + jitter_eps
-            fixed.append((t, i, j))
-            prev = t
-        events = fixed
-
     n_real = len(labels)
     history = EventHistory(
         events=tuple(events),
@@ -382,13 +327,18 @@ def load_history(
         actor_labels=labels,
     )
     risk = build_risk_set(n_real, include_broadcast=broadcast_label is not None)
-    report = validate(history, risk, cov)
+    report = validate(history, risk)
     if report:
         raise ValidationError("; ".join(report))
-    return history, cov
+    return history, CovariateSet()
 
 
-def _covariates_from_doc(doc):
+def load_covariates(source):
+    """Read the covariate/context JSON; returns (CovariateSet, meta dict).
+
+    meta carries `tau` and `broadcast_id` when present.
+    """
+    doc = json.loads(_read_text(source))
     actor_attrs: dict = {}
     for rec in doc.get("actors", []):
         aid = rec["id"]
@@ -407,21 +357,6 @@ def _covariates_from_doc(doc):
     cov = CovariateSet(actor_attrs=actor_attrs, dyad_attrs=dyad_attrs, context_track=contexts)
     meta = {k: doc[k] for k in ("tau", "broadcast_id") if k in doc}
     return cov, meta
-
-
-def load_covariates(source):
-    """Read the covariate/context JSON; returns (CovariateSet, meta dict).
-
-    meta carries `tau` and `broadcast_id` when present.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return _covariates_from_doc(json.loads(text))
 
 
 def events_to_csv(history: EventHistory) -> str:
@@ -458,12 +393,3 @@ def _covariates_document(cov: CovariateSet, n_actors: int) -> dict:
         "dyads": dyads,
         "contexts": [{"start": s, "label": l} for s, l in cov.context_track],
     }
-
-
-def history_to_json(history: EventHistory, cov: CovariateSet, broadcast: int | None = None) -> str:
-    """Self-contained JSON with events, covariates, contexts, and tau."""
-    doc = {"events": [[t, i, j] for t, i, j in history.events], "tau": history.tau}
-    doc.update(_covariates_document(cov, history.n_actors))
-    if broadcast is not None:
-        doc["broadcast_id"] = broadcast
-    return json.dumps(doc, indent=1)

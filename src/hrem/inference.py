@@ -97,9 +97,11 @@ def collapsed_prior_logpdf(beta_kp, mu_p: float, hyper: Hyperparams):
     return const - (a + 0.5) * np.log(dev2 / 2.0 + b)
 
 
-def slice_sample(x0: float, logf, width: float, rng, max_stepout: int = 50,
-                 return_counts: bool = False):
-    """One univariate slice-sampling update (stepping-out and shrinkage)."""
+def slice_sample(x0: float, logf, width: float, rng, return_counts: bool = False):
+    """One univariate slice-sampling update (stepping-out and shrinkage).
+
+    Stepping out takes at most 50 widths to the left and 100 in total.
+    """
     logf0 = logf(x0)
     if not np.isfinite(logf0):
         raise FloatingPointError("slice sampler started at non-finite target")
@@ -108,10 +110,10 @@ def slice_sample(x0: float, logf, width: float, rng, max_stepout: int = 50,
     left = x0 - u * width
     right = left + width
     n_out = 0
-    while logf(left) > logy and n_out < max_stepout:
+    while logf(left) > logy and n_out < 50:
         left -= width
         n_out += 1
-    while logf(right) > logy and n_out < 2 * max_stepout:
+    while logf(right) > logy and n_out < 100:
         right += width
         n_out += 1
     n_shrink = 0
@@ -162,9 +164,6 @@ class PosteriorSamples:
 
     def beta_mean(self) -> np.ndarray:
         return self.betas.mean(axis=0)
-
-    def mu_mean(self) -> np.ndarray:
-        return self.mu.mean(axis=0)
 
     def beta_interval(self, level: float = 0.95):
         lo = (1 - level) / 2
@@ -244,14 +243,13 @@ class CollapsedGibbs:
     """
 
     def __init__(self, tables, hyper: Hyperparams, rng, mu_update: str = "conjugate",
-                 prior_only: bool = False, init=None, width: float = 1.0):
+                 init=None):
         if not tables:
             raise ValueError("need at least one sequence table")
         self.tables = list(tables)
         self.hyper = hyper
         self.rng = rng
         self.mu_update = mu_update
-        self.prior_only = prior_only
         self.k = len(self.tables)
         self.p = self.tables[0].vectors.shape[1]
         if init is None:
@@ -261,7 +259,7 @@ class CollapsedGibbs:
             self.sigma2 = np.full(self.p, prior_mean)
         else:
             self.betas, self.mu, self.sigma2 = (np.array(v, dtype=float) for v in init)
-        self.widths = np.full((self.k, self.p), float(width))
+        self.widths = np.ones((self.k, self.p))
         self.adapt = True
         self._etas = [t.vectors @ self.betas[k] for k, t in enumerate(self.tables)]
 
@@ -286,27 +284,19 @@ class CollapsedGibbs:
                 a = hyper.alpha_sigma
                 b = hyper.beta_sigma
                 mu_p = self.mu[p]
-                if self.prior_only:
 
-                    def target(x):
-                        return -(a + self.k / 2.0) * math.log(
-                            b + 0.5 * (sq_others + (x - mu_p) ** 2)
-                        )
-
-                else:
-
-                    def target(x):
-                        with np.errstate(over="ignore"):
-                            lam = np.exp(base + x * u_p)
-                        expo = float(m @ lam)
-                        if not np.isfinite(expo):
-                            return -math.inf
-                        return (
-                            q_lin * x
-                            - expo
-                            - (a + self.k / 2.0)
-                            * math.log(b + 0.5 * (sq_others + (x - mu_p) ** 2))
-                        )
+                def target(x):
+                    with np.errstate(over="ignore"):
+                        lam = np.exp(base + x * u_p)
+                    expo = float(m @ lam)
+                    if not np.isfinite(expo):
+                        return -math.inf
+                    return (
+                        q_lin * x
+                        - expo
+                        - (a + self.k / 2.0)
+                        * math.log(b + 0.5 * (sq_others + (x - mu_p) ** 2))
+                    )
 
                 if not np.isfinite(target(cur)):
                     raise FloatingPointError(
@@ -332,19 +322,14 @@ class CollapsedGibbs:
 
     def log_posterior(self) -> float:
         """Joint log posterior at the current state (up to a constant)."""
-        return joint_log_posterior(
-            self.betas, self.mu, self.sigma2, self.tables, self.hyper,
-            prior_only=self.prior_only,
-        )
+        return joint_log_posterior(self.betas, self.mu, self.sigma2, self.tables, self.hyper)
 
 
-def joint_log_posterior(betas, mu, sigma2, tables, hyper: Hyperparams,
-                        prior_only: bool = False) -> float:
+def joint_log_posterior(betas, mu, sigma2, tables, hyper: Hyperparams) -> float:
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     lp = 0.0
-    if not prior_only:
-        for k, table in enumerate(tables):
-            lp += loglik_full(betas[k], table)
+    for k, table in enumerate(tables):
+        lp += loglik_full(betas[k], table)
     dev2 = (betas - mu) ** 2
     lp += float(np.sum(-0.5 * np.log(2 * math.pi * sigma2) - dev2 / (2 * sigma2)))
     lp += float(np.sum(-0.5 * (mu / hyper.mu_prior_sd) ** 2))
@@ -356,7 +341,7 @@ def joint_log_posterior(betas, mu, sigma2, tables, hyper: Hyperparams,
 def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
                           n_burnin: int = 500, n_keep: int = 500, thin: int = 1,
                           seed: int | None = None, mu_update: str = "conjugate",
-                          prior_only: bool = False, init=None) -> PosteriorSamples:
+                          init=None) -> PosteriorSamples:
     """Run the collapsed Gibbs sampler and collect kept draws.
 
     Slice widths adapt during burn-in only and are frozen afterwards so
@@ -369,9 +354,7 @@ def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
     if hyper is None:
         hyper = Hyperparams()
     rng = np.random.default_rng(seed)
-    sampler = CollapsedGibbs(
-        tables, hyper, rng, mu_update=mu_update, prior_only=prior_only, init=init
-    )
+    sampler = CollapsedGibbs(tables, hyper, rng, mu_update=mu_update, init=init)
     for _ in range(n_burnin):
         sampler.sweep()
     sampler.adapt = False

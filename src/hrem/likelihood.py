@@ -9,6 +9,8 @@ instead, which checks the cache's deduplication and exposure sums.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hrem.events import CovariateSet, EventHistory, RiskSet
@@ -89,30 +91,23 @@ def loglik_order(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
     return float(total)
 
 
+@dataclass(frozen=True)
 class ExplosionReport:
     """Outcome of forward-simulation screening for process explosion."""
 
-    def __init__(self, exploded: bool, max_total_rate: float, n_events: list):
-        self.exploded = exploded
-        self.max_total_rate = max_total_rate
-        self.n_events = n_events
-
-    def __repr__(self):
-        return "ExplosionReport(exploded=%r, max_total_rate=%.3g)" % (
-            self.exploded,
-            self.max_total_rate,
-        )
+    exploded: bool
+    max_total_rate: float
+    n_events: list
 
 
 def explosion_check(beta: np.ndarray, spec: StatisticSpec, risk: RiskSet,
                     cov: CovariateSet, horizon: float, n_sim: int = 10,
-                    rng_seed: int = 0, rate_ceiling_factor: float = 1e6,
-                    event_cap_factor: float = 100.0) -> ExplosionReport:
+                    rng_seed: int = 0) -> ExplosionReport:
     """Simulate forward and flag runaway total rates before the horizon.
 
-    A trajectory counts as exploded when the total rate exceeds
-    `rate_ceiling_factor` times its initial value or the event count
-    exceeds `event_cap_factor` times the initial-rate expectation.
+    A trajectory counts as exploded when the total rate exceeds 1e6 times
+    its initial value or the event count exceeds 100 times the
+    initial-rate expectation.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -121,8 +116,8 @@ def explosion_check(beta: np.ndarray, spec: StatisticSpec, risk: RiskSet,
     beta = np.asarray(beta, dtype=float)
     state0 = SeqState(risk.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     rate0 = float(np.exp(spec.matrix(state0, cov, risk) @ beta).sum())
-    ceiling = rate_ceiling_factor * rate0
-    cap = int(np.ceil(event_cap_factor * rate0 * horizon))
+    ceiling = 1e6 * rate0
+    cap = int(np.ceil(100.0 * rate0 * horizon))
 
     exploded = False
     max_rate = rate0

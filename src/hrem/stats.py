@@ -502,10 +502,6 @@ class StatisticSpec:
                 raise ValueError("spec entry %d: %s" % (pos, exc)) from None
         return cls(tuple(effects))
 
-    @classmethod
-    def from_json(cls, text: str, cov: CovariateSet | None = None) -> "StatisticSpec":
-        return cls.from_obj(json.loads(text), cov)
-
 
 def _effects_from_obj(o, cov=None) -> list:
     """The effects of one JSON object: a categorical attribute expands to its levels."""

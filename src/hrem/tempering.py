@@ -43,15 +43,13 @@ def _check_ladder(ladder):
 
 
 def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
-                    step_size=1.0, rng=None, seed: int | None = None,
-                    n_burnin: int = 0):
+                    step_size=1.0, seed: int | None = None, n_burnin: int = 0):
     """Sample a generic unnormalized log density with parallel tempering.
 
     Returns (draws from the base chain, info dict with swap statistics).
     """
     ladder = _check_ladder(ladder)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     step_size = np.broadcast_to(np.asarray(step_size, dtype=float), (dim,))
@@ -98,27 +96,11 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
     return draws, info
 
 
-def _t_logpdf(x, nu):
-    from scipy.special import gammaln
-
-    return (
-        gammaln((nu + 1) / 2)
-        - gammaln(nu / 2)
-        - 0.5 * np.log(nu * math.pi)
-        - (nu + 1) / 2 * np.log1p(x**2 / nu)
-    )
-
-
 def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
                            ladder=(1.0, 2.0, 4.0, 8.0, 16.0), t_swap: int = 10,
                            n_burnin: int = 500, n_keep: int = 500, thin: int = 1,
-                           seed: int | None = None, step_size: float = 0.2,
-                           family: str = "normal", nu=None) -> PosteriorSamples:
-    """Parallel tempering over (beta, mu, log sigma^2) of the hierarchical model.
-
-    `family="t"` swaps the Normal upper level for a t with fixed degrees
-    of freedom `nu` (scalar or per-effect).
-    """
+                           seed: int | None = None, step_size: float = 0.2) -> PosteriorSamples:
+    """Parallel tempering over (beta, mu, log sigma^2) of the hierarchical model."""
     if n_keep <= 0:
         raise ValueError("n_keep must be positive")
     if hyper is None:
@@ -126,14 +108,6 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
     ladder = _check_ladder(ladder)
     k = len(tables)
     p = tables[0].vectors.shape[1]
-    if family == "t":
-        if nu is None:
-            raise ValueError("family='t' requires nu")
-        nu = np.broadcast_to(np.asarray(nu, dtype=float), (p,))
-    elif family != "normal":
-        raise ValueError("unknown family %r" % family)
-
-    from hrem.likelihood import loglik_full
 
     def unpack(x):
         betas = x[: k * p].reshape(k, p)
@@ -144,17 +118,7 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
     def logpost(x):
         betas, mu, sigma2 = unpack(x)
         try:
-            if family == "normal":
-                lp = joint_log_posterior(betas, mu, sigma2, tables, hyper)
-            else:
-                lp = 0.0
-                for kk in range(k):
-                    lp += loglik_full(betas[kk], table=tables[kk])
-                sig = np.sqrt(sigma2)
-                lp += float(np.sum(_t_logpdf((betas - mu) / sig, nu) - np.log(sig)))
-                lp += float(np.sum(-0.5 * (mu / hyper.mu_prior_sd) ** 2))
-                a, b = hyper.alpha_sigma, hyper.beta_sigma
-                lp += float(np.sum(-(a + 1) * np.log(sigma2) - b / sigma2))
+            lp = joint_log_posterior(betas, mu, sigma2, tables, hyper)
         except FloatingPointError:
             return -math.inf
         # Jacobian of the log-variance transform

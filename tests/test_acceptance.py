@@ -43,6 +43,7 @@ from hrem.stats import (
     SenderAttr,
     SeqState,
     StatisticSpec,
+    UniqueStatTable,
     pshift_label,
     unique_stat_table,
 )
@@ -459,15 +460,12 @@ def test_criterion_09_adequacy_patterns():
 
 
 def test_criterion_10_sampler_correctness():
-    # prior-only chain (conjugate mu update makes the chain exact Gibbs)
-    risk = build_risk_set(3)
-    spec = StatisticSpec((Baserate(),))
-    hist = simulate_history(np.zeros(1), spec, risk, CovariateSet(), n_events=5, seed=1000)
-    table = unique_stat_table(spec, hist, risk, CovariateSet())
+    # prior-only chain (conjugate mu update makes the chain exact Gibbs): the
+    # prior is the posterior given no data, so each of the K tables has no rows
     k = 4
+    empty = UniqueStatTable(np.empty((0, 1)), np.zeros(0, np.int64), np.zeros(0))
     samples = run_collapsed_sampler(
-        [table] * k, HYPER, n_burnin=500, n_keep=10000, seed=1001,
-        mu_update="conjugate", prior_only=True,
+        [empty] * k, HYPER, n_burnin=500, n_keep=10000, seed=1001, mu_update="conjugate",
     )
     deciles = np.arange(0.1, 0.91, 0.1)
     ig = stats.invgamma(HYPER.alpha_sigma, scale=HYPER.beta_sigma)

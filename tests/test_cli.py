@@ -321,6 +321,26 @@ def test_evaluate_with_a_changed_event_file_exits_one_naming_it(sim_dir, capsys)
     assert events in capsys.readouterr().err
 
 
+def test_evaluate_with_changed_covariates_exits_one_naming_it(sim_dir, capsys):
+    commands = _fit_and_evaluate(sim_dir)
+    cov = str(sim_dir / "sim" / "covariates.json")
+    man = json.load(open(sim_dir / "fit" / "manifest.json"))
+    assert man["covariates"] == {"file": cov, "sha256": sha256(cov)}
+    doc = json.load(open(cov))
+    shapes = [a["shape"] for a in doc["actors"]]
+    rotated = shapes[1:] + shapes[:1]
+    assert rotated != shapes
+    for actor, shape in zip(doc["actors"], rotated):
+        actor["shape"] = shape
+    write_json(cov, doc)
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert cov in capsys.readouterr().err
+    # a fit from the simulate manifest checks the covariate file against it too
+    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c"), "--sampler", "map"]) == 1
+    assert cov in capsys.readouterr().err
+
+
 def test_evaluate_with_an_edited_posterior_exits_one_naming_it(sim_dir, capsys):
     commands = _fit_and_evaluate(sim_dir)
     beta = str(sim_dir / "fit" / "beta.csv")

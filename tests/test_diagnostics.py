@@ -158,11 +158,6 @@ def test_event_probability_uniform():
     hist, spec, risk = intercept_setup(n_events=5, seed=11)
     probs = diagnostics.event_probabilities(np.zeros(1), hist, spec, risk, COV)
     np.testing.assert_allclose(probs, 1.0 / len(risk))
-    assert diagnostics.event_probability(np.zeros(1), hist, spec, risk, COV, 1) == pytest.approx(
-        1.0 / len(risk)
-    )
-    with pytest.raises(ValueError):
-        diagnostics.event_probability(np.zeros(1), hist, spec, risk, COV, 0)
 
 
 def test_event_probabilities_sum_to_one():

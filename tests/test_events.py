@@ -9,8 +9,8 @@ from hrem.events import (
     EventHistory,
     ValidationError,
     build_risk_set,
+    _covariates_document,
     events_to_csv,
-    history_to_json,
     load_covariates,
     load_history,
     validate,
@@ -31,16 +31,11 @@ def test_load_csv_tied_times_rejected():
         load_history(io.StringIO(csv), "csv", tau=2.0)
 
 
-def test_load_csv_jitter_resolves_ties():
-    csv = "t,sender,recipient\n0.5,0,1\n0.5,1,2\n"
-    hist, _ = load_history(io.StringIO(csv), "csv", tau=2.0, jitter=True)
-    assert hist.m == 2
-    assert hist.events[1][0] > hist.events[0][0]
-
-
 def test_load_csv_bad_header():
     with pytest.raises(ValidationError, match="header"):
         load_history(io.StringIO("a,b,c\n1,0,1\n"), "csv", tau=2.0)
+    with pytest.raises(ValueError, match="unknown format 'json'"):
+        load_history(io.StringIO("t,sender,recipient\n0.5,0,1\n"), "json", tau=2.0)
 
 
 def test_load_csv_bad_time_reports_line():
@@ -49,14 +44,9 @@ def test_load_csv_bad_time_reports_line():
         load_history(io.StringIO(csv), "csv", tau=2.0)
 
 
-def test_load_json_broadcast_recipient():
-    doc = {
-        "events": [[0.2, 0, 1], [0.4, 1, "all"]],
-        "tau": 1.0,
-        "broadcast_id": "all",
-        "actors": [{"id": 0}, {"id": 1}],
-    }
-    hist, cov = load_history(io.StringIO(json.dumps(doc)), "json")
+def test_load_csv_broadcast_recipient():
+    csv = "t,sender,recipient\n0.2,0,1\n0.4,1,all\n"
+    hist, _ = load_history(io.StringIO(csv), "csv", tau=1.0, broadcast_label="all")
     # broadcast actor gets the last dense id
     assert hist.events[1][2] == hist.n_actors
 
@@ -113,10 +103,9 @@ def test_json_round_trip():
         dyad_attrs={"w": {(0, 1): 2.0}},
         context_track=((0.0, "lec"), (1.0, "grp")),
     )
-    hist = EventHistory(events=((0.25, 0, 1), (0.75, 1, 2)), tau=1.5, n_actors=3)
-    text = history_to_json(hist, cov)
-    hist2, cov2 = load_history(io.StringIO(text), "json")
-    assert hist2.events == hist.events
+    text = json.dumps(_covariates_document(cov, 3), indent=1)
+    cov2, meta = load_covariates(io.StringIO(text))
+    assert meta == {}
     assert cov2.actor_attrs == cov.actor_attrs
     assert cov2.dyad_attrs == cov.dyad_attrs
     assert cov2.context_track == cov.context_track

@@ -64,18 +64,3 @@ def test_run_parallel_tempering_shapes_and_manifest_fields():
     assert np.all(np.isfinite(samples.logpost))
     assert "swap_rate" in samples.diagnostics
     assert samples.diagnostics["ladder"] == [1.0, 2.0, 4.0, 8.0, 16.0]
-
-
-def test_run_parallel_tempering_t_family():
-    d = syn52(baserate=-1.5)
-    pairs = simulate_hierarchical(d.beta, 0.5, 2, d.spec, d.risk, d.cov,
-                                  n_events=30, seed=5)
-    tables = [unique_stat_table(d.spec, h, d.risk, d.cov) for h, _ in pairs]
-    samples = run_parallel_tempering(
-        tables, Hyperparams(), n_burnin=20, n_keep=20, seed=6, family="t", nu=4.0
-    )
-    assert samples.n_draws == 20
-    with pytest.raises(ValueError):
-        run_parallel_tempering(tables, family="t", n_burnin=5, n_keep=5)
-    with pytest.raises(ValueError):
-        run_parallel_tempering(tables, family="cauchy", n_burnin=5, n_keep=5)
