@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import hashlib
 import io
 import itertools
@@ -57,18 +56,24 @@ def _read_checked(path, sha256=None):
     return data, digest
 
 
-def _sha256(path):
-    return _read_checked(path)[1]
-
-
 def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise CliError("config file not found: %s" % path)
     except json.JSONDecodeError as exc:
         raise CliError("config is not valid JSON (%s): %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise CliError("%s does not hold a JSON object" % path)
+    return doc
+
+
+def _check_keys(doc, keys, where, what="key"):
+    """Exit 1 naming every key of `doc` that is not in `keys`."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise CliError("unknown %s(s) %s in %s" % (what, ", ".join(map(repr, unknown)), where))
 
 
 def _require(cfg, key, where="config"):
@@ -101,13 +106,26 @@ def _resolve_spec(cfg, cov, where):
     raise CliError("config needs either 'preset' (%s) or 'spec'" % ", ".join(preset_names()))
 
 
+def _parse(entry, load, *args, **kw):
+    """`load` of an entry's file, checked against the entry's sha256 if any; and the sha256."""
+    data, digest = _read_checked(entry["file"], entry.get("sha256"))
+    try:
+        return load(io.StringIO(data.decode("utf-8")), *args, **kw), digest
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError("failed to load %s: %s" % (entry["file"], exc))
+
+
 # ---------------------------------------------------------------------------
 # simulate
+
+_SIMULATE_KEYS = ("seed", "out_dir", "preset", "baserate", "mu", "sigma", "k", "covariates",
+                 "spec", "n_actors", "broadcast", "n_events", "tau")
 
 
 def cmd_simulate(args):
     cfg = _read_config(args.config)
-    seed = args.seed if args.seed is not None else _require(cfg, "seed")
+    _check_keys(cfg, _SIMULATE_KEYS, args.config)
+    seed = _require(cfg, "seed")
     out_dir = cfg.get("out_dir", "hrem_sim")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -122,15 +140,15 @@ def cmd_simulate(args):
     else:
         cov = CovariateSet()
         if "covariates" in cfg:
-            cov, _ = _load_covariates({"file": cfg["covariates"]})
+            cov, _ = _parse({"file": cfg["covariates"]}, load_covariates)
         spec = _resolve_spec(cfg, cov, args.config)
         n_actors = int(_require(cfg, "n_actors"))
         risk = build_risk_set(n_actors, include_broadcast=bool(cfg.get("broadcast", False)))
-        mu = np.asarray(_require(cfg, "mu" if "mu" in cfg else "beta"), dtype=float)
+        mu = np.asarray(_require(cfg, "mu"), dtype=float)
         sigma = np.asarray(cfg.get("sigma", 0.0), dtype=float)
         k = int(cfg.get("k", 1))
     if mu.shape != (spec.p,):
-        raise CliError("mu/beta has length %d, spec has P=%d" % (mu.size, spec.p))
+        raise CliError("mu has length %d, spec has P=%d" % (mu.size, spec.p))
 
     stop = {}
     if "n_events" in cfg:
@@ -145,9 +163,8 @@ def cmd_simulate(args):
     for idx, (hist, beta_k) in enumerate(pairs):
         fname = os.path.join(out_dir, "events_%03d.csv" % idx)
         _write(fname, events_to_csv(hist))
-        sequences.append(
-            {"file": fname, "tau": hist.tau, "n_events": hist.m, "sha256": _sha256(fname)}
-        )
+        sequences.append({"file": fname, "tau": hist.tau, "n_events": hist.m,
+                          "sha256": _read_checked(fname)[1]})
     cov_path = _write_json(os.path.join(out_dir, "covariates.json"),
                            _covariates_document(cov, risk.n_actors))
     truths_path = _write_json(os.path.join(out_dir, "truths.json"), {
@@ -163,8 +180,8 @@ def cmd_simulate(args):
         "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
         "sequences": sequences,
-        "covariates": {"file": cov_path, "sha256": _sha256(cov_path)},
-        "truths": {"file": truths_path, "sha256": _sha256(truths_path)},
+        "covariates": {"file": cov_path, "sha256": _read_checked(cov_path)[1]},
+        "truths": {"file": truths_path, "sha256": _read_checked(truths_path)[1]},
     }
     path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print("wrote %d sequences to %s (manifest: %s)" % (len(sequences), out_dir, path))
@@ -174,73 +191,56 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # fit
 
+# The data keys of a fit config: `sequences` (a list of {"file", "tau"}),
+# `covariates` ({"file"} or null) and `broadcast` (the broadcast recipient's
+# label in the event files, or null).  A manifest holds them with `n_actors`.
+_DATA_KEYS = ("sequences", "covariates", "broadcast")
 
-def _load_covariates(entry):
-    """Load an entry's covariate JSON, checking it against the entry's sha256 if it has one.
 
-    The entry then records the sha256 of the bytes that were parsed.
-    Returns load_covariates' (CovariateSet, meta).
+def _load_data(doc, where):
+    """(histories, risk, cov, data) of the data keys of a fit config or a manifest.
+
+    In a manifest (a doc with a "command") every data key is required and
+    each file entry carries the sha256 its file is checked against.  Every
+    history must have the same actors, to whose dense ids the covariate keys
+    are mapped.  `data` holds the keys as a fit manifest records them.
     """
-    data, entry["sha256"] = _read_checked(entry["file"], entry.get("sha256"))
-    try:
-        return load_covariates(io.StringIO(data.decode("utf-8")))
-    except (ValueError, KeyError) as exc:
-        raise CliError("failed to load %s: %s" % (entry["file"], exc))
-
-
-def _load_sequences(cfg):
-    """Resolve event files + taus + covariates from a fit config."""
-    cov = CovariateSet()
-    meta = {}
-    cov_entry = None
-    if cfg.get("covariates"):
-        cov_entry = {"file": cfg["covariates"]}
-        cov, meta = _load_covariates(cov_entry)
-    entries = []
-    if "from_manifest" in cfg:
-        man = _read_config(cfg["from_manifest"])
-        entries = [{"file": s["file"], "tau": s["tau"], "sha256": s.get("sha256")}
-                   for s in man["sequences"]]
-        if cov_entry is None and man.get("covariates"):
-            cov_entry = man["covariates"]
-            cov, _ = _load_covariates(cov_entry)
-        meta.setdefault("broadcast_id", man.get("broadcast"))
-        meta.setdefault("n_actors", man.get("n_actors"))
-    else:
-        raw = _require(cfg, "events")
-        if isinstance(raw, str):
-            raw = sorted(glob.glob(raw))
-            if not raw:
-                raise CliError("no event files match %r" % cfg["events"])
-        for e in raw:
-            e = {"file": e} if isinstance(e, str) else e
-            entries.append({"file": e["file"], "tau": e.get("tau", meta.get("tau"))})
-    histories = _load_histories(entries, meta.get("n_actors"), meta.get("broadcast_id"))
-    n_actors = meta.get("n_actors") or max(h.n_actors for h in histories)
-    broadcast = meta.get("broadcast_id") is not None
-    risk = build_risk_set(int(n_actors), include_broadcast=broadcast)
-    return histories, risk, cov, entries, cov_entry
-
-
-def _load_histories(entries, n_actors, broadcast):
-    """Load each entry's event CSV, checking it against the entry's sha256 if it has one.
-
-    Each entry then records the sha256 of the bytes that were parsed.
-    """
-    histories = []
-    for idx, e in enumerate(entries):
-        if e.get("tau") is None:
-            raise CliError("no tau for %s (config, covariate JSON, or manifest)" % e["file"])
-        data, e["sha256"] = _read_checked(e["file"], e.get("sha256"))
-        try:
-            hist, _ = load_history(
-                io.StringIO(data.decode("utf-8")), "csv", tau=float(e["tau"]),
-                n_actors=n_actors, broadcast_label=broadcast, sequence_id="seq%03d" % idx,
-            )
-        except Exception as exc:
-            raise CliError("failed to load %s: %s" % (e["file"], exc))
+    manifest = "command" in doc
+    for key in (_DATA_KEYS + ("n_actors",)) if manifest else ("sequences",):
+        _require(doc, key, where)
+    seqs, cov_entry, broadcast = doc["sequences"], doc.get("covariates"), doc.get("broadcast")
+    if not isinstance(seqs, list) or not seqs:
+        raise CliError("%s: 'sequences' must be a non-empty list" % where)
+    if isinstance(broadcast, bool):
+        raise CliError("%s: 'broadcast' is the label of the broadcast recipient" % where)
+    checks = [("sequences", e, ("file", "tau")) for e in seqs]
+    checks += [("covariates", cov_entry, ("file",))] if cov_entry is not None else []
+    for key, entry, fields in checks:
+        fields += ("sha256",) if manifest else ()
+        if not isinstance(entry, dict) or any(f not in entry for f in fields):
+            raise CliError("bad %r entry in %s: want an object with the keys %s, got %r"
+                           % (key, where, ", ".join(fields), entry))
+    histories, entries = [], []
+    for idx, e in enumerate(seqs):
+        (hist, _), digest = _parse(e, load_history, "csv", tau=e["tau"],
+                                   n_actors=doc.get("n_actors"), broadcast_label=broadcast,
+                                   sequence_id="seq%03d" % idx)
+        if histories and hist.actor_labels != histories[0].actor_labels:
+            raise CliError("%s has the actors %s, but %s has %s" % (
+                e["file"], list(hist.actor_labels), seqs[0]["file"],
+                list(histories[0].actor_labels)))
         histories.append(hist)
-    return histories
+        entries.append({"file": e["file"], "tau": e["tau"], "sha256": digest})
+    labels = histories[0].actor_labels
+    risk = build_risk_set(len(labels), include_broadcast=broadcast is not None)
+    cov = CovariateSet()
+    if cov_entry is not None:
+        cov, digest = _parse(cov_entry, load_covariates)
+        cov = cov.relabel(labels + ((broadcast,) if broadcast is not None else ()))
+        cov_entry = {"file": cov_entry["file"], "sha256": digest}
+    data = {"sequences": entries, "covariates": cov_entry, "n_actors": risk.n_actors,
+            "broadcast": broadcast}
+    return histories, risk, cov, data
 
 
 def _training_tables(spec, histories, risk, cov, n_train):
@@ -269,7 +269,7 @@ def _save_posterior(samples: PosteriorSamples, out_dir):
         rows = [row % (*idx, v) for idx, v in zip(indices, arr.ravel().tolist())]
         path = os.path.join(out_dir, name)
         _write(path, header + "\n" + "\n".join(rows) + "\n")
-        paths[name] = {"file": path, "sha256": _sha256(path)}
+        paths[name] = {"file": path, "sha256": _read_checked(path)[1]}
     return paths
 
 
@@ -289,24 +289,33 @@ def _load_posterior(manifest):
     )
 
 
+_FIT_KEYS = _DATA_KEYS + (
+    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "mu_update", "hyper",
+    "n_train", "n_burnin", "n_keep", "thin", "ladder", "t_swap", "rhat_max")
+
+
 def cmd_fit(args):
     cfg = _read_config(args.config)
-    seed = args.seed if args.seed is not None else _require(cfg, "seed")
-    sampler = args.sampler or cfg.get("sampler", "collapsed")
-    mu_update = args.mu_update or cfg.get("mu_update", "conjugate")
+    _check_keys(cfg, _FIT_KEYS, args.config)
+    seed = _require(cfg, "seed")
     out_dir = cfg.get("out_dir", "hrem_fit")
     hyper_cfg = cfg.get("hyper", {})
-    unknown = sorted(set(hyper_cfg) - {f.name for f in dataclasses.fields(Hyperparams)})
-    if unknown:
-        raise CliError("unknown hyper key(s) %s in %s"
-                       % (", ".join(map(repr, unknown)), args.config))
+    _check_keys(hyper_cfg, [f.name for f in dataclasses.fields(Hyperparams)], args.config,
+                "hyper key")
     try:
         hyper = Hyperparams(**hyper_cfg)
     except ValueError as exc:
         raise CliError("bad hyper value in %s: %s" % (args.config, exc))
     os.makedirs(out_dir, exist_ok=True)
 
-    histories, risk, cov, entries, cov_entry = _load_sequences(cfg)
+    where, doc = args.config, cfg
+    if "from_manifest" in cfg:
+        clash = [key for key in _DATA_KEYS if key in cfg]
+        if clash:
+            raise CliError("%s: 'from_manifest' names the data, so %s must go"
+                           % (args.config, ", ".join(map(repr, clash))))
+        where, doc = cfg["from_manifest"], _read_config(cfg["from_manifest"])
+    histories, risk, cov, data = _load_data(doc, where)
     spec = _resolve_spec(cfg, cov, args.config)
     try:
         spec.check(cov, risk.n_actors)
@@ -315,21 +324,28 @@ def cmd_fit(args):
     n_train = cfg.get("n_train")
     tables = _training_tables(spec, histories, risk, cov, n_train)
 
-    n_burnin = int(cfg.get("n_burnin", 500))
-    n_keep = int(cfg.get("n_keep", 500))
-    thin = int(cfg.get("thin", 1))
-    ladder = [float(t) for t in (args.ladder.split(",") if args.ladder else cfg.get("ladder", [1, 2, 4, 8, 16]))]
-
+    sampler = cfg.get("sampler", "collapsed")
+    settings = {
+        "sampler": sampler,
+        "mu_update": cfg.get("mu_update", "conjugate"),
+        "n_burnin": int(cfg.get("n_burnin", 500)),
+        "n_keep": int(cfg.get("n_keep", 500)),
+        "thin": int(cfg.get("thin", 1)),
+        "ladder": ([float(t) for t in cfg.get("ladder", [1, 2, 4, 8, 16])]
+                   if sampler == "tempering" else None),
+        "hyper": hyper_cfg,
+        "n_train": n_train,
+    }
+    if settings["mu_update"] not in ("conjugate", "paper"):
+        raise CliError("%s: mu_update must be conjugate or paper" % args.config)
+    sweeps = {key: settings[key] for key in ("n_burnin", "n_keep", "thin")}
     if sampler == "collapsed":
-        samples = run_collapsed_sampler(
-            tables, hyper, n_burnin=n_burnin, n_keep=n_keep, thin=thin,
-            seed=int(seed), mu_update=mu_update,
-        )
+        samples = run_collapsed_sampler(tables, hyper, **sweeps, seed=int(seed),
+                                        mu_update=settings["mu_update"])
     elif sampler == "tempering":
-        samples = run_parallel_tempering(
-            tables, hyper, ladder=ladder, t_swap=int(cfg.get("t_swap", 10)),
-            n_burnin=n_burnin, n_keep=n_keep, thin=thin, seed=int(seed),
-        )
+        samples = run_parallel_tempering(tables, hyper, ladder=settings["ladder"],
+                                         t_swap=int(cfg.get("t_swap", 10)), **sweeps,
+                                         seed=int(seed))
     elif sampler == "map":
         betas, mu, sigma2, warns = map_estimate(tables, hyper)
         samples = PosteriorSamples(
@@ -341,29 +357,16 @@ def cmd_fit(args):
         raise CliError("unknown sampler %r" % sampler)
 
     paths = _save_posterior(samples, out_dir)
-    diag = {
-        k: (v.tolist() if isinstance(v, np.ndarray) else v)
-        for k, v in samples.diagnostics.items()
-    }
+    diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for k, v in samples.diagnostics.items()}
     manifest = {
         "command": "fit",
         "seed": int(seed),
         "out_dir": out_dir,
         "spec": json.loads(spec.to_json()),
-        "n_actors": risk.n_actors,
-        "broadcast": risk.broadcast_actor,
-        "covariates": cov_entry,
-        "sequences": [dict(e, n_train=n_train) for e in entries],
-        "settings": {
-            "sampler": sampler,
-            "mu_update": mu_update,
-            "n_burnin": n_burnin,
-            "n_keep": n_keep,
-            "thin": thin,
-            "ladder": ladder if sampler == "tempering" else None,
-            "hyper": cfg.get("hyper", {}),
-            "n_train": n_train,
-        },
+        **data,
+        "sequences": [dict(e, n_train=n_train) for e in data["sequences"]],
+        "settings": settings,
         "dims": {
             "draws": samples.n_draws,
             "sequences": samples.k_sequences,
@@ -392,14 +395,15 @@ def _reload_fit(manifest_path):
     manifest = _read_config(manifest_path)
     if manifest.get("command") != "fit":
         raise CliError("%s is not a fit manifest" % manifest_path)
-    cov = CovariateSet()
-    if manifest.get("covariates"):
-        cov, _ = _load_covariates(manifest["covariates"])
-    spec = StatisticSpec.from_obj(manifest["spec"], cov)
-    broadcast = manifest.get("broadcast")
-    risk = build_risk_set(manifest["n_actors"], include_broadcast=broadcast is not None)
-    histories = _load_histories(manifest["sequences"], manifest["n_actors"], broadcast)
-    samples = _load_posterior(manifest)
+    for key in ("seed", "out_dir", "spec", "settings", "dims", "posterior"):
+        _require(manifest, key, manifest_path)
+    histories, risk, cov, _ = _load_data(manifest, manifest_path)
+    try:
+        spec = StatisticSpec.from_obj(manifest["spec"], cov)
+        samples = _load_posterior(manifest)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError("%s is not a complete fit manifest: %s %s"
+                       % (manifest_path, type(exc).__name__, exc))
     return manifest, spec, risk, cov, histories, samples
 
 
@@ -441,7 +445,6 @@ def cmd_diagnose(args):
     res_rows = ["sequence,event,t,sender,recipient,pshift,deviance"]
     prob_rows = ["sequence,event,t,sender,recipient,probability"]
     sur_rows = ["sequence,sender,recipient,q,n_events"]
-    edge_rows = ["sequence,sender,recipient,weight"]
     for k, hist in enumerate(histories):
         d = diagnostics.deviance_residuals(beta_hat[k], hist, spec, risk, cov)
         probs = diagnostics.event_probabilities(beta_hat[k], hist, spec, risk, cov)
@@ -455,12 +458,10 @@ def cmd_diagnose(args):
                                         threshold=args.surprise_threshold, rng=rng)
         for (i, j), (qij, n) in sorted(q.items()):
             sur_rows.append("%d,%d,%d,%r,%d" % (k, i, j, qij, n))
-            edge_rows.append("%d,%d,%d,%r" % (k, i, j, qij))
     for name, rows in (
         ("residuals.csv", res_rows),
         ("probabilities.csv", prob_rows),
         ("surprise.csv", sur_rows),
-        ("surprise_edges.csv", edge_rows),
     ):
         _write(os.path.join(out_dir, name), "\n".join(rows) + "\n")
     print("diagnostics written to %s" % out_dir)
@@ -504,15 +505,10 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="generate synthetic event sequences")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit the hierarchical model")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--seed", type=int)
-    p_fit.add_argument("--sampler", choices=["collapsed", "tempering", "map"])
-    p_fit.add_argument("--mu-update", dest="mu_update", choices=["paper", "conjugate"])
-    p_fit.add_argument("--ladder", help="comma-separated temperatures, e.g. 1,2,4,8,16")
     p_fit.add_argument("--allow-nonconverged", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 

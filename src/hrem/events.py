@@ -192,6 +192,19 @@ class CovariateSet:
             raise KeyError("unknown dyad attribute %r" % name)
         return float(attr.get((i, j), 0.0))
 
+    def relabel(self, labels) -> "CovariateSet":
+        """The same covariates keyed by dense id, where `labels[i]` is the label of id i.
+
+        Keys that name no label are dropped.
+        """
+        ids = {_label(lab): i for i, lab in enumerate(labels)}
+        actor_attrs = {name: {ids[a]: v for a, v in attr.items() if a in ids}
+                       for name, attr in self.actor_attrs.items()}
+        dyad_attrs = {name: {(ids[i], ids[j]): v for (i, j), v in attr.items()
+                             if i in ids and j in ids}
+                      for name, attr in self.dyad_attrs.items()}
+        return CovariateSet(actor_attrs, dyad_attrs, self.context_track)
+
 
 def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = None) -> list:
     """Check all structural invariants; return one message per violation.
@@ -247,22 +260,16 @@ def _parse_events_csv(text: str):
             t = float(row[0])
         except ValueError:
             raise ValidationError("line %d: bad time %r" % (lineno, row[0]))
-        events.append((t, row[1].strip(), row[2].strip()))
+        events.append((t, _label(row[1].strip()), _label(row[2].strip())))
     return events
 
 
-def _label_order(label):
-    # integer labels in numeric order, then string labels
-    return (isinstance(label, str), label)
-
-
-def _dense_ids(labels, broadcast_label=None):
-    """Map original actor labels to dense integer ids in label order (broadcast last)."""
-    labels = sorted(set(labels) - {broadcast_label}, key=_label_order)
-    mapping = {lab: i for i, lab in enumerate(labels)}
-    if broadcast_label is not None:
-        mapping[broadcast_label] = len(labels)
-    return mapping, tuple(labels)
+def _label(x):
+    """An actor label as read from a file: integer-looking strings become integers."""
+    try:
+        return int(x) if isinstance(x, str) else x
+    except ValueError:
+        return x
 
 
 def _read_text(source) -> str:
@@ -297,25 +304,19 @@ def load_history(
     if tau is None:
         raise ValidationError("tau is required and was not provided")
 
-    # Integer-looking labels stay integers so ids are stable.
-    def norm(x):
-        if isinstance(x, str):
-            try:
-                return int(x)
-            except ValueError:
-                return x
-        return x
-
-    raw = [(t, norm(i), norm(j)) for t, i, j in raw]
-    if broadcast_label is not None:
-        broadcast_label = norm(broadcast_label)
+    broadcast_label = _label(broadcast_label)
     labels = {lab for _, i, j in raw for lab in (i, j)} - {broadcast_label}
     if n_actors is not None:
         # Pad with unused integer labels so silent actors stay in the risk set.
         pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
         while len(labels) < n_actors:
             labels.add(next(pool))
-    mapping, labels = _dense_ids(labels, broadcast_label)
+    # Dense ids in label order: integer labels numerically, then string
+    # labels; the broadcast recipient last.
+    labels = tuple(sorted(labels, key=lambda lab: (isinstance(lab, str), lab)))
+    mapping = {lab: i for i, lab in enumerate(labels)}
+    if broadcast_label is not None:
+        mapping[broadcast_label] = len(labels)
 
     events = [(t, mapping[i], mapping[j]) for t, i, j in raw]
     n_real = len(labels)
@@ -333,30 +334,22 @@ def load_history(
     return history, CovariateSet()
 
 
-def load_covariates(source):
-    """Read the covariate/context JSON; returns (CovariateSet, meta dict).
-
-    meta carries `tau` and `broadcast_id` when present.
-    """
+def load_covariates(source) -> CovariateSet:
+    """Read the covariate/context JSON, keyed by its actor ids read as labels."""
     doc = json.loads(_read_text(source))
     actor_attrs: dict = {}
     for rec in doc.get("actors", []):
-        aid = rec["id"]
         for name, value in rec.items():
-            if name == "id":
-                continue
-            actor_attrs.setdefault(name, {})[aid] = value
+            if name != "id":
+                actor_attrs.setdefault(name, {})[_label(rec["id"])] = value
     dyad_attrs: dict = {}
     for rec in doc.get("dyads", []):
-        key = (rec["i"], rec["j"])
+        key = (_label(rec["i"]), _label(rec["j"]))
         for name, value in rec.items():
-            if name in ("i", "j"):
-                continue
-            dyad_attrs.setdefault(name, {})[key] = float(value)
+            if name not in ("i", "j"):
+                dyad_attrs.setdefault(name, {})[key] = float(value)
     contexts = tuple((float(c["start"]), c["label"]) for c in doc.get("contexts", []))
-    cov = CovariateSet(actor_attrs=actor_attrs, dyad_attrs=dyad_attrs, context_track=contexts)
-    meta = {k: doc[k] for k in ("tau", "broadcast_id") if k in doc}
-    return cov, meta
+    return CovariateSet(actor_attrs=actor_attrs, dyad_attrs=dyad_attrs, context_track=contexts)
 
 
 def events_to_csv(history: EventHistory) -> str:

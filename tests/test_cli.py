@@ -89,11 +89,9 @@ def test_fit_and_manifest(sim_dir):
 
 
 def test_fit_tempering_flags_recorded(sim_dir):
-    cfg = fit_config(sim_dir, out="fit_t", n_burnin=10, n_keep=10)
-    code = main([
-        "fit", "--config", cfg, "--sampler", "tempering",
-        "--ladder", "1,2,4,8,16", "--allow-nonconverged",
-    ])
+    cfg = fit_config(sim_dir, out="fit_t", n_burnin=10, n_keep=10, sampler="tempering",
+                     ladder=[1, 2, 4, 8, 16])
+    code = main(["fit", "--config", cfg, "--allow-nonconverged"])
     assert code in (0, 2)
     man = json.load(open(sim_dir / "fit_t" / "manifest.json"))
     assert man["settings"]["sampler"] == "tempering"
@@ -101,8 +99,8 @@ def test_fit_tempering_flags_recorded(sim_dir):
 
 
 def test_fit_map_sampler(sim_dir):
-    cfg = fit_config(sim_dir, out="fit_map")
-    assert main(["fit", "--config", cfg, "--sampler", "map"]) == 0
+    cfg = fit_config(sim_dir, out="fit_map", sampler="map")
+    assert main(["fit", "--config", cfg]) == 0
 
 
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):
@@ -151,7 +149,6 @@ def test_diagnose_outputs(sim_dir):
     labels = {r.split(",")[5] for r in res[1:]}
     assert labels & {"AB-BA", "AB-BY", "AB-XY", "AB-XA", "AB-XB", "AB-AY"}
     assert os.path.exists(sim_dir / "fit" / "surprise.csv")
-    assert os.path.exists(sim_dir / "fit" / "surprise_edges.csv")
     assert os.path.exists(sim_dir / "fit" / "probabilities.csv")
 
 
@@ -201,10 +198,10 @@ def test_select_scores_the_training_events(sim_dir, tmp_path):
     from hrem.stats import unique_stat_table
 
     reduced = [{"type": "baserate"}, {"type": "pshift", "kind": "AB-BA"}]
-    main(["fit", "--config", fit_config(sim_dir, out="fit_a"), "--sampler", "map"])
-    main(["fit", "--config", fit_config(sim_dir, out="fit_b", preset=None, spec=reduced),
-          "--sampler", "map"])
-    main(["fit", "--config", fit_config(sim_dir, out="fit_c", n_train=70), "--sampler", "map"])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_a", sampler="map")])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_b", preset=None, spec=reduced,
+                                        sampler="map")])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_c", n_train=70, sampler="map")])
     fits = [str(sim_dir / name / "manifest.json") for name in ("fit_a", "fit_b", "fit_c")]
     # same events, different training cut: not the same data
     assert main(["select", fits[0], fits[2]]) == 1
@@ -226,12 +223,12 @@ def test_simulate_fit_round_trip_keeps_dyad_covariates(tmp_path):
     spec = [{"type": "baserate"}, {"type": "dyad_value", "attr": "w"}]
     sim = write_json(tmp_path / "sim.json", {
         "seed": 11, "n_actors": 5, "covariates": cov_in, "spec": spec,
-        "beta": [-1.0, 1.5], "n_events": 600, "out_dir": str(tmp_path / "sim")})
+        "mu": [-1.0, 1.5], "n_events": 600, "out_dir": str(tmp_path / "sim")})
     assert main(["simulate", "--config", sim]) == 0
     written = json.load(open(tmp_path / "sim" / "covariates.json"))
     assert written["dyads"] == sorted(dyads, key=lambda d: (d["i"], d["j"]))
-    cfg = fit_config(tmp_path, out="fit_w", preset=None, spec=spec, n_train=None)
-    assert main(["fit", "--config", cfg, "--sampler", "map"]) == 0
+    cfg = fit_config(tmp_path, out="fit_w", preset=None, spec=spec, n_train=None, sampler="map")
+    assert main(["fit", "--config", cfg]) == 0
     rows = open(tmp_path / "fit_w" / "beta.csv").read().splitlines()[1:]
     beta = {int(r.split(",")[2]): float(r.split(",")[3]) for r in rows}
     assert abs(beta[1] - 1.5) < 0.3
@@ -244,10 +241,10 @@ def test_simulate_fit_round_trip_keeps_actor_order_beyond_ten(tmp_path):
     spec = [{"type": "baserate"}, {"type": "sender_attr", "attr": "x"}]
     sim = write_json(tmp_path / "sim.json", {
         "seed": 5, "n_actors": 12, "covariates": cov_in, "spec": spec,
-        "beta": [-3.0, 2.0], "n_events": 800, "out_dir": str(tmp_path / "sim")})
+        "mu": [-3.0, 2.0], "n_events": 800, "out_dir": str(tmp_path / "sim")})
     assert main(["simulate", "--config", sim]) == 0
-    cfg = fit_config(tmp_path, out="fit_x", preset=None, spec=spec, n_train=None)
-    assert main(["fit", "--config", cfg, "--sampler", "map"]) == 0
+    cfg = fit_config(tmp_path, out="fit_x", preset=None, spec=spec, n_train=None, sampler="map")
+    assert main(["fit", "--config", cfg]) == 0
     rows = open(tmp_path / "fit_x" / "beta.csv").read().splitlines()[1:]
     beta = {int(r.split(",")[2]): float(r.split(",")[3]) for r in rows}
     assert abs(beta[1] - 2.0) < 0.3
@@ -278,8 +275,8 @@ def test_fit_malformed_spec_entry_exits_one_naming_it(sim_dir, capsys):
     ]
     for entry, words in cases:
         cfg = fit_config(sim_dir, out="fit_spec", preset=None,
-                         spec=[{"type": "baserate"}, entry])
-        assert main(["fit", "--config", cfg, "--sampler", "map"]) == 1
+                         spec=[{"type": "baserate"}, entry], sampler="map")
+        assert main(["fit", "--config", cfg]) == 1
         err = capsys.readouterr().err
         for word in [cfg] + words:
             assert word in err, (word, err)
@@ -288,7 +285,7 @@ def test_fit_malformed_spec_entry_exits_one_naming_it(sim_dir, capsys):
 def _fit_and_evaluate(sim_dir):
     """Fit twice from the sim manifest; return the argv of predict, diagnose and select."""
     for out in ("fit", "fit_b"):
-        assert main(["fit", "--config", fit_config(sim_dir, out=out), "--sampler", "map"]) == 0
+        assert main(["fit", "--config", fit_config(sim_dir, out=out, sampler="map")]) == 0
     manifest = str(sim_dir / "fit" / "manifest.json")
     return [
         ["predict", "--manifest", manifest, "--z", "5"],
@@ -317,7 +314,7 @@ def test_evaluate_with_a_changed_event_file_exits_one_naming_it(sim_dir, capsys)
         assert main(argv) == 1, argv
         assert events in capsys.readouterr().err
     # a fit from the simulate manifest checks the files against it too
-    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c"), "--sampler", "map"]) == 1
+    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c", sampler="map")]) == 1
     assert events in capsys.readouterr().err
 
 
@@ -337,7 +334,7 @@ def test_evaluate_with_changed_covariates_exits_one_naming_it(sim_dir, capsys):
         assert main(argv) == 1, argv
         assert cov in capsys.readouterr().err
     # a fit from the simulate manifest checks the covariate file against it too
-    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c"), "--sampler", "map"]) == 1
+    assert main(["fit", "--config", fit_config(sim_dir, out="fit_c", sampler="map")]) == 1
     assert cov in capsys.readouterr().err
 
 
@@ -386,3 +383,82 @@ def test_posterior_csvs_pin_their_layout_and_round_trip_bitwise(tmp_path):
         a, b = getattr(samples, field), getattr(again, field)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
     assert (again.n_burnin, again.n_keep, again.thin) == (4, draws, 2)
+
+
+def test_evaluate_an_old_or_incomplete_fit_manifest_exits_one_naming_it(sim_dir, capsys):
+    commands = _fit_and_evaluate(sim_dir)
+    manifest = str(sim_dir / "fit" / "manifest.json")
+    doc = json.load(open(manifest))
+    # a bare covariate path, as fit manifests had before they hashed the covariate file
+    doc["covariates"] = doc["covariates"]["file"]
+    # then without its posterior as well
+    incomplete = {k: v for k, v in doc.items() if k != "posterior"}
+    for key, broken in (("covariates", doc), ("posterior", incomplete)):
+        write_json(manifest, broken)
+        for argv in commands:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert manifest in err and repr(key) in err, (argv, err)
+
+
+def test_fit_string_labels_and_broadcast_label_from_a_sequences_list(tmp_path, capsys):
+    import numpy as np
+
+    # Sender effect x = log 4: actors b and d send four times as often.
+    actors, log4 = ["b", "c", "d", "e", "f"], float(np.log(4.0))
+    x = {"b": 1, "c": 0, "d": 1, "e": 0, "f": 0}
+    dyads = [(i, j) for i in actors for j in actors + ["all"] if i != j]
+    rate = np.exp(-1.0 + log4 * np.array([x[i] for i, _ in dyads]))
+    rng = np.random.default_rng(4)
+    sequences, tau = [], 20.0
+    for k in range(2):
+        rows, t = ["t,sender,recipient"], rng.exponential(1.0 / rate.sum())
+        while t < tau:
+            i, j = dyads[rng.choice(len(dyads), p=rate / rate.sum())]
+            rows.append("%r,%s,%s" % (t, i, j))
+            t += rng.exponential(1.0 / rate.sum())
+        sequences.append({"file": str(tmp_path / ("events_%d.csv" % k)), "tau": tau})
+        open(sequences[-1]["file"], "w").write("\n".join(rows) + "\n")
+    # an actor named by no event file is dropped
+    cov = write_json(tmp_path / "cov.json", {
+        "actors": [{"id": a, "x": x[a]} for a in actors] + [{"id": "z", "x": 1}]})
+    cfg = {"seed": 1, "sequences": sequences, "covariates": {"file": cov}, "broadcast": "all",
+           "spec": [{"type": "baserate"}, {"type": "sender_attr", "attr": "x"}],
+           "sampler": "map", "n_train": 350, "out_dir": str(tmp_path / "fit")}
+    assert main(["fit", "--config", write_json(tmp_path / "fit.json", cfg)]) == 0
+    man = json.load(open(tmp_path / "fit" / "manifest.json"))
+    assert (man["broadcast"], man["n_actors"]) == ("all", 5)
+    assert man["covariates"] == {"file": cov, "sha256": sha256(cov)}
+    rows = open(tmp_path / "fit" / "mu.csv").read().splitlines()[1:]
+    assert abs(float(rows[1].split(",")[2]) - log4) < 0.3
+    manifest = str(tmp_path / "fit" / "manifest.json")
+    assert main(["predict", "--manifest", manifest, "--z", "5"]) == 0
+    assert main(["diagnose", "--manifest", manifest]) == 0
+    # every sequence must name the same actors
+    short = str(tmp_path / "short.csv")
+    open(short, "w").write("t,sender,recipient\n0.5,b,c\n1.0,c,d\n1.5,d,all\n2.0,e,b\n")
+    cfg["sequences"] = sequences[:1] + [{"file": short, "tau": 3.0}]
+    capsys.readouterr()
+    assert main(["fit", "--config", write_json(tmp_path / "fit.json", cfg)]) == 1
+    assert short in capsys.readouterr().err
+    # simulate's true/false is not a label
+    cfg.update(sequences=sequences, broadcast=True)
+    assert main(["fit", "--config", write_json(tmp_path / "fit.json", cfg)]) == 1
+    assert "'broadcast'" in capsys.readouterr().err
+
+
+def test_fit_config_unknown_key_or_second_data_source_exits_one_naming_it(sim_dir, capsys):
+    cfg = fit_config(sim_dir, out="fit_typo", sampler="map", n_burn=10)
+    assert main(["fit", "--config", cfg]) == 1
+    assert "'n_burn'" in capsys.readouterr().err
+    sim = write_json(sim_dir / "sim_typo.json", {"seed": 1, "preset": "syn52", "n_event": 10})
+    assert main(["simulate", "--config", sim]) == 1
+    assert "'n_event'" in capsys.readouterr().err
+    cfg = fit_config(sim_dir, out="fit_mu", mu_update="pooled")
+    assert main(["fit", "--config", cfg]) == 1
+    assert "mu_update" in capsys.readouterr().err
+    # from_manifest names the data, so a data key beside it is an error, not an override
+    cov = {"file": str(sim_dir / "sim" / "covariates.json")}
+    cfg = fit_config(sim_dir, out="fit_both", sampler="map", covariates=cov)
+    assert main(["fit", "--config", cfg]) == 1
+    assert "'covariates'" in capsys.readouterr().err

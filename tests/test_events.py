@@ -104,8 +104,7 @@ def test_json_round_trip():
         context_track=((0.0, "lec"), (1.0, "grp")),
     )
     text = json.dumps(_covariates_document(cov, 3), indent=1)
-    cov2, meta = load_covariates(io.StringIO(text))
-    assert meta == {}
+    cov2 = load_covariates(io.StringIO(text))
     assert cov2.actor_attrs == cov.actor_attrs
     assert cov2.dyad_attrs == cov.dyad_attrs
     assert cov2.context_track == cov.context_track
@@ -159,13 +158,6 @@ def test_truncate_shortens_window():
     assert cut.tau == pytest.approx(3.0)  # 2.0 + mean gap 1.0
     with pytest.raises(ValueError):
         hist.truncate(0)
-
-
-def test_load_covariates_meta():
-    doc = {"actors": [{"id": 0, "teacher": 1}], "tau": 5.0, "broadcast_id": 9}
-    cov, meta = load_covariates(io.StringIO(json.dumps(doc)))
-    assert cov.actor_attrs["teacher"][0] == 1
-    assert meta == {"tau": 5.0, "broadcast_id": 9}
 
 
 def test_n_actors_padding_keeps_silent_actors():
