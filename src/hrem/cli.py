@@ -243,10 +243,18 @@ def _load_data(doc, where):
     return histories, risk, cov, data
 
 
-def _training_tables(spec, histories, risk, cov, n_train):
-    """Unique-vector tables of the events a fit sees: the first n_train of each history."""
-    if n_train:
-        histories = [h.truncate(int(n_train)) for h in histories]
+def _training_tables(spec, histories, risk, cov, n_train, sequences):
+    """Unique-vector tables of the events a fit sees: the first n_train of each history.
+
+    `sequences` holds the file entries of the histories, to name one whose
+    events do not reach n_train.
+    """
+    if n_train is not None:
+        for hist, entry in zip(histories, sequences):
+            if type(n_train) is not int or not 1 <= n_train <= hist.m:
+                raise CliError("n_train=%r is not an integer in 1..%d, the events of %s"
+                               % (n_train, hist.m, entry["file"]))
+        histories = [h.truncate(n_train) for h in histories]
     return [unique_stat_table(spec, h, risk, cov) for h in histories]
 
 
@@ -289,9 +297,20 @@ def _load_posterior(manifest):
     )
 
 
-_FIT_KEYS = _DATA_KEYS + (
-    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "mu_update", "hyper",
-    "n_train", "n_burnin", "n_keep", "thin", "ladder", "t_swap", "rhat_max")
+_SWEEPS = {"n_burnin": (int, 500), "n_keep": (int, 500), "thin": (int, 1)}
+# The run settings each sampler reads, as key -> (conversion, default).  A
+# fit records these and rejects the others.
+_SAMPLER_SETTINGS = {
+    "collapsed": dict(_SWEEPS, mu_update=(str, "conjugate")),
+    "tempering": dict(_SWEEPS, ladder=(lambda v: [float(t) for t in v], [1, 2, 4, 8, 16]),
+                      t_swap=(int, 10)),
+    "map": {},
+}
+_RUN_KEYS = tuple(sorted({key for reads in _SAMPLER_SETTINGS.values() for key in reads}))
+
+_FIT_KEYS = _DATA_KEYS + _RUN_KEYS + (
+    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "hyper", "n_train",
+    "rhat_max")
 
 
 def cmd_fit(args):
@@ -321,40 +340,34 @@ def cmd_fit(args):
         spec.check(cov, risk.n_actors)
     except KeyError as exc:
         raise CliError("spec/data mismatch: %s" % exc)
-    n_train = cfg.get("n_train")
-    tables = _training_tables(spec, histories, risk, cov, n_train)
-
     sampler = cfg.get("sampler", "collapsed")
-    settings = {
-        "sampler": sampler,
-        "mu_update": cfg.get("mu_update", "conjugate"),
-        "n_burnin": int(cfg.get("n_burnin", 500)),
-        "n_keep": int(cfg.get("n_keep", 500)),
-        "thin": int(cfg.get("thin", 1)),
-        "ladder": ([float(t) for t in cfg.get("ladder", [1, 2, 4, 8, 16])]
-                   if sampler == "tempering" else None),
-        "hyper": hyper_cfg,
-        "n_train": n_train,
-    }
-    if settings["mu_update"] not in ("conjugate", "paper"):
+    if sampler not in _SAMPLER_SETTINGS:
+        raise CliError("unknown sampler %r" % sampler)
+    reads = _SAMPLER_SETTINGS[sampler]
+    # Tempering accepts mu_update without reading it (the benchmark's config sets it).
+    unread = [key for key in _RUN_KEYS if key in cfg and key not in reads
+              and (sampler, key) != ("tempering", "mu_update")]
+    if unread:
+        raise CliError("%s: the %s sampler does not read %s"
+                       % (args.config, sampler, ", ".join(map(repr, unread))))
+    if cfg.get("mu_update", "conjugate") not in ("conjugate", "paper"):
         raise CliError("%s: mu_update must be conjugate or paper" % args.config)
-    sweeps = {key: settings[key] for key in ("n_burnin", "n_keep", "thin")}
+    run = {key: convert(cfg.get(key, default)) for key, (convert, default) in reads.items()}
+    n_train = cfg.get("n_train")
+    tables = _training_tables(spec, histories, risk, cov, n_train, data["sequences"])
+
+    settings = {"sampler": sampler, **run, "hyper": hyper_cfg, "n_train": n_train}
     if sampler == "collapsed":
-        samples = run_collapsed_sampler(tables, hyper, **sweeps, seed=int(seed),
-                                        mu_update=settings["mu_update"])
+        samples = run_collapsed_sampler(tables, hyper, **run, seed=int(seed))
     elif sampler == "tempering":
-        samples = run_parallel_tempering(tables, hyper, ladder=settings["ladder"],
-                                         t_swap=int(cfg.get("t_swap", 10)), **sweeps,
-                                         seed=int(seed))
-    elif sampler == "map":
+        samples = run_parallel_tempering(tables, hyper, **run, seed=int(seed))
+    else:
         betas, mu, sigma2, warns = map_estimate(tables, hyper)
         samples = PosteriorSamples(
             betas=betas[None], mu=mu[None], sigma2=sigma2[None],
             logpost=np.array([0.0]), n_burnin=0, n_keep=1,
         )
         samples.diagnostics = {"warnings": warns, "max_rhat": 1.0, "min_ess": 1.0}
-    else:
-        raise CliError("unknown sampler %r" % sampler)
 
     paths = _save_posterior(samples, out_dir)
     diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
@@ -413,10 +426,12 @@ def cmd_predict(args):
     for z in z_list:
         if z < 1 or z > len(risk):
             raise CliError("z=%d outside 1..|R|=%d" % (z, len(risk)))
-    n_train = args.n_train or manifest["settings"].get("n_train")
-    if not n_train:
+    n_train = args.n_train if args.n_train is not None else manifest["settings"].get("n_train")
+    if n_train is None:
         raise CliError("no training cutoff: pass --n-train or fit with n_train")
     n_train = int(n_train)
+    if n_train < 1:
+        raise CliError("n_train=%d is below 1" % n_train)
     beta_hat = samples.beta_mean()
     rng = np.random.default_rng(manifest["seed"])
     rows = ["sequence,z,recall_model,recall_baseline"]
@@ -441,6 +456,9 @@ def cmd_diagnose(args):
     os.makedirs(out_dir, exist_ok=True)
     beta_hat = samples.beta_mean()
     rng = np.random.default_rng(manifest["seed"])
+    # Actors are written by their labels in the event files, the broadcast recipient last.
+    names = [str(lab) for lab in histories[0].actor_labels]
+    names += [str(manifest["broadcast"])] if manifest["broadcast"] is not None else []
 
     res_rows = ["sequence,event,t,sender,recipient,pshift,deviance"]
     prob_rows = ["sequence,event,t,sender,recipient,probability"]
@@ -451,13 +469,14 @@ def cmd_diagnose(args):
         prev = None
         for m, (t, i, j) in enumerate(hist.events):
             label = pshift_label(prev, (t, i, j)) or ""
-            res_rows.append("%d,%d,%r,%d,%d,%s,%r" % (k, m, t, i, j, label, float(d[m])))
-            prob_rows.append("%d,%d,%r,%d,%d,%r" % (k, m, t, i, j, float(probs[m])))
+            res_rows.append("%d,%d,%r,%s,%s,%s,%r"
+                            % (k, m, t, names[i], names[j], label, float(d[m])))
+            prob_rows.append("%d,%d,%r,%s,%s,%r" % (k, m, t, names[i], names[j], float(probs[m])))
             prev = (t, i, j)
         q = diagnostics.surprise_matrix(beta_hat[k], hist, spec, risk, cov,
                                         threshold=args.surprise_threshold, rng=rng)
         for (i, j), (qij, n) in sorted(q.items()):
-            sur_rows.append("%d,%d,%d,%r,%d" % (k, i, j, qij, n))
+            sur_rows.append("%d,%s,%s,%r,%d" % (k, names[i], names[j], qij, n))
     for name, rows in (
         ("residuals.csv", res_rows),
         ("probabilities.csv", prob_rows),
@@ -478,7 +497,8 @@ def cmd_select(args):
         # DIC is scored on the events the fit saw, as cut by `fit`.
         n_train = manifest["settings"].get("n_train")
         data_keys.add((n_train, tuple(s["sha256"] for s in manifest["sequences"])))
-        d = diagnostics.dic(samples, _training_tables(spec, histories, risk, cov, n_train))
+        tables = _training_tables(spec, histories, risk, cov, n_train, manifest["sequences"])
+        d = diagnostics.dic(samples, tables)
         loaded.append((mpath, d))
     if len(data_keys) != 1:
         raise CliError("manifests were fit on different data sets")

@@ -78,19 +78,6 @@ class SeqState:
         self.n_applied = 0
         self.last_time = 0.0
 
-    def copy(self) -> "SeqState":
-        new = SeqState.__new__(SeqState)
-        new.n_nodes = self.n_nodes
-        new.broadcast = self.broadcast
-        new.last_event = self.last_event
-        new.send_recency = [list(r) for r in self.send_recency]
-        new.receive_recency = [list(r) for r in self.receive_recency]
-        new.counts = self.counts.copy()
-        new.current_context = self.current_context
-        new.n_applied = self.n_applied
-        new.last_time = self.last_time
-        return new
-
     def apply(self, event, cov: CovariateSet | None = None):
         """Fold one event into the state, in place."""
         t, i, j = event
@@ -560,80 +547,6 @@ class UniqueStatTable:
         return int(self.q.sum())
 
 
-class _RowIndex:
-    """Distinct rows in first-occurrence order, with their counts q and exposures m.
-
-    A row is looked up by its projection onto a fixed random vector in a
-    sorted array of the projections of known rows; every hit is then
-    checked bitwise against the stored row.  Misses and collisions go
-    through an exact dict of row bytes, which assigns new ids in order.
-    """
-
-    def __init__(self, p: int):
-        self.rows = np.empty((16, p))  # growing buffer; the first n rows are distinct
-        self.q = np.zeros(16, dtype=np.int64)
-        self.m = np.zeros(16)
-        self.n = 0
-        self.exact: dict = {}
-        self.direction = np.random.default_rng(0).standard_normal(p)
-        self.keys = np.empty(0)  # sorted projections
-        self.key_ids = np.empty(0, dtype=np.intp)  # row id of each projection
-
-    # Slots are found before q or m is read: finding one may grow the buffers.
-
-    def observe(self, row: np.ndarray):
-        r = self._slot(row)
-        self.q[r] += 1
-
-    def expose(self, mat: np.ndarray, dur: float):
-        ids = self._slots(mat)
-        np.add.at(self.m, ids, dur)
-
-    def _slot(self, row: np.ndarray) -> int:
-        key = row.tobytes()
-        r = self.exact.get(key)
-        if r is None:
-            r = self.n
-            if r == len(self.rows):
-                self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-                self.q = np.concatenate([self.q, np.zeros_like(self.q)])
-                self.m = np.concatenate([self.m, np.zeros_like(self.m)])
-            self.rows[r] = row
-            self.exact[key] = r
-            self.n += 1
-        return r
-
-    def _slots(self, mat: np.ndarray) -> np.ndarray:
-        h = mat @ self.direction
-        ids = np.zeros(len(mat), dtype=np.intp)
-        known = np.zeros(len(mat), dtype=bool)  # projection already in keys
-        hit = known
-        if len(self.keys):
-            pos = np.minimum(np.searchsorted(self.keys, h), len(self.keys) - 1)
-            ids = self.key_ids[pos]
-            known = self.keys[pos] == h
-            hit = known & (self.rows[ids].view(np.uint64) == mat.view(np.uint64)).all(axis=1)
-        if hit.all():
-            return ids
-        # Misses and collisions, in row order so new ids follow first occurrence.
-        new_keys: dict = {}
-        for r in np.flatnonzero(~hit):
-            ids[r] = self._slot(mat[r])
-            if not known[r] and h[r] == h[r]:  # a collision keeps the first row's key; NaN gets none
-                new_keys.setdefault(h[r], ids[r])
-        if new_keys:
-            hs = np.array(sorted(new_keys))
-            at = np.searchsorted(self.keys, hs)
-            self.keys = np.insert(self.keys, at, hs)
-            self.key_ids = np.insert(self.key_ids, at, [new_keys[x] for x in hs])
-        return ids
-
-    def table(self) -> UniqueStatTable:
-        n = self.n
-        return UniqueStatTable(vectors=self.rows[:n].copy(), q=self.q[:n].copy(),
-                               m=self.m[:n].copy())
-
-
 class WalkStep:
     """One hazard interval of :func:`walk`: from the previous event to the next one.
 
@@ -695,14 +608,26 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     """Build the unique-vector cache for one sequence.
 
     Exposures accumulate piecewise across context boundaries, which add
-    hazard changepoints between events.  Deduplication uses exact bitwise
-    equality of the float64 vectors; rows keep their order of first
-    occurrence, and each exposure is summed in event order.
+    hazard changepoints between events.  A row is keyed by its bytes, so
+    deduplication is exact bitwise equality of the float64 vectors; rows
+    keep their order of first occurrence, and each exposure is summed in
+    event order.
     """
-    index = _RowIndex(spec.p)
+    row_key = np.dtype((np.void, 8 * spec.p))
+    ids: dict = {}  # row bytes -> id, in order of first occurrence
+    m = np.zeros(16)
+    observed = []
     for step in walk(spec, history, risk, cov):
         for dur, ctx in step.segments:
-            index.expose(step.x(ctx), dur)
+            rows = [ids.setdefault(key, len(ids))
+                    for key in step.x(ctx).view(row_key).ravel().tolist()]
+            if len(ids) > len(m):
+                m = np.concatenate([m, np.zeros(max(len(m), len(ids) - len(m)))])
+            np.add.at(m, rows, dur)
         if step.event is not None:
-            index.observe(step.x(step.context)[step.row])
-    return index.table()
+            observed.append(ids.setdefault(step.x(step.context)[step.row].tobytes(), len(ids)))
+    n = len(ids)
+    vectors = np.frombuffer(b"".join(ids), dtype=float).reshape(n, spec.p)
+    q = np.bincount(np.array(observed, dtype=np.intp), minlength=n).astype(np.int64)
+    m = np.concatenate([m[:n], np.zeros(n - min(n, len(m)))])  # the last rows may be unexposed
+    return UniqueStatTable(vectors=vectors, q=q, m=m)

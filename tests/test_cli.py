@@ -35,12 +35,12 @@ def fit_config(tmp_path, out="fit", **over):
         "from_manifest": str(tmp_path / "sim" / "manifest.json"),
         "preset": "syn52",
         "sampler": "collapsed",
-        "n_burnin": 30,
-        "n_keep": 30,
         "n_train": 60,
         "out_dir": str(tmp_path / out),
     }
     cfg.update(over)
+    if cfg["sampler"] != "map":  # MAP reads no sweep settings
+        cfg = {"n_burnin": 30, "n_keep": 30, **cfg}
     return write_json(tmp_path / (out + ".json"), cfg)
 
 
@@ -103,6 +103,24 @@ def test_fit_map_sampler(sim_dir):
     assert main(["fit", "--config", cfg]) == 0
 
 
+def test_fit_rejects_and_does_not_record_settings_its_sampler_does_not_read(sim_dir, capsys):
+    for over in ({"sampler": "map", "n_burnin": 3}, {"sampler": "collapsed", "ladder": [1, 2]}):
+        assert main(["fit", "--config", fit_config(sim_dir, out="fit_x", **over)]) == 1
+        err = capsys.readouterr().err
+        key = [k for k in over if k != "sampler"][0]
+        assert repr(key) in err and over["sampler"] in err, err
+    assert main(["fit", "--config", fit_config(sim_dir, out="fit_map", sampler="map")]) == 0
+    man = json.load(open(sim_dir / "fit_map" / "manifest.json"))
+    assert sorted(man["settings"]) == ["hyper", "n_train", "sampler"]
+    # tempering accepts mu_update but does not record it
+    cfg = fit_config(sim_dir, out="fit_t", sampler="tempering", n_burnin=2, n_keep=2,
+                     mu_update="conjugate")
+    assert main(["fit", "--config", cfg, "--allow-nonconverged"]) in (0, 2)
+    man = json.load(open(sim_dir / "fit_t" / "manifest.json"))
+    assert sorted(man["settings"]) == ["hyper", "ladder", "n_burnin", "n_keep", "n_train",
+                                       "sampler", "t_swap", "thin"]
+
+
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):
     cfg = fit_config(
         sim_dir, out="fit_bad",
@@ -123,6 +141,18 @@ def test_predict_and_errors(sim_dir, capsys):
     # z beyond the risk set
     assert main(["predict", "--manifest", manifest, "--z", "500"]) == 1
     assert "z=" in capsys.readouterr().err
+
+
+def test_n_train_outside_the_events_exits_one_naming_the_sequence(sim_dir, capsys):
+    for n_train in (0, 81, "60"):  # each sequence has 80 events
+        cfg = fit_config(sim_dir, out="fit_n", sampler="map", n_train=n_train)
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "n_train=%r" % (n_train,) in err and "events_000.csv" in err, err
+    main(["fit", "--config", fit_config(sim_dir, out="fit_n", sampler="map")])
+    manifest = str(sim_dir / "fit_n" / "manifest.json")
+    assert main(["predict", "--manifest", manifest, "--z", "5", "--n-train", "0"]) == 1
+    assert "n_train=0" in capsys.readouterr().err
 
 
 def test_predict_nonexistent_manifest(tmp_path):
@@ -434,6 +464,9 @@ def test_fit_string_labels_and_broadcast_label_from_a_sequences_list(tmp_path, c
     manifest = str(tmp_path / "fit" / "manifest.json")
     assert main(["predict", "--manifest", manifest, "--z", "5"]) == 0
     assert main(["diagnose", "--manifest", manifest]) == 0
+    # diagnose writes the labels of the event files, not dense ids
+    rows = [r.split(",") for r in open(tmp_path / "fit" / "residuals.csv").read().splitlines()]
+    assert {r[3] for r in rows[1:]} <= set(actors) and "all" in {r[4] for r in rows[1:]}
     # every sequence must name the same actors
     short = str(tmp_path / "short.csv")
     open(short, "w").write("t,sender,recipient\n0.5,b,c\n1.0,c,d\n1.5,d,all\n2.0,e,b\n")

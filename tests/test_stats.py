@@ -114,24 +114,22 @@ def test_recency_effect_falls_to_half():
 
 
 def test_update_state_examples():
-    empty = SeqState(4)
-    s = empty.copy().apply((0.1, 1, 2))
+    s = SeqState(4).apply((0.1, 1, 2))
     assert s.send_recency[1] == [2]
     assert s.counts[1, 2] == 1
-    assert empty.send_recency[1] == [] and empty.counts.sum() == 0  # copy leaves the original
-    s = s.copy().apply((0.2, 1, 3))
+    s.apply((0.2, 1, 3))
     assert s.send_recency[1] == [3, 2]
-    s2 = SeqState(4).copy().apply((0.1, 1, 2)).copy().apply((0.2, 1, 2))
+    s2 = SeqState(4).apply((0.1, 1, 2)).apply((0.2, 1, 2))
     assert s2.send_recency[1] == [2]
     assert s2.counts[1, 2] == 2
 
 
 def test_update_state_rejects_out_of_order():
-    s = state_after([(0.5, 0, 1)])
-    with pytest.raises(ValueError, match="out-of-order"):
-        s.copy().apply((0.4, 1, 0))
-    with pytest.raises(ValueError, match="out-of-order"):
-        s.apply((0.4, 1, 0))
+    for t in (0.4, 0.5):  # earlier than, and tied with, the last event
+        s = state_after([(0.5, 0, 1)])
+        with pytest.raises(ValueError, match="out-of-order"):
+            s.apply((t, 1, 0))
+        assert s.n_applied == 1 and s.counts[1, 0] == 0
 
 
 def test_state_rebuild_equals_incremental():
@@ -313,7 +311,7 @@ def effect_pool():
 def designs(draw):
     n = draw(st.integers(3, 5))
     risk = build_risk_set(n, include_broadcast=True)
-    # -0.0 and 0.0 project alike but differ bitwise, so they must stay distinct rows
+    # -0.0 and 0.0 compare equal but differ bitwise, so they must stay distinct rows
     x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.3]), min_size=n + 1,
                       max_size=n + 1))
     g = draw(st.lists(st.sampled_from("uv"), min_size=n + 1, max_size=n + 1))
