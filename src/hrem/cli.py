@@ -29,6 +29,7 @@ from hrem.events import (
     events_to_csv,
     load_covariates,
     load_history,
+    validate_track,
 )
 from hrem.inference import Hyperparams, PosteriorSamples, map_estimate, run_collapsed_sampler
 from hrem.presets import classroom_spec, preset_names, syn52
@@ -203,7 +204,7 @@ def _load_data(doc, where):
     In a manifest (a doc with a "command") every data key is required and
     each file entry carries the sha256 its file is checked against.  Every
     history must have the same actors, to whose dense ids the covariate keys
-    are mapped.  `data` holds the keys as a fit manifest records them.
+    are mapped, and must fit the covariates' context track.  `data` holds the keys as a fit manifest records them.
     """
     manifest = "command" in doc
     for key in (_DATA_KEYS + ("n_actors",)) if manifest else ("sequences",):
@@ -237,6 +238,11 @@ def _load_data(doc, where):
     if cov_entry is not None:
         cov, digest = _parse(cov_entry, load_covariates)
         cov = cov.relabel(labels + ((broadcast,) if broadcast is not None else ()))
+        for hist, e in zip(histories, seqs):
+            bad = validate_track(hist, cov)
+            if bad:
+                raise CliError("the context track of %s does not fit %s: %s"
+                               % (cov_entry["file"], e["file"], bad[0]))
         cov_entry = {"file": cov_entry["file"], "sha256": digest}
     data = {"sequences": entries, "covariates": cov_entry, "n_actors": risk.n_actors,
             "broadcast": broadcast}
@@ -362,12 +368,12 @@ def cmd_fit(args):
     elif sampler == "tempering":
         samples = run_parallel_tempering(tables, hyper, **run, seed=int(seed))
     else:
-        betas, mu, sigma2, warns = map_estimate(tables, hyper)
+        betas, mu, sigma2, report = map_estimate(tables, hyper)
         samples = PosteriorSamples(
             betas=betas[None], mu=mu[None], sigma2=sigma2[None],
             logpost=np.array([0.0]), n_burnin=0, n_keep=1,
         )
-        samples.diagnostics = {"warnings": warns, "max_rhat": 1.0, "min_ess": 1.0}
+        samples.diagnostics = {**report, "max_rhat": 1.0, "min_ess": 1.0}
 
     paths = _save_posterior(samples, out_dir)
     diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)

@@ -25,6 +25,7 @@ __all__ = [
     "load_history",
     "load_covariates",
     "validate",
+    "validate_track",
     "events_to_csv",
 ]
 
@@ -235,13 +236,29 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
             report.append("risk set contains reflexive pair (%d, %d)" % (i, j))
         if risk.broadcast_actor is not None and i == risk.broadcast_actor:
             report.append("risk set has broadcast actor %d as sender" % i)
-    if cov is not None and cov.context_track:
-        starts = [s for s, _ in cov.context_track]
-        if starts != sorted(starts) or len(set(starts)) != len(starts):
-            report.append("context intervals not disjoint/ordered")
-        for m, (t, _, _) in enumerate(history.events):
-            if cov.context_at(t) is None:
-                report.append("event %d: time %g not covered by context track" % (m, t))
+    if cov is not None:
+        report += validate_track(history, cov)
+    return report
+
+
+def validate_track(history: EventHistory, cov: CovariateSet) -> list:
+    """The part of `validate` that checks the context track against the events.
+
+    The starts must increase strictly and the track must cover every event.
+    A covariate set without a track gives an empty report at no cost.
+    """
+    if not cov.context_track:
+        return []
+    report = []
+    starts = [s for s, _ in cov.context_track]
+    for n in range(1, len(starts)):
+        if starts[n] <= starts[n - 1]:
+            report.append("context %d starts at %g, not after context %d at %g"
+                          % (n, starts[n], n - 1, starts[n - 1]))
+            break
+    for m, (t, _, _) in enumerate(history.events):
+        if cov.context_at(t) is None:
+            report.append("event %d: time %g not covered by context track" % (m, t))
     return report
 
 

@@ -101,6 +101,41 @@ def test_fit_tempering_flags_recorded(sim_dir):
 def test_fit_map_sampler(sim_dir):
     cfg = fit_config(sim_dir, out="fit_map", sampler="map")
     assert main(["fit", "--config", cfg]) == 0
+    diag = json.load(open(sim_dir / "fit_map" / "manifest.json"))["diagnostics"]
+    assert diag["converged"] is True and diag["warnings"] == []
+    assert diag["iterations"] >= 1 and diag["grad_norm"] < 1e-3
+
+
+def _fit_with_context_track(tmp_path, contexts):
+    """A map fit of one 200-event CSV under baserate + context "b"; its exit code."""
+    rows = ["t,sender,recipient"] + ["%r,%d,%d" % (0.5 * (m + 1), m % 3, (m + 1) % 3)
+                                     for m in range(200)]
+    (tmp_path / "events.csv").write_text("\n".join(rows) + "\n")
+    cov = write_json(tmp_path / "cov.json", {
+        "actors": [{"id": i} for i in range(3)], "dyads": [], "contexts": contexts})
+    cfg = write_json(tmp_path / "fit.json", {
+        "seed": 1, "sequences": [{"file": str(tmp_path / "events.csv"), "tau": 101.0}],
+        "covariates": {"file": cov},
+        "spec": [{"type": "baserate"}, {"type": "context", "label": "b"}],
+        "sampler": "map", "out_dir": str(tmp_path / "fit")})
+    return main(["fit", "--config", cfg])
+
+
+def test_fit_rejects_an_unordered_context_track_naming_the_file(tmp_path, capsys):
+    track = [{"start": 10.0, "label": "b"}, {"start": 0.0, "label": "a"}]
+    assert _fit_with_context_track(tmp_path, track) == 1
+    err = capsys.readouterr().err
+    assert "cov.json" in err and "context 1 starts at 0, not after context 0 at 10" in err, err
+    assert not (tmp_path / "fit" / "manifest.json").exists()
+
+
+def test_fit_rejects_a_context_track_that_misses_events_naming_the_file(tmp_path, capsys):
+    track = [{"start": 5.0, "label": "a"}, {"start": 50.0, "label": "b"}]
+    assert _fit_with_context_track(tmp_path, track) == 1
+    err = capsys.readouterr().err
+    assert "cov.json" in err and "event 0: time 0.5 not covered by context track" in err, err
+    track[0]["start"] = 0.0
+    assert _fit_with_context_track(tmp_path, track) == 0
 
 
 def test_fit_rejects_and_does_not_record_settings_its_sampler_does_not_read(sim_dir, capsys):

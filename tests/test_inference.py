@@ -16,7 +16,8 @@ from hrem.inference import (
     run_collapsed_sampler,
     slice_sample,
 )
-from hrem.likelihood import loglik_full
+from hrem import inference
+from hrem.likelihood import grad_loglik_full, loglik_full
 from hrem.presets import syn52
 from hrem.simulate import simulate_hierarchical, simulate_history
 from hrem.stats import Baserate, StatisticSpec, unique_stat_table
@@ -149,6 +150,17 @@ def test_single_sequence_intercept_recovers_rate():
     assert abs(post_mean - mle) < 4 * post_sd + 0.02
 
 
+def test_penalized_mle_halves_steps_whose_hazard_overflows():
+    # from a far start the first Newton step overflows exp(eta): the line
+    # search must halve it rather than stop
+    risk = build_risk_set(5)
+    spec = StatisticSpec((Baserate(),))
+    hist = simulate_history(np.array([0.3]), spec, risk, COV, n_events=400, seed=8)
+    table = unique_stat_table(spec, hist, risk, COV)
+    np.testing.assert_allclose(penalized_mle(table, init=[-20.0]), penalized_mle(table),
+                               atol=1e-8)
+
+
 def test_logpost_trace_finite():
     d = syn52(baserate=-1.5)
     pairs = simulate_hierarchical(d.beta, 0.5, 3, d.spec, d.risk, d.cov, n_events=40, seed=10)
@@ -175,7 +187,8 @@ def test_map_tol_infinite_returns_initialization():
     d = syn52(baserate=-1.0)
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=30, seed=14)
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
-    betas, mu, sigma2, warns = map_estimate([table], tol=math.inf)
+    betas, mu, sigma2, report = map_estimate([table], tol=math.inf)
+    assert report["iterations"] == 0 and report["converged"]
     np.testing.assert_array_equal(betas, np.zeros((1, 6)))
     np.testing.assert_array_equal(mu, np.zeros(6))
     np.testing.assert_allclose(sigma2, 0.25)
@@ -201,11 +214,11 @@ def test_map_flags_collapsed_variance():
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=60, seed=16)
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
     with pytest.warns(RuntimeWarning, match="effect"):
-        betas, mu, sigma2, warns = map_estimate(
+        betas, mu, sigma2, report = map_estimate(
             [table] * 4, hyper=Hyperparams(alpha_sigma=1.01, beta_sigma=1e-7),
             sigma_floor=1e-6,
         )
-    assert warns
+    assert report["warnings"]
 
 
 def test_map_improves_joint_logpost():
@@ -216,3 +229,66 @@ def test_map_improves_joint_logpost():
     lp0 = joint_log_posterior(np.zeros((3, 6)), np.zeros(6), np.full(6, 0.25), tables, HYPER)
     lp1 = joint_log_posterior(betas, mu, sigma2, tables, HYPER)
     assert lp1 > lp0
+
+
+def _syn52_tables(k, n_events, seed):
+    d = syn52(baserate=-1.5)
+    pairs = simulate_hierarchical(d.beta, 0.5, k, d.spec, d.risk, d.cov, n_events=n_events,
+                                  seed=seed)
+    return [unique_stat_table(d.spec, h, d.risk, d.cov) for h, _ in pairs]
+
+
+def test_map_matches_generic_optimizer_on_the_profiled_posterior():
+    # sigma^2 profiled out at its floored block maximum; by the envelope
+    # theorem the profiled gradient is the (beta, mu) gradient there
+    tables = _syn52_tables(3, 150, 18)
+    k, p = 3, 6
+
+    def unpack(x):
+        betas, mu = x[:-p].reshape(k, p), x[-p:]
+        ss = np.sum((betas - mu) ** 2, axis=0)
+        sigma2 = np.maximum((HYPER.beta_sigma + 0.5 * ss) / (HYPER.alpha_sigma + k / 2 + 1), 1e-6)
+        return betas, mu, sigma2
+
+    def neg(x):
+        betas, mu, sigma2 = unpack(x)
+        dev = (betas - mu) / sigma2
+        g_b = np.array([grad_loglik_full(b, t) for b, t in zip(betas, tables)]) - dev
+        g_mu = dev.sum(axis=0) - mu / HYPER.mu_prior_sd**2
+        lp = joint_log_posterior(betas, mu, sigma2, tables, HYPER)
+        return -lp, -np.concatenate([g_b.ravel(), g_mu])
+
+    res = optimize.minimize(neg, np.zeros((k + 1) * p), jac=True, method="BFGS",
+                            options={"gtol": 1e-9, "maxiter": 10000})
+    betas, mu, sigma2, report = map_estimate(tables)
+    assert report["converged"] and report["warnings"] == []
+    lp = joint_log_posterior(betas, mu, sigma2, tables, HYPER)
+    assert lp == pytest.approx(-res.fun, abs=1e-8)
+    np.testing.assert_allclose(sigma2, unpack(np.concatenate([betas.ravel(), mu]))[2],
+                               rtol=1e-12)
+
+
+def test_map_takes_few_hessians(monkeypatch):
+    tables = _syn52_tables(3, 150, 19)
+    calls = []
+    original = inference.hessian_loglik_full
+
+    def counted(beta, table):
+        calls.append(1)
+        return original(beta, table)
+
+    monkeypatch.setattr(inference, "hessian_loglik_full", counted)
+    _, _, _, report = map_estimate(tables)
+    assert report["converged"]
+    assert 0 < len(calls) <= 30 * len(tables)
+    assert len(calls) == report["iterations"] * len(tables)
+
+
+def test_map_stopped_at_max_iters_warns_and_says_so():
+    tables = _syn52_tables(3, 80, 17)
+    with pytest.warns(RuntimeWarning, match="max_iters=1"):
+        _, _, _, report = map_estimate(tables, max_iters=1)
+    assert report["converged"] is False
+    assert report["iterations"] == 1
+    assert len(report["warnings"]) == 1 and "max_iters=1" in report["warnings"][0]
+    assert report["grad_norm"] > 0
