@@ -3,7 +3,7 @@
 Every command takes a JSON config (or a fit manifest) and writes its
 outputs next to a manifest carrying content hashes, so runs are
 reproducible byte-for-byte given the same config and seed.  A command that
-reads a manifest checks the files it loads against those hashes.
+reads a manifest checks the files it names against those hashes.
 
 Exit codes: 0 success, 1 usage/data error, 2 nonconvergence.
 """
@@ -31,7 +31,13 @@ from hrem.events import (
     load_history,
     validate_track,
 )
-from hrem.inference import Hyperparams, PosteriorSamples, map_estimate, run_collapsed_sampler
+from hrem.inference import (
+    Hyperparams,
+    PosteriorSamples,
+    joint_log_posterior,
+    map_estimate,
+    run_collapsed_sampler,
+)
 from hrem.presets import classroom_spec, preset_names, syn52
 from hrem.simulate import simulate_hierarchical
 from hrem.stats import StatisticSpec, pshift_label, unique_stat_table
@@ -198,13 +204,11 @@ def cmd_simulate(args):
 _DATA_KEYS = ("sequences", "covariates", "broadcast")
 
 
-def _load_data(doc, where):
-    """(histories, risk, cov, data) of the data keys of a fit config or a manifest.
+def _data_entries(doc, where):
+    """(sequences, covariates) of the data keys of a fit config or a manifest, shape-checked.
 
     In a manifest (a doc with a "command") every data key is required and
-    each file entry carries the sha256 its file is checked against.  Every
-    history must have the same actors, to whose dense ids the covariate keys
-    are mapped, and must fit the covariates' context track.  `data` holds the keys as a fit manifest records them.
+    each file entry carries the sha256 its file is checked against.
     """
     manifest = "command" in doc
     for key in (_DATA_KEYS + ("n_actors",)) if manifest else ("sequences",):
@@ -217,10 +221,27 @@ def _load_data(doc, where):
     checks = [("sequences", e, ("file", "tau")) for e in seqs]
     checks += [("covariates", cov_entry, ("file",))] if cov_entry is not None else []
     for key, entry, fields in checks:
-        fields += ("sha256",) if manifest else ()
-        if not isinstance(entry, dict) or any(f not in entry for f in fields):
-            raise CliError("bad %r entry in %s: want an object with the keys %s, got %r"
-                           % (key, where, ", ".join(fields), entry))
+        _check_entry(key, entry, fields + (("sha256",) if manifest else ()), where)
+    return seqs, cov_entry
+
+
+def _check_entry(key, entry, fields, where):
+    """Exit 1 unless the `key` entry of `where` is an object holding every field."""
+    if not isinstance(entry, dict) or any(f not in entry for f in fields):
+        raise CliError("bad %r entry in %s: want an object with the keys %s, got %r"
+                       % (key, where, ", ".join(fields), entry))
+
+
+def _load_data(doc, where):
+    """(histories, risk, cov, data) of the data keys of a fit config or a manifest.
+
+    The entries are checked by `_data_entries`.  Every history must have the
+    same actors, to whose dense ids the covariate keys are mapped, and must
+    fit the covariates' context track.  `data` holds the keys as a fit
+    manifest records them.
+    """
+    seqs, cov_entry = _data_entries(doc, where)
+    broadcast = doc.get("broadcast")
     histories, entries = [], []
     for idx, e in enumerate(seqs):
         (hist, _), digest = _parse(e, load_history, "csv", tau=e["tau"],
@@ -371,11 +392,13 @@ def cmd_fit(args):
         betas, mu, sigma2, report = map_estimate(tables, hyper)
         samples = PosteriorSamples(
             betas=betas[None], mu=mu[None], sigma2=sigma2[None],
-            logpost=np.array([0.0]), n_burnin=0, n_keep=1,
+            logpost=np.array([joint_log_posterior(betas, mu, sigma2, tables, hyper)]),
+            n_burnin=0, n_keep=1, diagnostics=report,
         )
-        samples.diagnostics = {**report, "max_rhat": 1.0, "min_ess": 1.0}
 
     paths = _save_posterior(samples, out_dir)
+    # `select` ranks fits by this, scored on the training tables at hand.
+    dic = diagnostics.dic(samples, tables)
     diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
             for k, v in samples.diagnostics.items()}
     manifest = {
@@ -393,15 +416,19 @@ def cmd_fit(args):
         },
         "diagnostics": diag,
         "posterior": paths,
+        "dic": dic,
     }
     path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    rhat_max = float(cfg.get("rhat_max", 1.2))
-    converged = samples.diagnostics.get("max_rhat", 1.0) <= rhat_max
-    print("fit written to %s (manifest: %s); max_rhat=%.3f" % (
-        out_dir, path, samples.diagnostics.get("max_rhat", float("nan"))))
-    if not converged and not args.allow_nonconverged:
-        print("chains failed the convergence threshold (rhat_max=%.3f)" % rhat_max,
-              file=sys.stderr)
+    if sampler == "map":
+        status, failed = "converged=%s" % diag["converged"], not diag["converged"]
+        why = "MAP stopped before converging"
+    else:
+        rhat_max = float(cfg.get("rhat_max", 1.2))
+        status, failed = "max_rhat=%.3f" % diag["max_rhat"], diag["max_rhat"] > rhat_max
+        why = "chains failed the convergence threshold (rhat_max=%.3f)" % rhat_max
+    print("fit written to %s (manifest: %s); %s" % (out_dir, path, status))
+    if failed and not args.allow_nonconverged:
+        print(why, file=sys.stderr)
         return 2
     return 0
 
@@ -410,12 +437,19 @@ def cmd_fit(args):
 # predict / diagnose / select
 
 
-def _reload_fit(manifest_path):
+def _fit_manifest(manifest_path, keys):
+    """The fit manifest at `manifest_path`, which must hold `keys`."""
     manifest = _read_config(manifest_path)
     if manifest.get("command") != "fit":
         raise CliError("%s is not a fit manifest" % manifest_path)
-    for key in ("seed", "out_dir", "spec", "settings", "dims", "posterior"):
+    for key in keys:
         _require(manifest, key, manifest_path)
+    return manifest
+
+
+def _reload_fit(manifest_path):
+    manifest = _fit_manifest(
+        manifest_path, ("seed", "out_dir", "spec", "settings", "dims", "posterior"))
     histories, risk, cov, _ = _load_data(manifest, manifest_path)
     try:
         spec = StatisticSpec.from_obj(manifest["spec"], cov)
@@ -494,17 +528,28 @@ def cmd_diagnose(args):
 
 
 def cmd_select(args):
+    """Rank fits of the same data by the DIC each fit recorded on its training events.
+
+    Every file a manifest names is checked against its sha256, and none is
+    parsed.
+    """
     if len(args.manifests) < 2:
         raise CliError("need >= 2 fit manifests to compare")
     loaded = []
     data_keys = set()
     for mpath in args.manifests:
-        manifest, spec, risk, cov, histories, samples = _reload_fit(mpath)
-        # DIC is scored on the events the fit saw, as cut by `fit`.
-        n_train = manifest["settings"].get("n_train")
-        data_keys.add((n_train, tuple(s["sha256"] for s in manifest["sequences"])))
-        tables = _training_tables(spec, histories, risk, cov, n_train, manifest["sequences"])
-        d = diagnostics.dic(samples, tables)
+        manifest = _fit_manifest(
+            mpath, ("settings", "sequences", "covariates", "posterior", "dic"))
+        seqs, cov_entry = _data_entries(manifest, mpath)
+        posterior, d = manifest["posterior"], manifest["dic"]
+        _check_entry("posterior", posterior, [name for name, _, _ in _POSTERIOR], mpath)
+        _check_entry("dic", d, ("dic", "p_d", "mean_deviance"), mpath)
+        outputs = [posterior[name] for name, _, _ in _POSTERIOR]
+        for entry in outputs:
+            _check_entry("posterior", entry, ("file", "sha256"), mpath)
+        for entry in seqs + ([cov_entry] if cov_entry is not None else []) + outputs:
+            _read_checked(entry["file"], entry["sha256"])
+        data_keys.add((manifest["settings"].get("n_train"), tuple(s["sha256"] for s in seqs)))
         loaded.append((mpath, d))
     if len(data_keys) != 1:
         raise CliError("manifests were fit on different data sets")

@@ -427,7 +427,7 @@ def _newton_ascent(objective, newton_step, x, max_iters: int, tol: float, refit=
     return x, iters, gain
 
 
-def penalized_mle(table: UniqueStatTable, prior_sd: float = 10.0, init=None):
+def penalized_mle(table: UniqueStatTable, prior_sd: float = 10.0):
     """Single-sequence fit with a weak N(0, prior_sd^2) ridge for identifiability."""
     p = table.vectors.shape[1]
     var = prior_sd**2
@@ -440,8 +440,7 @@ def penalized_mle(table: UniqueStatTable, prior_sd: float = 10.0, init=None):
         h = hessian_loglik_full(b, table) - np.eye(p) / var
         return np.linalg.solve(h, g)
 
-    beta = np.zeros(p) if init is None else np.array(init, dtype=float)
-    beta, iters, gain = _newton_ascent(objective, newton_step, beta, 100, 1e-10)
+    beta, iters, gain = _newton_ascent(objective, newton_step, np.zeros(p), 100, 1e-10)
     if gain > 1e-10:
         warnings.warn("penalized MLE stopped after %d Newton steps, still gaining %.3g"
                       % (iters, gain), RuntimeWarning, stacklevel=2)

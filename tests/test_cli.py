@@ -280,6 +280,78 @@ def test_select_scores_the_training_events(sim_dir, tmp_path):
         assert scored[path] == diagnostics.dic(samples, tables)["dic"]
 
 
+def test_select_reads_the_recorded_dic_and_parses_no_file(sim_dir, tmp_path, monkeypatch,
+                                                         capsys):
+    from hrem import cli, diagnostics
+
+    main(["fit", "--config", fit_config(sim_dir, out="fit_a")])
+    main(["fit", "--config", fit_config(sim_dir, out="fit_b", sampler="map")])
+    fits = [str(sim_dir / name / "manifest.json") for name in ("fit_a", "fit_b")]
+    scored = []
+    for path in fits:
+        manifest, spec, risk, cov, histories, samples = cli._reload_fit(path)
+        tables = cli._training_tables(spec, histories, risk, cov, 60, manifest["sequences"])
+        d = diagnostics.dic(samples, tables)
+        assert manifest["dic"] == d
+        scored.append((d["dic"], path, "%s,%r,%r,%r" % (path, d["dic"], d["p_d"],
+                                                        d["mean_deviance"])))
+    want = "\n".join(["manifest,dic,p_d,mean_deviance"] + [row for *_, row in sorted(scored)])
+
+    def parse(*args, **kw):
+        raise AssertionError("select parsed a file")
+
+    for name in ("load_history", "load_covariates", "unique_stat_table", "_load_posterior"):
+        monkeypatch.setattr(cli, name, parse)
+    out = str(tmp_path / "select.csv")
+    assert main(["select", fits[1], fits[0], "--out", out]) == 0
+    assert open(out).read() == want + "\n"
+    # every file is still checked against its sha256
+    beta = str(sim_dir / "fit_b" / "beta.csv")
+    with open(beta, "a") as fh:
+        fh.write("\n")
+    capsys.readouterr()
+    assert main(["select", fits[0], fits[1]]) == 1
+    assert beta in capsys.readouterr().err
+
+
+def test_select_without_a_recorded_dic_exits_one_naming_it(sim_dir, capsys):
+    _, _, select = _fit_and_evaluate(sim_dir)
+    manifest = select[1]
+    doc = json.load(open(manifest))
+    assert sorted(doc["dic"]) == ["dic", "mean_deviance", "p_d"]
+    for broken in ({k: v for k, v in doc.items() if k != "dic"}, dict(doc, dic={"dic": 1.0})):
+        write_json(manifest, broken)
+        assert main(select) == 1
+        err = capsys.readouterr().err
+        assert manifest in err and "'dic'" in err, err
+
+
+def test_map_fit_writes_its_log_posterior_and_exits_two_unless_converged(sim_dir, monkeypatch,
+                                                                         capsys):
+    from hrem import cli
+    from hrem.inference import joint_log_posterior
+
+    seen, map_estimate = {}, cli.map_estimate
+
+    def stalled(tables, hyper):
+        betas, mu, sigma2, report = map_estimate(tables, hyper)
+        seen.update(tables=tables, hyper=hyper)
+        return betas, mu, sigma2, dict(report, converged=False)
+
+    monkeypatch.setattr(cli, "map_estimate", stalled)
+    cfg = fit_config(sim_dir, out="fit_map", sampler="map")
+    assert main(["fit", "--config", cfg]) == 2
+    assert "MAP stopped before converging" in capsys.readouterr().err
+    assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 0
+    manifest = json.load(open(sim_dir / "fit_map" / "manifest.json"))
+    assert manifest["diagnostics"]["converged"] is False
+    assert not {"max_rhat", "min_ess"} & set(manifest["diagnostics"])
+    samples = cli._load_posterior(manifest)
+    want = joint_log_posterior(samples.betas[0], samples.mu[0], samples.sigma2[0],
+                               seen["tables"], seen["hyper"])
+    assert open(sim_dir / "fit_map" / "logpost.csv").read() == "draw,value\n0,%r\n" % want
+
+
 def test_simulate_fit_round_trip_keeps_dyad_covariates(tmp_path):
     dyads = [{"i": i, "j": j, "w": 1.0} for i in range(5) for j in range(5)
              if i != j and (i + j) % 3 == 0]

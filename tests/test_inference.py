@@ -157,8 +157,21 @@ def test_penalized_mle_halves_steps_whose_hazard_overflows():
     spec = StatisticSpec((Baserate(),))
     hist = simulate_history(np.array([0.3]), spec, risk, COV, n_events=400, seed=8)
     table = unique_stat_table(spec, hist, risk, COV)
-    np.testing.assert_allclose(penalized_mle(table, init=[-20.0]), penalized_mle(table),
-                               atol=1e-8)
+
+    # penalized_mle's ridge objective and Newton step
+    def objective(b):
+        return loglik_full(b, table) - 0.5 * float(np.sum(b**2 / 100.0))
+
+    def newton_step(b):
+        g = grad_loglik_full(b, table) - b / 100.0
+        h = inference.hessian_loglik_full(b, table) - np.eye(1) / 100.0
+        return np.linalg.solve(h, g)
+
+    start = np.array([-20.0])
+    with pytest.raises(FloatingPointError):
+        objective(start - newton_step(start))
+    beta, _, _ = inference._newton_ascent(objective, newton_step, start, 100, 1e-10)
+    np.testing.assert_allclose(beta, penalized_mle(table), atol=1e-8)
 
 
 def test_logpost_trace_finite():
