@@ -18,7 +18,6 @@ from hrem.stats import StatisticSpec, SeqState, UniqueStatTable, unique_stat_tab
 from hrem.likelihood import (
     loglik_full,
     loglik_naive,
-    loglik_order,
     explosion_check,
 )
 from hrem.simulate import simulate_history, simulate_hierarchical

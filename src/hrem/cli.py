@@ -38,6 +38,7 @@ from hrem.inference import (
     map_estimate,
     run_collapsed_sampler,
 )
+from hrem.likelihood import score_events
 from hrem.presets import classroom_spec, preset_names, syn52
 from hrem.simulate import simulate_hierarchical
 from hrem.stats import StatisticSpec, pshift_label, unique_stat_table
@@ -324,20 +325,20 @@ def _load_posterior(manifest):
     )
 
 
-_SWEEPS = {"n_burnin": (int, 500), "n_keep": (int, 500), "thin": (int, 1)}
+_CHAINS = {"n_burnin": (int, 500), "n_keep": (int, 500), "thin": (int, 1),
+           "rhat_max": (float, 1.2)}
 # The run settings each sampler reads, as key -> (conversion, default).  A
-# fit records these and rejects the others.
+# fit records these, bar the convergence threshold, and rejects the others.
 _SAMPLER_SETTINGS = {
-    "collapsed": dict(_SWEEPS, mu_update=(str, "conjugate")),
-    "tempering": dict(_SWEEPS, ladder=(lambda v: [float(t) for t in v], [1, 2, 4, 8, 16]),
+    "collapsed": dict(_CHAINS, mu_update=(str, "conjugate")),
+    "tempering": dict(_CHAINS, ladder=(lambda v: [float(t) for t in v], [1, 2, 4, 8, 16]),
                       t_swap=(int, 10)),
     "map": {},
 }
 _RUN_KEYS = tuple(sorted({key for reads in _SAMPLER_SETTINGS.values() for key in reads}))
 
 _FIT_KEYS = _DATA_KEYS + _RUN_KEYS + (
-    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "hyper", "n_train",
-    "rhat_max")
+    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "hyper", "n_train")
 
 
 def cmd_fit(args):
@@ -380,6 +381,7 @@ def cmd_fit(args):
     if cfg.get("mu_update", "conjugate") not in ("conjugate", "paper"):
         raise CliError("%s: mu_update must be conjugate or paper" % args.config)
     run = {key: convert(cfg.get(key, default)) for key, (convert, default) in reads.items()}
+    rhat_max = run.pop("rhat_max", None)
     n_train = cfg.get("n_train")
     tables = _training_tables(spec, histories, risk, cov, n_train, data["sequences"])
 
@@ -423,7 +425,6 @@ def cmd_fit(args):
         status, failed = "converged=%s" % diag["converged"], not diag["converged"]
         why = "MAP stopped before converging"
     else:
-        rhat_max = float(cfg.get("rhat_max", 1.2))
         status, failed = "max_rhat=%.3f" % diag["max_rhat"], diag["max_rhat"] > rhat_max
         why = "chains failed the convergence threshold (rhat_max=%.3f)" % rhat_max
     print("fit written to %s (manifest: %s); %s" % (out_dir, path, status))
@@ -476,13 +477,14 @@ def cmd_predict(args):
     rng = np.random.default_rng(manifest["seed"])
     rows = ["sequence,z,recall_model,recall_baseline"]
     for k, hist in enumerate(histories):
+        if n_train >= hist.m:
+            rows.extend("%d,%d,," % (k, z) for z in z_list)
+            continue
+        model = score_events(beta_hat[k], hist, spec, risk, cov, start=n_train)
+        baseline = diagnostics.baseline_counts(hist, risk, n_train)
         for z in z_list:
-            if n_train >= hist.m:
-                rows.append("%d,%d,," % (k, z))
-                continue
-            rm = diagnostics.recall_at_z(beta_hat[k], hist, spec, risk, cov, z,
-                                         n_train=n_train, rng=rng)
-            rb = diagnostics.baseline_recall_at_z(hist, risk, cov, z, n_train, rng=rng)
+            rm = diagnostics.recall(model.higher, model.ties, z, rng)
+            rb = diagnostics.recall(*baseline, z, rng)
             rows.append("%d,%d,%r,%r" % (k, z, rm, rb))
     out = args.out or os.path.join(manifest["out_dir"], "recall.csv")
     _write(out, "\n".join(rows) + "\n")
@@ -504,8 +506,8 @@ def cmd_diagnose(args):
     prob_rows = ["sequence,event,t,sender,recipient,probability"]
     sur_rows = ["sequence,sender,recipient,q,n_events"]
     for k, hist in enumerate(histories):
-        d = diagnostics.deviance_residuals(beta_hat[k], hist, spec, risk, cov)
-        probs = diagnostics.event_probabilities(beta_hat[k], hist, spec, risk, cov)
+        scores = score_events(beta_hat[k], hist, spec, risk, cov)
+        d, probs = scores.deviance, scores.prob
         prev = None
         for m, (t, i, j) in enumerate(hist.events):
             label = pshift_label(prev, (t, i, j)) or ""
@@ -513,8 +515,8 @@ def cmd_diagnose(args):
                             % (k, m, t, names[i], names[j], label, float(d[m])))
             prob_rows.append("%d,%d,%r,%s,%s,%r" % (k, m, t, names[i], names[j], float(probs[m])))
             prev = (t, i, j)
-        q = diagnostics.surprise_matrix(beta_hat[k], hist, spec, risk, cov,
-                                        threshold=args.surprise_threshold, rng=rng)
+        q = diagnostics.surprise(scores.higher, scores.ties, hist.events,
+                                 args.surprise_threshold, rng)
         for (i, j), (qij, n) in sorted(q.items()):
             sur_rows.append("%d,%s,%s,%r,%d" % (k, names[i], names[j], qij, n))
     for name, rows in (

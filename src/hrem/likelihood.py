@@ -1,10 +1,12 @@
-"""Full-time and order-only log-likelihoods, explosion screening.
+"""Full-time log-likelihoods, per-event scores, explosion screening.
 
 The hazard of dyad (i, j) is log-linear in its statistic vector and
 piecewise constant between changepoints (events and context switches).
 `loglik_full` evaluates the cached form over unique statistic vectors;
-`loglik_naive` sums over the statistic matrices of every changepoint
-instead, which checks the cache's deduplication and exposure sums.
+`score_events` walks the statistic matrices of every changepoint instead
+and scores each event for the likelihood and the diagnostics;
+`loglik_naive` sums its scores, which checks the cache's deduplication
+and exposure sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from hrem.stats import SeqState, StatisticSpec, UniqueStatTable, walk
 __all__ = [
     "loglik_full",
     "loglik_naive",
-    "loglik_order",
+    "score_events",
+    "EventScores",
     "grad_loglik_full",
     "hessian_loglik_full",
     "explosion_check",
@@ -53,41 +56,77 @@ def hessian_loglik_full(beta: np.ndarray, table: UniqueStatTable) -> np.ndarray:
     return -(table.vectors.T * w) @ table.vectors
 
 
+@dataclass(frozen=True)
+class EventScores:
+    """Per-event arrays of one scoring walk, for the events from `start` on.
+
+    `exposure` integrates the total hazard over the interval the event ends,
+    `prob` is its multinomial choice probability, and `higher` and `ties`
+    count the dyads whose log hazard is above and equal to the observed one
+    (itself included).  `tail_exposure` covers the censored tail (t_M, tau].
+    """
+
+    log_hazard: np.ndarray
+    exposure: np.ndarray
+    prob: np.ndarray
+    log_prob: np.ndarray
+    higher: np.ndarray
+    ties: np.ndarray
+    tail_exposure: float
+
+    @property
+    def deviance(self) -> np.ndarray:
+        """Per-event deviance -2 [log hazard - exposure]."""
+        return -2.0 * (self.log_hazard - self.exposure)
+
+
+def score_events(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
+                 risk: RiskSet, cov: CovariateSet, start: int = 0) -> EventScores:
+    """Score the events from index `start` on, and the tail, in one walk.
+
+    Each interval computes x(context) @ beta and its exponential once per
+    context.  Events before `start` only advance the state.
+    """
+    beta = np.asarray(beta, dtype=float)
+    n = history.m - start
+    log_hazard, exposure, prob, log_prob = (np.empty(n) for _ in range(4))
+    higher, ties = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for step in walk(spec, history, risk, cov, start=start):
+            etas, totals, parts = {}, {}, []
+            for dur, ctx in step.segments:
+                if ctx not in etas:
+                    etas[ctx] = step.x(ctx) @ beta
+                    totals[ctx] = float(np.exp(etas[ctx]).sum())
+                parts.append(dur * totals[ctx])
+            if step.event is None:
+                return EventScores(log_hazard, exposure, prob, log_prob, higher, ties, sum(parts))
+            m, row, x = step.index - start, step.row, step.x(step.context)
+            eta = etas[step.context] if step.context in etas else x @ beta
+            top, observed = eta.max(), eta[row]
+            w = eta - top
+            np.exp(w, out=w)
+            norm = w.sum()
+            log_hazard[m] = beta @ x[row]
+            exposure[m] = sum(parts)
+            prob[m] = w[row] / norm
+            log_prob[m] = observed - (top + np.log(norm))
+            higher[m] = np.count_nonzero(eta > observed)
+            ties[m] = np.count_nonzero(eta == observed)
+
+
 def loglik_naive(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
                  risk: RiskSet, cov: CovariateSet) -> float:
     """Direct evaluation of the full-time likelihood, O(M * P * N^2).
 
     Sums the log hazard of each observed event and integrates the total
     hazard piecewise across context boundaries, straight from the statistic
-    matrices, without the unique-vector cache.
+    matrices of :func:`score_events`, without the unique-vector cache.
     """
-    beta = np.asarray(beta, dtype=float)
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for step in walk(spec, history, risk, cov):
-            total -= step.exposure(beta)
-            if step.event is not None:
-                total += float(beta @ step.x(step.context)[step.row])
+    scores = score_events(beta, history, spec, risk, cov)
+    total = scores.log_hazard.sum() - scores.exposure.sum() - scores.tail_exposure
     if not np.isfinite(total):
         raise FloatingPointError("non-finite log-likelihood")
-    return total
-
-
-def loglik_order(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
-                 risk: RiskSet, cov: CovariateSet) -> float:
-    """Order-only (multinomial/Cox) log-likelihood.
-
-    sum_m [beta's_obs - log sum_R exp(beta's)]; invariant to adding a
-    constant to all log-hazards.  The normalizer uses max-subtraction.
-    """
-    beta = np.asarray(beta, dtype=float)
-    total = 0.0
-    for step in walk(spec, history, risk, cov):
-        if step.event is None:
-            break
-        eta = step.x(step.context) @ beta
-        top = eta.max()
-        total += eta[step.row] - (top + np.log(np.exp(eta - top).sum()))
     return float(total)
 
 

@@ -575,10 +575,6 @@ class WalkStep:
             mat = self._memo[context] = self._build(context)
         return mat
 
-    def exposure(self, beta: np.ndarray) -> float:
-        """Total hazard sum exp(x beta) integrated over the segments."""
-        return sum(dur * float(np.exp(self.x(ctx) @ beta).sum()) for dur, ctx in self.segments)
-
 
 def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: CovariateSet,
          start: int = 0):

@@ -182,3 +182,50 @@ def loglik(beta, history, spec, risk, cov):
         if event is not None:
             total += float(beta @ vector(spec, state, cov, *event))
     return float(total)
+
+
+# Ranks, one event at a time: the reference for the vectorized tie-break.
+# The log hazards come from the library's statistic matrices, since what
+# this pins is the rank and the random stream, not the statistics.
+
+
+def event_log_hazards(beta, history, spec, risk, cov, start=0):
+    """(x @ beta over the risk set, observed row) for each event from `start` on."""
+    from hrem.stats import walk
+
+    out = []
+    for step in walk(spec, history, risk, cov, start=start):
+        if step.event is None:
+            break
+        out.append((step.x(step.context) @ np.asarray(beta, dtype=float), step.row))
+    return out
+
+
+def tie_broken_ranks(scored, rng):
+    """1-based descending rank of scores[row] for each (scores, row), in order.
+
+    Ties are broken with one scalar rng.integers(number tied) per entry.
+    """
+    ranks = []
+    for scores, row in scored:
+        higher = int(np.sum(scores > scores[row]))
+        ties = int(np.sum(scores == scores[row]))
+        ranks.append(higher + 1 + int(rng.integers(ties)))
+    return np.array(ranks, dtype=int)
+
+
+def baseline_scored(history, risk, n_train):
+    """(training counts, observed row) for each test event of the frequency baseline."""
+    counts = np.zeros(len(risk))
+    for (t, i, j) in history.events[:n_train]:
+        counts[risk.index[(i, j)]] += 1
+    return [(counts, risk.index[(i, j)]) for (t, i, j) in history.events[n_train:]]
+
+
+def surprise(ranks, history, threshold):
+    """{(i, j): (share of its events ranked beyond threshold, n_events)}."""
+    out = {}
+    for rank, (t, i, j) in zip(ranks, history.events):
+        hits, n = out.get((i, j), (0, 0))
+        out[(i, j)] = (hits + (rank > threshold), n + 1)
+    return {d: (hits / n, n) for d, (hits, n) in out.items()}

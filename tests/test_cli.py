@@ -156,6 +156,19 @@ def test_fit_rejects_and_does_not_record_settings_its_sampler_does_not_read(sim_
                                        "sampler", "t_swap", "thin"]
 
 
+def test_fit_map_rejects_the_convergence_threshold_it_does_not_read(sim_dir, capsys):
+    cfg = fit_config(sim_dir, out="fit_map", sampler="map", rhat_max=1.1)
+    assert main(["fit", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "'rhat_max'" in err and "map" in err, err
+    assert not os.path.exists(sim_dir / "fit_map" / "manifest.json")
+    # the chain samplers read it and do not record it among their settings
+    cfg = fit_config(sim_dir, out="fit_c", n_burnin=2, n_keep=2, rhat_max=1e9)
+    assert main(["fit", "--config", cfg]) == 0
+    man = json.load(open(sim_dir / "fit_c" / "manifest.json"))
+    assert "rhat_max" not in man["settings"]
+
+
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):
     cfg = fit_config(
         sim_dir, out="fit_bad",
@@ -215,6 +228,72 @@ def test_diagnose_outputs(sim_dir):
     assert labels & {"AB-BA", "AB-BY", "AB-XY", "AB-XA", "AB-XB", "AB-AY"}
     assert os.path.exists(sim_dir / "fit" / "surprise.csv")
     assert os.path.exists(sim_dir / "fit" / "probabilities.csv")
+
+
+def _map_fit(sim_dir):
+    from hrem import cli
+
+    assert main(["fit", "--config", fit_config(sim_dir, sampler="map"),
+                 "--allow-nonconverged"]) == 0
+    manifest = str(sim_dir / "fit" / "manifest.json")
+    return (manifest,) + cli._reload_fit(manifest)
+
+
+def test_diagnose_and_predict_build_the_matrices_of_one_walk_per_sequence(sim_dir,
+                                                                          monkeypatch):
+    from hrem.likelihood import score_events
+    from hrem.stats import StatisticSpec
+
+    path, manifest, spec, risk, cov, histories, samples = _map_fit(sim_dir)
+    beta_hat = samples.beta_mean()
+    calls = []
+    matrix = StatisticSpec.matrix
+
+    def counted(self, *args, **kw):
+        calls.append(None)
+        return matrix(self, *args, **kw)
+
+    monkeypatch.setattr(StatisticSpec, "matrix", counted)
+    for argv, start in ((["diagnose", "--manifest", path], 0),
+                        (["predict", "--manifest", path, "--z", "5,20"], 60)):
+        del calls[:]
+        for k, hist in enumerate(histories):
+            score_events(beta_hat[k], hist, spec, risk, cov, start=start)
+        one_walk = len(calls)
+        del calls[:]
+        assert main(argv) == 0
+        assert len(calls) == one_walk > 0, argv
+
+
+def test_recall_and_surprise_csvs_pin_the_per_event_scalar_tie_break(sim_dir):
+    import numpy as np
+    import scalar_oracle as oracle
+
+    path, manifest, spec, risk, cov, histories, samples = _map_fit(sim_dir)
+    assert main(["predict", "--manifest", path, "--z", "1,5,20"]) == 0
+    assert main(["diagnose", "--manifest", path, "--surprise-threshold", "5"]) == 0
+    beta_hat = samples.beta_mean()
+    names = [str(lab) for lab in histories[0].actor_labels]
+    recall = ["sequence,z,recall_model,recall_baseline"]
+    rng = np.random.default_rng(manifest["seed"])
+    for k, hist in enumerate(histories):
+        model = oracle.event_log_hazards(beta_hat[k], hist, spec, risk, cov, start=60)
+        baseline = oracle.baseline_scored(hist, risk, 60)
+        for z in (1, 5, 20):
+            rm = float(np.mean(oracle.tie_broken_ranks(model, rng) <= z))
+            rb = float(np.mean(oracle.tie_broken_ranks(baseline, rng) <= z))
+            recall.append("%d,%d,%r,%r" % (k, z, rm, rb))
+    surprise, tied = ["sequence,sender,recipient,q,n_events"], 0
+    rng = np.random.default_rng(manifest["seed"])
+    for k, hist in enumerate(histories):
+        scored = oracle.event_log_hazards(beta_hat[k], hist, spec, risk, cov)
+        tied += sum(int(np.sum(s == s[row]) > 1) for s, row in scored)
+        q = oracle.surprise(oracle.tie_broken_ranks(scored, rng), hist, 5)
+        surprise += ["%d,%s,%s,%r,%d" % (k, names[i], names[j], float(qij), n)
+                     for (i, j), (qij, n) in sorted(q.items())]
+    assert tied
+    assert open(sim_dir / "fit" / "recall.csv").read() == "\n".join(recall) + "\n"
+    assert open(sim_dir / "fit" / "surprise.csv").read() == "\n".join(surprise) + "\n"
 
 
 def test_diagnose_nonexistent_manifest(tmp_path):

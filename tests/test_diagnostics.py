@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from hrem import diagnostics
 from hrem.events import CovariateSet, EventHistory, build_risk_set
 from hrem.inference import PosteriorSamples
-from hrem.likelihood import loglik_full, loglik_order
+from hrem.likelihood import loglik_full, score_events
 from hrem.presets import syn52
 from hrem.simulate import simulate_history
 from hrem.stats import Baserate, StatisticSpec, unique_stat_table
@@ -150,7 +151,7 @@ def test_deviance_decomposition():
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=60, seed=10)
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
     res = diagnostics.deviance_residuals(d.beta, hist, d.spec, d.risk, d.cov)
-    cens = diagnostics.censoring_deviance(d.beta, hist, d.spec, d.risk, d.cov)
+    cens = 2.0 * score_events(d.beta, hist, d.spec, d.risk, d.cov).tail_exposure
     assert res.sum() + cens == pytest.approx(-2.0 * loglik_full(d.beta, table), rel=1e-10)
 
 
@@ -175,7 +176,7 @@ def test_mean_log_probability_equals_order_loglik():
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=50, seed=12)
     probs = diagnostics.event_probabilities(d.beta, hist, d.spec, d.risk, d.cov)
     assert np.log(probs).mean() == pytest.approx(
-        loglik_order(d.beta, hist, d.spec, d.risk, d.cov) / hist.m, rel=1e-10
+        score_events(d.beta, hist, d.spec, d.risk, d.cov).log_prob.sum() / hist.m, rel=1e-10
     )
 
 
@@ -197,3 +198,27 @@ def test_surprise_absent_dyads_omitted():
     assert q[(0, 1)][1] == 2
     with pytest.raises(ValueError):
         diagnostics.surprise_matrix(np.zeros(1), hist, spec, risk, COV, 0)
+
+
+def test_ranks_pin_the_per_event_scalar_tie_break():
+    # syn52's class effects leave many dyads level, so ties are common
+    d = syn52(baserate=-1.0)
+    hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=120, seed=14)
+    model = oracle.event_log_hazards(d.beta, hist, d.spec, d.risk, d.cov, start=80)
+    baseline = oracle.baseline_scored(hist, d.risk, 80)
+    for scored in (model, baseline):
+        assert any(np.sum(s == s[row]) > 1 for s, row in scored)
+    for seed in (0, 1, 2):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for z in (1, 5, 20):
+            want = float(np.mean(oracle.tie_broken_ranks(model, ref) <= z))
+            assert diagnostics.recall_at_z(d.beta, hist, d.spec, d.risk, d.cov, z,
+                                           n_train=80, rng=rng) == want
+            want = float(np.mean(oracle.tie_broken_ranks(baseline, ref) <= z))
+            assert diagnostics.baseline_recall_at_z(hist, d.risk, d.cov, z, 80, rng=rng) == want
+        scored = oracle.event_log_hazards(d.beta, hist, d.spec, d.risk, d.cov)
+        for threshold in (3, 50):
+            ranks = oracle.tie_broken_ranks(scored, ref)
+            assert diagnostics.surprise_matrix(d.beta, hist, d.spec, d.risk, d.cov, threshold,
+                                               rng=rng) == oracle.surprise(ranks, hist, threshold)
+        assert rng.random() == ref.random()

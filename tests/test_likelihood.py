@@ -10,7 +10,7 @@ from hrem.likelihood import (
     hessian_loglik_full,
     loglik_full,
     loglik_naive,
-    loglik_order,
+    score_events,
 )
 from hrem.presets import syn52
 from hrem.simulate import simulate_history
@@ -63,20 +63,25 @@ def test_loglik_finite_for_explosion_prone_spec():
     )
 
 
+# The order-only (multinomial/Cox) log-likelihood is the sum of the scorer's
+# per-event log choice probabilities.
+
+
 def test_loglik_order_uniform():
     d = syn52()
     hist = simulate_history(np.zeros(6), d.spec, d.risk, d.cov, n_events=200, seed=2)
-    val = loglik_order(np.zeros(6), hist, d.spec, d.risk, d.cov)
+    val = score_events(np.zeros(6), hist, d.spec, d.risk, d.cov).log_prob.sum()
     assert val == pytest.approx(200 * math.log(1 / 90), rel=1e-12)
 
 
 def test_loglik_order_baserate_shift_invariant():
     d = syn52(baserate=-1.0)
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=40, seed=3)
-    base = loglik_order(d.beta, hist, d.spec, d.risk, d.cov)
+    base = score_events(d.beta, hist, d.spec, d.risk, d.cov).log_prob.sum()
     shifted = d.beta.copy()
     shifted[0] += 7.0
-    assert loglik_order(shifted, hist, d.spec, d.risk, d.cov) == pytest.approx(base, rel=1e-12)
+    assert score_events(shifted, hist, d.spec, d.risk, d.cov).log_prob.sum() == pytest.approx(
+        base, rel=1e-12)
 
 
 def test_loglik_order_single_event_is_log_choice_probability():
@@ -88,7 +93,7 @@ def test_loglik_order_single_event_is_log_choice_probability():
     (t, i, j), = hist.events
     probs = event_choice_probabilities(d.beta, d.spec, d.risk, d.cov, SeqState(10))
     row = d.risk.index[(i, j)]
-    assert loglik_order(d.beta, hist, d.spec, d.risk, d.cov) == pytest.approx(
+    assert score_events(d.beta, hist, d.spec, d.risk, d.cov).log_prob.sum() == pytest.approx(
         math.log(probs[row]), rel=1e-10
     )
 

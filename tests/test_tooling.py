@@ -1,4 +1,5 @@
-"""The traced benchmark wraps hrem functions by name; every name it wraps must exist."""
+"""The benchmark's hooks into hrem: every name the tracer wraps must exist, and every
+workload must run a pass, so a change to an hrem call the benchmark makes fails here."""
 
 import os
 
@@ -21,3 +22,36 @@ def test_perfbench_tracer_installs_and_restores_every_patch(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, attr
+
+
+def _toy_workloads(workdir):
+    """The benchmark's classroom and CLI workloads at toy sizes."""
+    import workloads
+
+    class Classroom(workloads.Classroom):
+        n_actors, k, n_events, n_train, events_per_context = 8, 2, 40, 30, 10
+
+        def __init__(self, seed, workdir):
+            super().__init__(seed, workdir)
+            self.n_burnin, self.n_keep = 2, 3
+
+    class CliPipeline(workloads.CliPipeline):
+        n_events, n_train = 120, 100  # check() compares likelihoods on 100 events
+
+    return [Classroom(3, os.path.join(workdir, "classroom"))] + [
+        CliPipeline(3, os.path.join(workdir, sampler), k=2, sampler=sampler, n_burnin=2,
+                    n_keep=2, check_mu=False)
+        for sampler in ("collapsed", "tempering")]
+
+
+def test_perfbench_workloads_run_a_pass_at_toy_sizes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    for workload in _toy_workloads(str(tmp_path)):
+        workload.setup()
+        steps = workload.run_pass()
+        assert steps.wall and all(t >= 0 for t in steps.wall.values())
+        checks = {name: ok for name, ok, _ in workload.check()}
+        assert checks["loglik_cache_vs_naive"], type(workload).__name__
+        assert workload.counts()["K"] == workload.k
+        workload.fingerprint()
+        workload.fit_diagnostics()
