@@ -336,6 +336,8 @@ _SAMPLER_SETTINGS = {
     "map": {},
 }
 _RUN_KEYS = tuple(sorted({key for reads in _SAMPLER_SETTINGS.values() for key in reads}))
+# The least value of each integer run setting.
+_RUN_MINIMUM = {"n_burnin": 0, "n_keep": 1, "thin": 1, "t_swap": 0}
 
 _FIT_KEYS = _DATA_KEYS + _RUN_KEYS + (
     "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "hyper", "n_train")
@@ -381,6 +383,9 @@ def cmd_fit(args):
     if cfg.get("mu_update", "conjugate") not in ("conjugate", "paper"):
         raise CliError("%s: mu_update must be conjugate or paper" % args.config)
     run = {key: convert(cfg.get(key, default)) for key, (convert, default) in reads.items()}
+    for key, least in _RUN_MINIMUM.items():
+        if key in run and run[key] < least:
+            raise CliError("%s: %s=%d is below %d" % (args.config, key, run[key], least))
     rhat_max = run.pop("rhat_max", None)
     n_train = cfg.get("n_train")
     tables = _training_tables(spec, histories, risk, cov, n_train, data["sequences"])
@@ -493,6 +498,8 @@ def cmd_predict(args):
 
 
 def cmd_diagnose(args):
+    if args.surprise_threshold < 1:
+        raise CliError("--surprise-threshold=%d is below 1" % args.surprise_threshold)
     manifest, spec, risk, cov, histories, samples = _reload_fit(args.manifest)
     out_dir = args.out_dir or manifest["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

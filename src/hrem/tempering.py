@@ -5,6 +5,14 @@ exp(-g/t_j) with g the negative log posterior and t_1 = 1 the base
 chain.  Within-chain moves are per-coordinate random-walk Metropolis;
 every `t_swap` sweeps one adjacent pair is proposed for a state swap.
 Only base-chain draws are reported.
+
+`tempered_sample` moves the replicas of a :class:`Target`.  A plain
+callable is scored whole at every proposal.  The hierarchical model's
+:class:`HierarchicalTarget` keeps, per replica, each sequence's
+eta_k = U_k beta_k and log-likelihood, so a beta_kp move re-scores one
+table and a mu_p or log sigma^2_p move is scalar arithmetic over column p.
+Swap energies and the kept draws' log posteriors are full
+`joint_log_posterior` evaluations.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from hrem.inference import Hyperparams, PosteriorSamples, joint_log_posterior
 
 __all__ = [
     "swap_log_acceptance",
+    "Target",
+    "HierarchicalTarget",
     "tempered_sample",
     "run_parallel_tempering",
 ]
@@ -42,56 +52,189 @@ def _check_ladder(ladder):
     return ladder
 
 
+class _Replica:
+    """One chain's state `x` and what its target caches about it."""
+
+    __slots__ = ("x", "lp", "eta", "ll")
+
+
+class Target:
+    """A log density whose replicas `tempered_sample` moves one coordinate at a time.
+
+    This base scores a plain callable whole at every proposal and caches
+    only each replica's log density.  A subclass may cache more per replica
+    and score a move by the terms it changes; `log_density` stays the full
+    value at the replica's state.
+    """
+
+    def __init__(self, logpost):
+        self._logpost = logpost
+        self._pending = None
+
+    def replicas(self, x0, n: int):
+        """n replicas at state x0."""
+        lp = float(self._logpost(x0))
+        reps = [_Replica() for _ in range(n)]
+        for rep in reps:
+            rep.x, rep.lp = x0.copy(), lp
+        return reps
+
+    def propose(self, rep, d: int, value) -> float:
+        """Log density change from setting rep.x[d] to `value`, held for `accept`."""
+        prop = rep.x.copy()
+        prop[d] = value
+        lp = float(self._logpost(prop))
+        self._pending = (prop, lp)
+        return lp - rep.lp
+
+    def accept(self, rep):
+        """Move `rep` to the last proposal."""
+        rep.x, rep.lp = self._pending
+
+    def log_density(self, rep) -> float:
+        return rep.lp
+
+
+class HierarchicalTarget(Target):
+    """log p(beta, mu, log sigma^2 | tables) with the Jacobian of the log variances.
+
+    x packs beta (K x P, row-major), mu (P) and log sigma^2 (P).  A replica
+    keeps eta_k = U_k beta_k and the log-likelihood of each table, so a
+    beta_kp move costs one table and a mu_p or log sigma^2_p move none.
+    """
+
+    def __init__(self, tables, hyper: Hyperparams):
+        super().__init__(self.full)
+        self.tables = tables
+        self.hyper = hyper
+        self.k = len(tables)
+        self.p = tables[0].vectors.shape[1]
+        self._columns = [np.ascontiguousarray(t.vectors.T) for t in tables]
+
+    def unpack(self, x):
+        k, p = self.k, self.p
+        return x[: k * p].reshape(k, p), x[k * p : k * p + p], np.exp(x[k * p + p :])
+
+    def full(self, x) -> float:
+        """The log density at x, scored over every table."""
+        betas, mu, sigma2 = self.unpack(x)
+        try:
+            lp = joint_log_posterior(betas, mu, sigma2, self.tables, self.hyper)
+        except FloatingPointError:
+            return -math.inf
+        # Jacobian of the log-variance transform
+        return lp + float(np.sum(np.log(sigma2)))
+
+    def _loglik(self, s: int, eta) -> float:
+        """Table s's log-likelihood at eta; non-finite when a hazard overflows."""
+        table = self.tables[s]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(table.q @ eta - table.m @ np.exp(eta))
+
+    def replicas(self, x0, n: int):
+        betas = self.unpack(x0)[0]
+        etas = [t.vectors @ b for t, b in zip(self.tables, betas)]
+        lls = [self._loglik(s, eta) for s, eta in enumerate(etas)]
+        reps = [_Replica() for _ in range(n)]
+        for rep in reps:
+            rep.x, rep.eta, rep.ll = x0.copy(), list(etas), list(lls)
+        return reps
+
+    def propose(self, rep, d: int, value) -> float:
+        k, p, x = self.k, self.p, rep.x
+        old = x[d]
+        if d < k * p:  # beta_sc: table s and its one prior term
+            s, c = divmod(d, p)
+            mu, sigma2 = x[k * p + c], math.exp(x[k * p + p + c])
+            eta = rep.eta[s] + (value - old) * self._columns[s][c]
+            ll = self._loglik(s, eta)
+            self._pending = (d, value, s, eta, ll)
+            if not math.isfinite(ll):
+                return -math.inf
+            return ll - rep.ll[s] + ((old - mu) ** 2 - (value - mu) ** 2) / (2 * sigma2)
+        self._pending = (d, value, None, None, None)
+        c = (d - k * p) % p
+        col = x[c : k * p : p]  # beta_kc over the sequences
+        if d < k * p + p:  # mu_c: its normal terms and its prior
+            sigma2 = math.exp(x[d + p])
+            dev_old, dev_new = col - old, col - value
+            sd = self.hyper.mu_prior_sd
+            return ((float(dev_old @ dev_old) - float(dev_new @ dev_new)) / (2 * sigma2)
+                    + 0.5 * ((old / sd) ** 2 - (value / sd) ** 2))
+        # log sigma^2_c: its normal terms, its inverse-gamma prior and the Jacobian
+        try:
+            sigma2 = math.exp(value)
+        except OverflowError:
+            return -math.inf
+        if sigma2 == 0.0:
+            return -math.inf
+        dev = col - x[k * p + c]
+        half_ss = 0.5 * float(dev @ dev) + self.hyper.beta_sigma
+        return (-(0.5 * k + self.hyper.alpha_sigma) * (value - old)
+                - half_ss * (1.0 / sigma2 - 1.0 / math.exp(old)))
+
+    def accept(self, rep):
+        d, value, s, eta, ll = self._pending
+        rep.x[d] = value
+        if s is not None:
+            rep.eta[s] = eta
+            rep.ll[s] = ll
+
+    def log_density(self, rep) -> float:
+        return self.full(rep.x)
+
+
 def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
                     step_size=1.0, seed: int | None = None, n_burnin: int = 0):
-    """Sample a generic unnormalized log density with parallel tempering.
+    """Sample an unnormalized log density with parallel tempering.
 
-    Returns (draws from the base chain, info dict with swap statistics).
+    `logpost` is a :class:`Target` or a plain callable, scored whole.
+    Returns (draws from the base chain, info dict with per-replica accept
+    rates and per-pair swap counts).
     """
     ladder = _check_ladder(ladder)
+    if n_burnin < 0:
+        raise ValueError("n_burnin must be >= 0")
+    target = logpost if isinstance(logpost, Target) else Target(logpost)
     rng = np.random.default_rng(seed)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     step_size = np.broadcast_to(np.asarray(step_size, dtype=float), (dim,))
     n_chains = len(ladder)
-    states = [x0.copy() for _ in range(n_chains)]
-    lps = [float(logpost(x0))] * n_chains
-    if not np.isfinite(lps[0]):
+    states = target.replicas(x0, n_chains)
+    if not np.isfinite(target.log_density(states[0])):
         raise FloatingPointError("non-finite log posterior at initial state")
 
     draws = np.empty((n_steps, dim))
-    swaps_proposed = 0
-    swaps_accepted = 0
+    swaps_proposed = np.zeros(n_chains - 1, dtype=int)
+    swaps_accepted = np.zeros(n_chains - 1, dtype=int)
     accepts = np.zeros(n_chains)
     for step in range(n_burnin + n_steps):
         for j, temp in enumerate(ladder):
-            x = states[j]
-            lp = lps[j]
+            rep = states[j]
             for d in range(dim):
-                prop = x.copy()
-                prop[d] += step_size[d] * rng.standard_normal()
-                lp_prop = float(logpost(prop))
-                if math.log(rng.random()) < (lp_prop - lp) / temp:
-                    x = prop
-                    lp = lp_prop
+                value = rep.x[d] + step_size[d] * rng.standard_normal()
+                log_ratio = target.propose(rep, d, value)
+                if math.log(rng.random()) < log_ratio / temp:
+                    target.accept(rep)
                     accepts[j] += 1
-            states[j] = x
-            lps[j] = lp
         if t_swap and (step + 1) % t_swap == 0:
             j = int(rng.integers(n_chains - 1))
-            swaps_proposed += 1
-            log_a = swap_log_acceptance(-lps[j], -lps[j + 1], ladder[j], ladder[j + 1])
+            swaps_proposed[j] += 1
+            log_a = swap_log_acceptance(-target.log_density(states[j]),
+                                        -target.log_density(states[j + 1]),
+                                        ladder[j], ladder[j + 1])
             if log_a >= 0 or math.log(rng.random()) < log_a:
                 states[j], states[j + 1] = states[j + 1], states[j]
-                lps[j], lps[j + 1] = lps[j + 1], lps[j]
-                swaps_accepted += 1
+                swaps_accepted[j] += 1
         if step >= n_burnin:
-            draws[step - n_burnin] = states[0]
+            draws[step - n_burnin] = states[0].x
+    n_swaps = int(swaps_proposed.sum())
     info = {
-        "swap_rate": swaps_accepted / swaps_proposed if swaps_proposed else float("nan"),
+        "swap_rate": int(swaps_accepted.sum()) / n_swaps if n_swaps else float("nan"),
         "swaps_proposed": swaps_proposed,
+        "swaps_accepted": swaps_accepted,
         "accept_rate": accepts / ((n_burnin + n_steps) * dim),
-        "final_logpost": lps[0],
     }
     return draws, info
 
@@ -103,27 +246,13 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
     """Parallel tempering over (beta, mu, log sigma^2) of the hierarchical model."""
     if n_keep <= 0:
         raise ValueError("n_keep must be positive")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
     if hyper is None:
         hyper = Hyperparams()
     ladder = _check_ladder(ladder)
-    k = len(tables)
-    p = tables[0].vectors.shape[1]
-
-    def unpack(x):
-        betas = x[: k * p].reshape(k, p)
-        mu = x[k * p : k * p + p]
-        sigma2 = np.exp(x[k * p + p :])
-        return betas, mu, sigma2
-
-    def logpost(x):
-        betas, mu, sigma2 = unpack(x)
-        try:
-            lp = joint_log_posterior(betas, mu, sigma2, tables, hyper)
-        except FloatingPointError:
-            return -math.inf
-        # Jacobian of the log-variance transform
-        return lp + float(np.sum(np.log(sigma2)))
-
+    target = HierarchicalTarget(tables, hyper)
+    k, p = target.k, target.p
     x0 = np.concatenate(
         [
             np.zeros(k * p),
@@ -132,14 +261,14 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
         ]
     )
     draws, info = tempered_sample(
-        logpost, x0, ladder, n_steps=n_keep, t_swap=t_swap,
+        target, x0, ladder, n_steps=n_keep, t_swap=t_swap,
         step_size=step_size, seed=seed, n_burnin=n_burnin,
     )
     kept = draws[::thin]
     betas = kept[:, : k * p].reshape(-1, k, p)
     mu = kept[:, k * p : k * p + p]
     sigma2 = np.exp(kept[:, k * p + p :])
-    logposts = np.array([logpost(x) for x in kept])
+    logposts = np.array([target.full(x) for x in kept])
     samples = PosteriorSamples(
         betas=betas,
         mu=mu,
@@ -150,7 +279,15 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
         thin=thin,
     )
     samples.compute_diagnostics()
-    samples.diagnostics.update(
-        {"swap_rate": info["swap_rate"], "ladder": list(ladder), "t_swap": t_swap}
-    )
+    proposed, accepted = info["swaps_proposed"].tolist(), info["swaps_accepted"].tolist()
+    samples.diagnostics.update({
+        # None, not NaN, where no swap was proposed: a manifest is strict JSON
+        "swap_rate": info["swap_rate"] if sum(proposed) else None,
+        "swap_rate_per_pair": [a / n if n else None for a, n in zip(accepted, proposed)],
+        "swaps_proposed": proposed,
+        "swaps_accepted": accepted,
+        "accept_rate": info["accept_rate"],
+        "ladder": list(ladder),
+        "t_swap": t_swap,
+    })
     return samples

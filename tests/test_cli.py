@@ -98,6 +98,45 @@ def test_fit_tempering_flags_recorded(sim_dir):
     assert man["settings"]["ladder"] == [1, 2, 4, 8, 16]
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError("%s is not JSON" % token)
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_fit_tempering_records_its_rates_per_replica_and_pair(sim_dir):
+    cfg = fit_config(sim_dir, out="fit_t", sampler="tempering", n_burnin=10, n_keep=10,
+                     ladder=[1, 2, 4], t_swap=2)
+    assert main(["fit", "--config", cfg, "--allow-nonconverged"]) in (0, 2)
+    diag = _strict_json(sim_dir / "fit_t" / "manifest.json")["diagnostics"]
+    assert len(diag["accept_rate"]) == 3
+    assert len(diag["swaps_proposed"]) == len(diag["swaps_accepted"]) == 2
+    assert len(diag["swap_rate_per_pair"]) == 2 and sum(diag["swaps_proposed"]) == 10
+    assert diag["swap_rate"] == sum(diag["swaps_accepted"]) / 10
+
+
+def test_fit_tempering_without_a_swap_writes_null_not_nan(sim_dir):
+    for out, over in (("fit_0", {"t_swap": 0}), ("fit_short", {"t_swap": 50})):
+        cfg = fit_config(sim_dir, out=out, sampler="tempering", n_burnin=3, n_keep=6, **over)
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) in (0, 2)
+        diag = _strict_json(sim_dir / out / "manifest.json")["diagnostics"]
+        assert diag["swap_rate"] is None and diag["swap_rate_per_pair"] == [None] * 4
+
+
+def test_fit_chain_settings_out_of_range_exit_one_naming_the_key(sim_dir, capsys):
+    bad = [("collapsed", "n_burnin", -3), ("tempering", "n_burnin", -3),
+           ("collapsed", "n_keep", 0), ("tempering", "n_keep", 0),
+           ("collapsed", "thin", 0), ("tempering", "thin", 0), ("tempering", "t_swap", -1)]
+    for sampler, key, value in bad:
+        cfg = fit_config(sim_dir, out="fit_bad", sampler=sampler, **{key: value})
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1, (sampler, key)
+        err = capsys.readouterr().err
+        assert "%s=%d" % (key, value) in err, err
+        assert not os.path.exists(sim_dir / "fit_bad" / "manifest.json")
+
+
 def test_fit_map_sampler(sim_dir):
     cfg = fit_config(sim_dir, out="fit_map", sampler="map")
     assert main(["fit", "--config", cfg]) == 0
@@ -228,6 +267,15 @@ def test_diagnose_outputs(sim_dir):
     assert labels & {"AB-BA", "AB-BY", "AB-XY", "AB-XA", "AB-XB", "AB-AY"}
     assert os.path.exists(sim_dir / "fit" / "surprise.csv")
     assert os.path.exists(sim_dir / "fit" / "probabilities.csv")
+
+
+def test_diagnose_surprise_threshold_below_one_exits_one_naming_it(sim_dir, capsys):
+    assert main(["fit", "--config", fit_config(sim_dir, sampler="map")]) == 0
+    manifest = str(sim_dir / "fit" / "manifest.json")
+    assert main(["diagnose", "--manifest", manifest, "--surprise-threshold", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "--surprise-threshold" in err, err
+    assert not os.path.exists(sim_dir / "fit" / "surprise.csv")
 
 
 def _map_fit(sim_dir):
