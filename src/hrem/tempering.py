@@ -57,6 +57,9 @@ class _Replica:
 
     __slots__ = ("x", "lp", "eta", "ll")
 
+    def __init__(self, x, lp=None, eta=None, ll=None):
+        self.x, self.lp, self.eta, self.ll = x, lp, eta, ll
+
 
 class Target:
     """A log density whose replicas `tempered_sample` moves one coordinate at a time.
@@ -74,10 +77,7 @@ class Target:
     def replicas(self, x0, n: int):
         """n replicas at state x0."""
         lp = float(self._logpost(x0))
-        reps = [_Replica() for _ in range(n)]
-        for rep in reps:
-            rep.x, rep.lp = x0.copy(), lp
-        return reps
+        return [_Replica(x0.copy(), lp=lp) for _ in range(n)]
 
     def propose(self, rep, d: int, value) -> float:
         """Log density change from setting rep.x[d] to `value`, held for `accept`."""
@@ -135,10 +135,7 @@ class HierarchicalTarget(Target):
         betas = self.unpack(x0)[0]
         etas = [t.vectors @ b for t, b in zip(self.tables, betas)]
         lls = [self._loglik(s, eta) for s, eta in enumerate(etas)]
-        reps = [_Replica() for _ in range(n)]
-        for rep in reps:
-            rep.x, rep.eta, rep.ll = x0.copy(), list(etas), list(lls)
-        return reps
+        return [_Replica(x0.copy(), eta=list(etas), ll=list(lls)) for _ in range(n)]
 
     def propose(self, rep, d: int, value) -> float:
         k, p, x = self.k, self.p, rep.x
