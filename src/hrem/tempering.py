@@ -92,6 +92,7 @@ class Target:
         rep.x, rep.lp = self._pending
 
     def log_density(self, rep) -> float:
+        """The full log density at rep.x."""
         return rep.lp
 
 
