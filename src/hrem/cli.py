@@ -42,7 +42,7 @@ from hrem.likelihood import score_events
 from hrem.presets import classroom_spec, preset_names, syn52
 from hrem.simulate import simulate_hierarchical
 from hrem.stats import StatisticSpec, pshift_label, unique_stat_table
-from hrem.tempering import run_parallel_tempering
+from hrem.tempering import _check_ladder, run_parallel_tempering
 
 
 class CliError(Exception):
@@ -386,6 +386,11 @@ def cmd_fit(args):
     for key, least in _RUN_MINIMUM.items():
         if key in run and run[key] < least:
             raise CliError("%s: %s=%d is below %d" % (args.config, key, run[key], least))
+    if "ladder" in run:
+        try:
+            _check_ladder(run["ladder"])
+        except ValueError as exc:
+            raise CliError("%s: ladder %s: %s" % (args.config, run["ladder"], exc))
     rhat_max = run.pop("rhat_max", None)
     n_train = cfg.get("n_train")
     tables = _training_tables(spec, histories, risk, cov, n_train, data["sequences"])
@@ -430,8 +435,13 @@ def cmd_fit(args):
         status, failed = "converged=%s" % diag["converged"], not diag["converged"]
         why = "MAP stopped before converging"
     else:
-        status, failed = "max_rhat=%.3f" % diag["max_rhat"], diag["max_rhat"] > rhat_max
-        why = "chains failed the convergence threshold (rhat_max=%.3f)" % rhat_max
+        # A NaN R-hat (fewer than 4 kept draws) fails too: it cannot show convergence.
+        status, failed = "max_rhat=%.3f" % diag["max_rhat"], not diag["max_rhat"] <= rhat_max
+        if np.isnan(diag["max_rhat"]):
+            why = ("R-hat is undefined: split R-hat needs at least 4 kept draws, this fit "
+                   "has %d" % samples.n_draws)
+        else:
+            why = "chains failed the convergence threshold (rhat_max=%.3f)" % rhat_max
     print("fit written to %s (manifest: %s); %s" % (out_dir, path, status))
     if failed and not args.allow_nonconverged:
         print(why, file=sys.stderr)

@@ -97,12 +97,15 @@ def collapsed_prior_logpdf(beta_kp, mu_p: float, hyper: Hyperparams):
     return const - (a + 0.5) * np.log(dev2 / 2.0 + b)
 
 
-def slice_sample(x0: float, logf, width: float, rng, return_counts: bool = False):
+def slice_sample(x0: float, logf, width: float, rng, return_counts: bool = False,
+                 logf0: float | None = None):
     """One univariate slice-sampling update (stepping-out and shrinkage).
 
     Stepping out takes at most 50 widths to the left and 100 in total.
+    `logf0`, if given, is logf(x0), which is then not evaluated again.
     """
-    logf0 = logf(x0)
+    if logf0 is None:
+        logf0 = logf(x0)
     if not np.isfinite(logf0):
         raise FloatingPointError("slice sampler started at non-finite target")
     logy = logf0 + math.log(rng.random())
@@ -271,49 +274,46 @@ class CollapsedGibbs:
         """One full iteration: all beta_{k,p}, then sigma^2, then mu."""
         rng = self.rng
         hyper = self.hyper
-        for p in range(self.p):
-            sq_total = float(np.sum((self.betas[:, p] - self.mu[p]) ** 2))
-            for k in range(self.k):
-                table = self.tables[k]
-                u_p = table.vectors[:, p]
-                cur = self.betas[k, p]
-                base = self._etas[k] - cur * u_p
-                q_lin = float(table.q @ u_p)
-                m = table.m
-                sq_others = sq_total - (cur - self.mu[p]) ** 2
-                a = hyper.alpha_sigma
-                b = hyper.beta_sigma
+        shape = hyper.alpha_sigma + self.k / 2.0
+        b = hyper.beta_sigma
+        # Overflowing hazards make the target -inf; one errstate covers every evaluation.
+        with np.errstate(over="ignore"):
+            for p in range(self.p):
                 mu_p = self.mu[p]
+                sq_total = float(np.sum((self.betas[:, p] - mu_p) ** 2))
+                for k in range(self.k):
+                    table = self.tables[k]
+                    u_p = table.vectors[:, p]
+                    cur = self.betas[k, p]
+                    base = self._etas[k] - cur * u_p
+                    q_lin = float(table.q @ u_p)
+                    m = table.m
+                    sq_others = sq_total - (cur - mu_p) ** 2
 
-                def target(x):
-                    with np.errstate(over="ignore"):
-                        lam = np.exp(base + x * u_p)
-                    expo = float(m @ lam)
-                    if not np.isfinite(expo):
-                        return -math.inf
-                    return (
-                        q_lin * x
-                        - expo
-                        - (a + self.k / 2.0)
-                        * math.log(b + 0.5 * (sq_others + (x - mu_p) ** 2))
-                    )
+                    def target(x):
+                        expo = float(m @ np.exp(base + x * u_p))
+                        if not math.isfinite(expo):
+                            return -math.inf
+                        return (q_lin * x - expo
+                                - shape * math.log(b + 0.5 * (sq_others + (x - mu_p) ** 2)))
 
-                if not np.isfinite(target(cur)):
-                    raise FloatingPointError(
-                        "non-finite log-posterior at sequence %d, effect %d" % (k, p)
+                    start = target(cur)
+                    if not math.isfinite(start):
+                        raise FloatingPointError(
+                            "non-finite log-posterior at sequence %d, effect %d" % (k, p)
+                        )
+                    new, n_out, n_shrink = slice_sample(
+                        cur, target, self.widths[k, p], rng, return_counts=True, logf0=start
                     )
-                new, n_out, n_shrink = slice_sample(
-                    cur, target, self.widths[k, p], rng, return_counts=True
-                )
-                if self.adapt:
-                    # steer toward ~0.5 expected shrinkage steps
-                    if n_shrink > 2:
-                        self.widths[k, p] *= 0.5
-                    elif n_shrink == 0 and n_out > 1:
-                        self.widths[k, p] *= 2.0
-                self.betas[k, p] = new
-                self._etas[k] = base + new * u_p
-                sq_total = sq_others + (new - self.mu[p]) ** 2
+                    if self.adapt:
+                        # steer toward ~0.5 expected shrinkage steps
+                        if n_shrink > 2:
+                            self.widths[k, p] *= 0.5
+                        elif n_shrink == 0 and n_out > 1:
+                            self.widths[k, p] *= 2.0
+                    self.betas[k, p] = new
+                    self._etas[k] = base + new * u_p
+                    sq_total = sq_others + (new - mu_p) ** 2
         for p in range(self.p):
             self.sigma2[p] = gibbs_sigma(self.betas[:, p], self.mu[p], hyper, rng)
             self.mu[p] = gibbs_mu(

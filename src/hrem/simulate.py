@@ -103,7 +103,11 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
         t = t + dt
         if tau is not None and t >= tau:
             break
-        row = rng.choice(len(lam), p=lam / total)
+        # Generator.choice(len(lam), p=lam / total) without its checks of p:
+        # the same inverse-CDF search on the same single uniform.
+        cdf = (lam / total).cumsum()
+        cdf /= cdf[-1]
+        row = cdf.searchsorted(rng.random(), side="right")
         i, j = risk.dyads[row]
         events.append((t, i, j))
         state.apply((t, i, j), cov)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -599,6 +600,10 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
     yield WalkStep(history.m, None, cov.context_segments(prev_t, history.tau), None, None, build)
 
 
+# Row ids held for one np.add.at into the exposures; bounded so peak memory stays flat.
+_EXPOSURE_BLOCK = 1 << 14
+
+
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
                       cov: CovariateSet) -> UniqueStatTable:
     """Build the unique-vector cache for one sequence.
@@ -610,20 +615,31 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     event order.
     """
     row_key = np.dtype((np.void, 8 * spec.p))
-    ids: dict = {}  # row bytes -> id, in order of first occurrence
-    m = np.zeros(16)
+    ids = defaultdict(itertools.count().__next__)  # row bytes -> id, in order of first occurrence
+    m = np.zeros(0)
+    # Exposed row ids in event order and the duration of each, added to m in
+    # blocks of at most _EXPOSURE_BLOCK ids.
+    rows, durs = [], []
     observed = []
+
+    def add_exposures():
+        nonlocal m
+        m = np.concatenate([m, np.zeros(len(ids) - len(m))])
+        if rows:
+            np.add.at(m, np.array(rows, dtype=np.intp), np.array(durs))
+        rows.clear()
+        durs.clear()
+
     for step in walk(spec, history, risk, cov):
         for dur, ctx in step.segments:
-            rows = [ids.setdefault(key, len(ids))
-                    for key in step.x(ctx).view(row_key).ravel().tolist()]
-            if len(ids) > len(m):
-                m = np.concatenate([m, np.zeros(max(len(m), len(ids) - len(m)))])
-            np.add.at(m, rows, dur)
+            if len(rows) + len(risk) > _EXPOSURE_BLOCK:
+                add_exposures()
+            rows.extend(map(ids.__getitem__, step.x(ctx).view(row_key).ravel().tolist()))
+            durs.extend(itertools.repeat(dur, len(risk)))
         if step.event is not None:
-            observed.append(ids.setdefault(step.x(step.context)[step.row].tobytes(), len(ids)))
+            observed.append(ids[step.x(step.context)[step.row].tobytes()])
+    add_exposures()  # also sizes m to every row: the last rows may be unexposed
     n = len(ids)
     vectors = np.frombuffer(b"".join(ids), dtype=float).reshape(n, spec.p)
     q = np.bincount(np.array(observed, dtype=np.intp), minlength=n).astype(np.int64)
-    m = np.concatenate([m[:n], np.zeros(n - min(n, len(m)))])  # the last rows may be unexposed
     return UniqueStatTable(vectors=vectors, q=q, m=m)

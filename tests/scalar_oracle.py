@@ -4,11 +4,16 @@
 This module computes the same statistic for a single dyad straight from
 its definition, with no code shared with those columns, so the tests can
 check the statistic matrices, the unique-vector tables and the
-likelihoods against it.
+likelihoods against it.  Its later sections pin random streams the same
+way: the ranks' tie-break, the collapsed sweep and the simulator's event
+draw, each written out as the library first had it.
 """
+
+import math
 
 import numpy as np
 
+from hrem.inference import gibbs_mu, gibbs_sigma
 from hrem.stats import (
     Baserate,
     ContextIndicator,
@@ -229,3 +234,100 @@ def surprise(ranks, history, threshold):
         hits, n = out.get((i, j), (0, 0))
         out[(i, j)] = (hits + (rank > threshold), n + 1)
     return {d: (hits / n, n) for d, (hits, n) in out.items()}
+
+
+# The collapsed sweep, one target evaluation at a time: the reference for the
+# sampler's stream.  Each evaluation enters its own errstate, and the slice
+# update evaluates its start density again after the sweep's finite check.
+
+
+def slice_update(x0, logf, width, rng):
+    """(new point, stepping-out steps, shrinkage steps) of one slice update from x0."""
+    logf0 = logf(x0)
+    if not np.isfinite(logf0):
+        raise FloatingPointError("slice sampler started at non-finite target")
+    logy = logf0 + math.log(rng.random())
+    left = x0 - rng.random() * width
+    right = left + width
+    n_out = 0
+    while logf(left) > logy and n_out < 50:
+        left -= width
+        n_out += 1
+    while logf(right) > logy and n_out < 100:
+        right += width
+        n_out += 1
+    n_shrink = 0
+    while True:
+        x1 = left + rng.random() * (right - left)
+        if logf(x1) > logy:
+            return x1, n_out, n_shrink
+        if x1 > x0:
+            right = x1
+        else:
+            left = x1
+        n_shrink += 1
+
+
+def collapsed_sweep(sampler):
+    """One sweep of a CollapsedGibbs `sampler`, moving its state in place."""
+    hyper, rng = sampler.hyper, sampler.rng
+    a, b = hyper.alpha_sigma, hyper.beta_sigma
+    for p in range(sampler.p):
+        sq_total = float(np.sum((sampler.betas[:, p] - sampler.mu[p]) ** 2))
+        for k in range(sampler.k):
+            table = sampler.tables[k]
+            u_p = table.vectors[:, p]
+            cur = sampler.betas[k, p]
+            base = sampler._etas[k] - cur * u_p
+            q_lin = float(table.q @ u_p)
+            sq_others = sq_total - (cur - sampler.mu[p]) ** 2
+            mu_p = sampler.mu[p]
+
+            def target(x):
+                with np.errstate(over="ignore"):
+                    lam = np.exp(base + x * u_p)
+                expo = float(table.m @ lam)
+                if not np.isfinite(expo):
+                    return -math.inf
+                return (q_lin * x - expo - (a + sampler.k / 2.0)
+                        * math.log(b + 0.5 * (sq_others + (x - mu_p) ** 2)))
+
+            if not np.isfinite(target(cur)):
+                raise FloatingPointError("non-finite log-posterior")
+            new, n_out, n_shrink = slice_update(cur, target, sampler.widths[k, p], rng)
+            if sampler.adapt:
+                if n_shrink > 2:
+                    sampler.widths[k, p] *= 0.5
+                elif n_shrink == 0 and n_out > 1:
+                    sampler.widths[k, p] *= 2.0
+            sampler.betas[k, p] = new
+            sampler._etas[k] = base + new * u_p
+            sq_total = sq_others + (new - sampler.mu[p]) ** 2
+    for p in range(sampler.p):
+        sampler.sigma2[p] = gibbs_sigma(sampler.betas[:, p], sampler.mu[p], hyper, rng)
+        sampler.mu[p] = gibbs_mu(sampler.betas[:, p], sampler.sigma2[p], rng,
+                                 mode=sampler.mu_update, hyper=hyper)
+
+
+# The simulator, drawing each event with Generator.choice: the reference for
+# the stream of simulate_history.
+
+
+def simulate_by_choice(beta, spec, risk, cov, n_events, rng):
+    """(events, tau) of simulate_history stopped by count, without its explosion checks."""
+    state = SeqState(risk.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    events, t = [], 0.0
+    while len(events) < n_events:
+        with np.errstate(over="ignore"):
+            lam = np.exp(spec.matrix(state, cov, risk, context=cov.context_at(t)) @ beta)
+        total = float(lam.sum())
+        dt = rng.exponential(1.0 / total)
+        t_ctx = min([start for start, _ in cov.context_track if start > t], default=math.inf)
+        if t + dt > t_ctx:
+            t = t_ctx  # the hazards change there: restart the clock
+            continue
+        t = t + dt
+        i, j = risk.dyads[rng.choice(len(lam), p=lam / total)]
+        events.append((t, i, j))
+        state.apply((t, i, j), cov)
+    return tuple(events), t + t / len(events)

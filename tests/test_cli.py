@@ -202,10 +202,36 @@ def test_fit_map_rejects_the_convergence_threshold_it_does_not_read(sim_dir, cap
     assert "'rhat_max'" in err and "map" in err, err
     assert not os.path.exists(sim_dir / "fit_map" / "manifest.json")
     # the chain samplers read it and do not record it among their settings
-    cfg = fit_config(sim_dir, out="fit_c", n_burnin=2, n_keep=2, rhat_max=1e9)
+    cfg = fit_config(sim_dir, out="fit_c", n_burnin=2, n_keep=4, rhat_max=1e9)
     assert main(["fit", "--config", cfg]) == 0
     man = json.load(open(sim_dir / "fit_c" / "manifest.json"))
     assert "rhat_max" not in man["settings"]
+
+
+def test_fit_with_an_undefined_rhat_fails_the_gate_and_keeps_nan_in_the_manifest(sim_dir,
+                                                                                  capsys):
+    for sampler in ("collapsed", "tempering"):
+        out = "fit_" + sampler
+        cfg = fit_config(sim_dir, out=out, sampler=sampler, n_burnin=2, n_keep=3, rhat_max=1e9)
+        assert main(["fit", "--config", cfg]) == 2, sampler
+        captured = capsys.readouterr()
+        assert "max_rhat=nan" in captured.out
+        assert "R-hat is undefined" in captured.err and "has 3" in captured.err, captured.err
+        diag = json.load(open(sim_dir / out / "manifest.json"))["diagnostics"]
+        assert diag["max_rhat"] != diag["max_rhat"]  # NaN
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 0
+
+
+def test_fit_bad_ladder_exits_one_naming_the_config_and_key(sim_dir, capsys):
+    for ladder, words in (([2, 4], "base temperature must be 1"),
+                          ([1], "at least two chains"),
+                          ([1, 4, 2], "non-decreasing")):
+        cfg = fit_config(sim_dir, out="fit_l", sampler="tempering", n_burnin=2, n_keep=4,
+                         ladder=ladder)
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1, ladder
+        err = capsys.readouterr().err
+        assert cfg in err and "ladder" in err and words in err, err
+        assert not os.path.exists(sim_dir / "fit_l" / "manifest.json")
 
 
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):

@@ -22,6 +22,8 @@ from hrem.presets import syn52
 from hrem.simulate import simulate_hierarchical, simulate_history
 from hrem.stats import Baserate, StatisticSpec, unique_stat_table
 
+import scalar_oracle as oracle
+
 COV = CovariateSet()
 HYPER = Hyperparams()
 
@@ -127,6 +129,50 @@ def test_slice_sample_rejects_nonfinite_start():
     rng = np.random.default_rng(7)
     with pytest.raises(FloatingPointError):
         slice_sample(2.0, lambda x: -math.inf if x > 1 else 0.0, 1.0, rng)
+
+
+def test_slice_sample_given_its_start_density_skips_only_that_evaluation():
+    def counting(f):
+        def logf(x):
+            calls[0] += 1
+            return f(x)
+        return logf
+
+    for seed, f, x0, width in ((8, lambda x: -0.5 * x * x, 0.3, 1.0),
+                               (9, lambda x: -abs(x) ** 3, 1.2, 0.05),
+                               (10, lambda x: 0.0 if 0.0 <= x <= 1.0 else -math.inf, 0.5, 4.0)):
+        out = []
+        for logf0 in (None, f(x0)):
+            calls = [0]
+            point = slice_sample(x0, counting(f), width, np.random.default_rng(seed),
+                                 return_counts=True, logf0=logf0)
+            out.append((point, calls[0]))
+        (plain, n_plain), (given, n_given) = out
+        assert plain == given and n_given == n_plain - 1, seed
+    with pytest.raises(FloatingPointError):
+        slice_sample(2.0, lambda x: 0.0, 1.0, np.random.default_rng(7), logf0=-math.inf)
+
+
+def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
+    tables = _syn52_tables(k=5, n_events=60, seed=12)
+    n_burnin, n_keep = 25, 10
+    samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=3)
+    lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(3))
+    ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(3))
+    widths = set()
+    for it in range(n_burnin + n_keep):
+        lib.adapt = ref.adapt = it < n_burnin
+        lib.sweep()
+        oracle.collapsed_sweep(ref)
+        for name in ("betas", "mu", "sigma2", "widths"):
+            assert getattr(lib, name).tobytes() == getattr(ref, name).tobytes(), (it, name)
+        widths.update(ref.widths.ravel().tolist())
+        if it >= n_burnin:
+            draw = it - n_burnin
+            for name in ("betas", "mu", "sigma2"):
+                assert getattr(samples, name)[draw].tobytes() == getattr(ref, name).tobytes()
+            assert samples.logpost[draw] == ref.log_posterior(), draw
+    assert len(widths) > 1  # burn-in adapted some widths
 
 
 def test_run_collapsed_sampler_rejects_empty_chain():

@@ -9,7 +9,17 @@ from hrem.simulate import (
     simulate_hierarchical,
     simulate_history,
 )
-from hrem.stats import Baserate, EventCount, SeqState, StatisticSpec
+from hrem.stats import (
+    Baserate,
+    ContextIndicator,
+    EventCount,
+    PShift,
+    RecencySend,
+    SeqState,
+    StatisticSpec,
+)
+
+import scalar_oracle as oracle
 
 COV = CovariateSet()
 
@@ -128,3 +138,21 @@ def test_context_switch_respected():
     early = np.sum(hist.times < 5.0)
     late = np.sum(hist.times >= 5.0)
     assert late > 4 * early
+
+
+def test_event_draw_keeps_the_stream_of_generator_choice():
+    d = syn52(baserate=-1.0)
+    track = ((0.0, "quiet"), (1.0, "loud"), (2.5, "quiet"), (3.0, "loud"), (6.0, "quiet"))
+    designs = [(d.beta, d.spec, d.risk, d.cov, 300),
+               (np.array([0.0, 1.5, 1.0, 0.5]),
+                StatisticSpec((Baserate(), ContextIndicator("loud"), PShift("AB-BA"),
+                               RecencySend())),
+                build_risk_set(4, include_broadcast=True),
+                CovariateSet(context_track=track), 200)]
+    for beta, spec, risk, cov, n in designs:
+        for seed in (0, 5):
+            hist = simulate_history(beta, spec, risk, cov, n_events=n, seed=seed)
+            events, tau = oracle.simulate_by_choice(beta, spec, risk, cov, n,
+                                                    np.random.default_rng(seed))
+            assert hist.events == events and hist.tau == tau, seed
+    assert len({cov.context_at(t) for t, _, _ in hist.events}) == 2  # the last design switches

@@ -424,6 +424,19 @@ def test_unique_table_matches_per_row_oracle_on_presets():
         assert same_bits(table.m, m)
 
 
+def test_unique_table_is_the_same_for_any_exposure_block(monkeypatch):
+    import hrem.stats
+
+    hist, risk, cov = classroom_history(40, seed=5)
+    spec = classroom_spec("E1")
+    vectors, q, m = oracle.table(spec, hist, risk, cov)
+    for block in (1, len(risk) - 1, len(risk), 3 * len(risk) + 5, 1 << 14):
+        monkeypatch.setattr(hrem.stats, "_EXPOSURE_BLOCK", block)
+        table = unique_stat_table(spec, hist, risk, cov)
+        assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q), block
+        assert same_bits(table.m, m), block
+
+
 def test_matrix_follows_a_new_covariate_set():
     risk = build_risk_set(4)
     spec = StatisticSpec((Baserate(), SenderAttr("x"), DyadValue("w"), PShift("AB-BA")))

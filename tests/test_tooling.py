@@ -55,3 +55,22 @@ def test_perfbench_workloads_run_a_pass_at_toy_sizes(monkeypatch, tmp_path):
         assert workload.counts()["K"] == workload.k
         workload.fingerprint()
         workload.fit_diagnostics()
+
+
+def test_perfbench_tracer_counts_a_collapsed_pass(monkeypatch, tmp_path):
+    # The tracer wraps each slice update's logf and passes logf0 on through **kw.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    workload = _toy_workloads(str(tmp_path))[1]
+    workload.setup()
+    tracer = tracing.Tracer("test")
+    try:
+        tracing.install(tracer)
+        workload.run_pass()
+    finally:
+        tracer.uninstall()
+    updates = tracer.calls["inference.slice_sample"]
+    assert updates and tracer.calls["inference.slice_eval"] > updates
+    for name in ("inference.sweep", "stats.matrix"):
+        assert tracer.calls[name], name
