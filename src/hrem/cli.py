@@ -325,14 +325,36 @@ def _load_posterior(manifest):
     )
 
 
-_CHAINS = {"n_burnin": (int, 500), "n_keep": (int, 500), "thin": (int, 1),
-           "rhat_max": (float, 1.2)}
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value):
+    """`value` as an int; a bool, a string or a fractional number raises ValueError."""
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("must be an integer, not %s" % json.dumps(value))
+    return int(value)
+
+
+def _number(value):
+    if not _is_number(value):
+        raise ValueError("must be a number, not %s" % json.dumps(value))
+    return float(value)
+
+
+def _numbers(value):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ValueError("must be a list of numbers, not %s" % json.dumps(value))
+    return [float(t) for t in value]
+
+
+_CHAINS = {"n_burnin": (_integer, 500), "n_keep": (_integer, 500), "thin": (_integer, 1),
+           "rhat_max": (_number, 1.2)}
 # The run settings each sampler reads, as key -> (conversion, default).  A
 # fit records these, bar the convergence threshold, and rejects the others.
 _SAMPLER_SETTINGS = {
     "collapsed": dict(_CHAINS, mu_update=(str, "conjugate")),
-    "tempering": dict(_CHAINS, ladder=(lambda v: [float(t) for t in v], [1, 2, 4, 8, 16]),
-                      t_swap=(int, 10)),
+    "tempering": dict(_CHAINS, ladder=(_numbers, [1, 2, 4, 8, 16]), t_swap=(_integer, 10)),
     "map": {},
 }
 _RUN_KEYS = tuple(sorted({key for reads in _SAMPLER_SETTINGS.values() for key in reads}))
@@ -382,7 +404,12 @@ def cmd_fit(args):
                        % (args.config, sampler, ", ".join(map(repr, unread))))
     if cfg.get("mu_update", "conjugate") not in ("conjugate", "paper"):
         raise CliError("%s: mu_update must be conjugate or paper" % args.config)
-    run = {key: convert(cfg.get(key, default)) for key, (convert, default) in reads.items()}
+    run = {}
+    for key, (convert, default) in reads.items():
+        try:
+            run[key] = convert(cfg.get(key, default))
+        except ValueError as exc:
+            raise CliError("%s: %s %s" % (args.config, key, exc))
     for key, least in _RUN_MINIMUM.items():
         if key in run and run[key] < least:
             raise CliError("%s: %s=%d is below %d" % (args.config, key, run[key], least))

@@ -39,9 +39,10 @@ def loglik_full(beta: np.ndarray, table: UniqueStatTable) -> float:
     eta = table.vectors @ beta
     with np.errstate(over="ignore"):
         lam = np.exp(eta)
-    if not np.all(np.isfinite(lam)):
-        raise FloatingPointError("non-finite hazard in loglik_full")
-    return float(table.q @ eta - table.m @ lam)
+        if not np.all(np.isfinite(lam)):
+            raise FloatingPointError("non-finite hazard in loglik_full")
+        # Finite hazards can still overflow the exposure sum; that is -inf.
+        return float(table.q @ eta - table.m @ lam)
 
 
 def grad_loglik_full(beta: np.ndarray, table: UniqueStatTable) -> np.ndarray:

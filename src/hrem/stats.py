@@ -53,7 +53,12 @@ class SeqState:
 
     Tracks the previous event, per-actor lists of distinct most-recent
     out/in-neighbors (most recent first), per-dyad event counts, and the
-    current exogenous context.
+    current exogenous context.  A recency column reads the inverse ranks of
+    its direction from an (n_nodes x n_nodes) array that is built from the
+    lists when a column first asks for it; from then on :meth:`apply`
+    rewrites only the rows whose lists the event changed, row i of the send
+    array and row j of the receive array.  Specs without a recency effect
+    never build either array.
     """
 
     __slots__ = (
@@ -66,6 +71,9 @@ class SeqState:
         "current_context",
         "n_applied",
         "last_time",
+        "_send_ranks",
+        "_receive_ranks",
+        "_rank_values",
     )
 
     def __init__(self, n_actors: int, broadcast: int | None = None, cov: CovariateSet | None = None):
@@ -78,6 +86,8 @@ class SeqState:
         self.current_context = cov.context_at(0.0) if cov is not None else None
         self.n_applied = 0
         self.last_time = 0.0
+        self._send_ranks = None
+        self._receive_ranks = None
 
     def apply(self, event, cov: CovariateSet | None = None):
         """Fold one event into the state, in place."""
@@ -93,12 +103,41 @@ class SeqState:
         if i in inc:
             inc.remove(i)
         inc.insert(0, i)
+        if self._send_ranks is not None:
+            self._rank_row(self._send_ranks[i], out)
+        if self._receive_ranks is not None:
+            self._rank_row(self._receive_ranks[j], inc)
         self.counts[i, j] += 1
         if cov is not None and cov.context_track:
             self.current_context = cov.context_at(t)
         self.n_applied += 1
         self.last_time = t
         return self
+
+    def _rank_row(self, row, lst):
+        """Overwrite `row` with the inverse ranks of the ids in `lst`, rank 1 first."""
+        row.fill(0.0)
+        row[lst] = self._rank_values[:len(lst)]
+
+    def _inverse_ranks(self, direction: str, size: int) -> np.ndarray:
+        """Array whose [a, b] is 1/rank of b in a's `direction` list, 0 when absent.
+
+        `direction` is "send" or "receive", and the array is at least
+        `size` x `size`.  It is built from the lists on the first request;
+        later requests return the same array, which :meth:`apply` keeps
+        current.
+        """
+        attr = "_send_ranks" if direction == "send" else "_receive_ranks"
+        ranks = getattr(self, attr)
+        if ranks is None or len(ranks) < size:
+            n = max(self.n_nodes, size)
+            self._rank_values = 1.0 / np.arange(1, n + 1)
+            ranks = np.zeros((n, n))
+            lists = self.send_recency if direction == "send" else self.receive_recency
+            for row, lst in zip(ranks, lists):
+                self._rank_row(row, lst)
+            setattr(self, attr, ranks)
+        return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +320,13 @@ def pshift_label(prev_event, event):
     return label if label in PSHIFT_KINDS else None
 
 
-def _recency_column(lists, risk):
-    """Inverse rank of j in lists[i] for every dyad (i, j); 0 when absent."""
-    n = max(len(lists), risk.actor_masks[0].shape[0])
-    lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    total = int(lens.sum())
-    targets = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=total)
-    owners = np.repeat(np.arange(len(lists)), lens)
-    ranks = np.arange(1, total + 1) - np.repeat(np.cumsum(lens) - lens, lens)
-    inverse = np.zeros((n, n))
-    inverse[owners, targets] = 1.0 / ranks
-    return inverse[risk.senders, risk.recipients]
-
-
 @dataclass(frozen=True)
 class RecencySend(Effect):
     endogenous = True
 
     def column(self, state, cov, risk, context):
-        return _recency_column(state.send_recency, risk)
+        ranks = state._inverse_ranks("send", len(risk.actor_masks[0]))
+        return ranks[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
@@ -307,7 +334,8 @@ class RecencyReceive(Effect):
     endogenous = True
 
     def column(self, state, cov, risk, context):
-        return _recency_column(state.receive_recency, risk)
+        ranks = state._inverse_ranks("receive", len(risk.actor_masks[0]))
+        return ranks[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
@@ -612,13 +640,16 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     hazard changepoints between events.  A row is keyed by its bytes, so
     deduplication is exact bitwise equality of the float64 vectors; rows
     keep their order of first occurrence, and each exposure is summed in
-    event order.
+    event order.  An event changes only some rows of the matrix, so each
+    segment's matrix is compared bitwise with the previous segment's (as
+    uint64, which keeps 0.0 and -0.0 apart) and only the rows that differ
+    are looked up; the others keep their ids.
     """
     row_key = np.dtype((np.void, 8 * spec.p))
     ids = defaultdict(itertools.count().__next__)  # row bytes -> id, in order of first occurrence
     m = np.zeros(0)
-    # Exposed row ids in event order and the duration of each, added to m in
-    # blocks of at most _EXPOSURE_BLOCK ids.
+    # The row ids of each exposed segment in event order, and its duration,
+    # added to m in blocks of at most _EXPOSURE_BLOCK ids.
     rows, durs = [], []
     observed = []
 
@@ -626,16 +657,24 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
         nonlocal m
         m = np.concatenate([m, np.zeros(len(ids) - len(m))])
         if rows:
-            np.add.at(m, np.array(rows, dtype=np.intp), np.array(durs))
+            np.add.at(m, np.concatenate(rows), np.repeat(durs, len(risk)))
         rows.clear()
         durs.clear()
 
+    prev_x, prev_ids = None, np.zeros(len(risk), dtype=np.intp)
     for step in walk(spec, history, risk, cov):
         for dur, ctx in step.segments:
-            if len(rows) + len(risk) > _EXPOSURE_BLOCK:
+            if (len(rows) + 1) * len(risk) > _EXPOSURE_BLOCK:
                 add_exposures()
-            rows.extend(map(ids.__getitem__, step.x(ctx).view(row_key).ravel().tolist()))
-            durs.extend(itertools.repeat(dur, len(risk)))
+            x = step.x(ctx)
+            changed = (slice(None) if prev_x is None else
+                       (x.view(np.uint64) != prev_x.view(np.uint64)).any(axis=1).nonzero()[0])
+            seg_ids = prev_ids.copy()
+            seg_ids[changed] = np.fromiter(
+                map(ids.__getitem__, x[changed].view(row_key).ravel().tolist()), dtype=np.intp)
+            rows.append(seg_ids)
+            durs.append(dur)
+            prev_x, prev_ids = x, seg_ids
         if step.event is not None:
             observed.append(ids[step.x(step.context)[step.row].tobytes()])
     add_exposures()  # also sizes m to every row: the last rows may be unexposed

@@ -234,6 +234,24 @@ def test_fit_bad_ladder_exits_one_naming_the_config_and_key(sim_dir, capsys):
         assert not os.path.exists(sim_dir / "fit_l" / "manifest.json")
 
 
+@pytest.mark.parametrize("key, value, words", [
+    ("n_keep", 20.7, "must be an integer, not 20.7"),
+    ("n_keep", True, "must be an integer, not true"),
+    ("n_keep", "x", 'must be an integer, not "x"'),
+    ("ladder", "ab", 'must be a list of numbers, not "ab"'),
+    ("ladder", "12", 'must be a list of numbers, not "12"'),
+    ("rhat_max", "x", 'must be a number, not "x"'),
+])
+def test_fit_run_setting_of_the_wrong_type_exits_one_naming_the_config_and_key(
+        sim_dir, capsys, key, value, words):
+    over = dict({"n_burnin": 2, "n_keep": 4}, **{key: value})
+    cfg = fit_config(sim_dir, out="fit_t", sampler="tempering", **over)
+    assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1
+    err = capsys.readouterr().err
+    assert "%s: %s %s" % (cfg, key, words) in err, err
+    assert not os.path.exists(sim_dir / "fit_t" / "manifest.json")
+
+
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):
     cfg = fit_config(
         sim_dir, out="fit_bad",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from hrem.likelihood import (
 )
 from hrem.presets import syn52
 from hrem.simulate import simulate_history
-from hrem.stats import Baserate, EventCount, PShift, StatisticSpec, unique_stat_table
+from hrem.stats import (
+    Baserate,
+    EventCount,
+    PShift,
+    StatisticSpec,
+    UniqueStatTable,
+    unique_stat_table,
+)
 
 COV = CovariateSet()
 
@@ -32,6 +40,15 @@ def test_loglik_full_hand_case():
     beta = np.zeros(1)
     assert loglik_full(beta, table) == pytest.approx(-2.0, abs=1e-12)
     assert loglik_naive(beta, hist, spec, risk, COV) == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_loglik_full_is_minus_inf_when_the_exposure_sum_overflows():
+    # Every hazard is finite (exp(700) ~ 1e304), but m @ lam exceeds the float range.
+    table = UniqueStatTable(vectors=np.array([[700.0], [700.0]]), q=np.array([1, 0]),
+                            m=np.array([1e5, 1e5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loglik_full(np.ones(1), table) == -math.inf
 
 
 def test_loglik_full_pure_censoring():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -37,8 +38,8 @@ COV = CovariateSet()
 RISK = build_risk_set(4)
 
 
-def state_after(events, n_actors=4, cov=None):
-    s = SeqState(n_actors, cov=cov)
+def state_after(events, n_actors=4, cov=None, broadcast=None):
+    s = SeqState(n_actors, broadcast=broadcast, cov=cov)
     for ev in events:
         s.apply(ev, cov)
     return s
@@ -133,23 +134,39 @@ def test_update_state_rejects_out_of_order():
 
 
 def test_state_rebuild_equals_incremental():
+    # Five actors and the broadcast recipient 5.  `inc` has its inverse ranks
+    # from the start; `late` is asked for them first after event 15, as a
+    # walk from a later start does, and keeps them from then on.
     rng = np.random.default_rng(7)
+    nodes = 6
     for _ in range(10):
         events = []
         t = 0.0
         for _ in range(30):
             t += float(rng.exponential())
-            i, j = rng.choice(5, size=2, replace=False)
-            events.append((t, int(i), int(j)))
-        inc = SeqState(5)
+            i = int(rng.integers(5))
+            j = int(rng.choice([k for k in range(nodes) if k != i]))
+            events.append((t, i, j))
+        inc = SeqState(5, broadcast=5)
+        late = SeqState(5, broadcast=5)
+        held = {d: inc._inverse_ranks(d, nodes) for d in ("send", "receive")}
         for m, ev in enumerate(events, start=1):
             inc.apply(ev)
-            scratch = state_after(events[:m], n_actors=5)
+            late.apply(ev)
+            scratch = state_after(events[:m], n_actors=5, broadcast=5)
             assert inc.last_event == scratch.last_event
             assert inc.send_recency == scratch.send_recency
             assert inc.receive_recency == scratch.receive_recency
             assert np.array_equal(inc.counts, scratch.counts)
             assert inc.counts.sum() == m
+            states = [inc] + [late] * (m >= 15)
+            for state, d in itertools.product(states, ("send", "receive")):
+                ranks = state._inverse_ranks(d, nodes)
+                want = [[oracle.recency_rank(d, scratch, a, b) for b in range(nodes)]
+                        for a in range(nodes)]
+                assert ranks.tolist() == want, (d, m, state is late)
+            for d in ("send", "receive"):
+                assert inc._inverse_ranks(d, nodes) is held[d]  # updated in place
 
 
 def test_spec_requires_nonempty_unique():
@@ -267,6 +284,25 @@ def test_unique_table_with_contexts():
     by_vec = {tuple(v): m for v, m in zip(table.vectors, table.m)}
     assert by_vec[(1.0, 0.0)] == pytest.approx(0.8)
     assert by_vec[(1.0, 1.0)] == pytest.approx(1.2)
+
+
+def test_unique_table_keeps_zero_and_minus_zero_rows_across_a_context_switch():
+    # The row of every dyad is 0.0 under context "a" and -0.0 (the sender's
+    # x) under "b": equal as floats, two rows bitwise.
+    cov = CovariateSet(actor_attrs={"x": {0: -0.0, 1: -0.0}},
+                       context_track=((0.0, "a"), (0.4, "b")))
+    spec = StatisticSpec((ContextInteraction(SenderAttr("x"), "b"),))
+    hist = EventHistory(events=((0.2, 0, 1), (0.6, 1, 0)), tau=1.0, n_actors=2)
+    risk = build_risk_set(2)
+    table = unique_stat_table(spec, hist, risk, cov)
+    assert table.n_unique == 2
+    assert np.signbit(table.vectors[:, 0]).tolist() == [False, True]
+    assert table.q.tolist() == [1, 1]
+    assert table.m.tolist() == pytest.approx([0.8, 1.2])  # 0.4 and 0.6 per dyad
+    vectors, q, m = oracle.table(spec, hist, risk, cov)
+    assert same_bits(table.vectors, vectors)
+    assert np.array_equal(table.q, q)
+    assert same_bits(table.m, m)
 
 
 def test_recency_receive_column_matches_values():
