@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/data error, 2 nonconvergence.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import io
@@ -40,15 +41,13 @@ from hrem.inference import (
 )
 from hrem.likelihood import score_events
 from hrem.presets import classroom_spec, preset_names, syn52
-from hrem.simulate import simulate_hierarchical
+from hrem.simulate import SimulationExplosion, simulate_hierarchical
 from hrem.stats import StatisticSpec, pshift_label, unique_stat_table
 from hrem.tempering import _check_ladder, run_parallel_tempering
 
 
 class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+    """A usage or data error: the command prints it and exits 1."""
 
 
 def _read_checked(path, sha256=None):
@@ -77,17 +76,9 @@ def _read_config(path):
     return doc
 
 
-def _check_keys(doc, keys, where, what="key"):
-    """Exit 1 naming every key of `doc` that is not in `keys`."""
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise CliError("unknown %s(s) %s in %s" % (what, ", ".join(map(repr, unknown)), where))
-
-
 def _require(cfg, key, where="config"):
     if key not in cfg:
         raise CliError("missing required field %r in %s" % (key, where))
-    return cfg[key]
 
 
 def _write(path, text):
@@ -100,18 +91,19 @@ def _write_json(path, doc):
     return path
 
 
-def _resolve_spec(cfg, cov, where):
-    preset = cfg.get("preset")
-    if preset:
-        if preset in ("syn52", "syn6"):
-            return syn52().spec
+def _resolve_spec(values, cov, where):
+    """The spec of a config's checked `preset` or `spec`, exactly one of which it gives."""
+    if (values["preset"] is None) == (values.get("spec") is None):
+        raise CliError("%s: give exactly one of 'preset' and 'spec'" % where)
+    preset = values["preset"]
+    if preset in _SYN:
+        return syn52().spec
+    if preset is not None:
         return classroom_spec(preset)
-    if "spec" in cfg:
-        try:
-            return StatisticSpec.from_obj(cfg["spec"], cov)
-        except ValueError as exc:
-            raise CliError("%s: %s" % (where, exc))
-    raise CliError("config needs either 'preset' (%s) or 'spec'" % ", ".join(preset_names()))
+    try:
+        return StatisticSpec.from_obj(values["spec"], cov)
+    except ValueError as exc:
+        raise CliError("%s: %s" % (where, exc))
 
 
 def _parse(entry, load, *args, **kw):
@@ -124,49 +116,154 @@ def _parse(entry, load, *args, **kw):
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# config keys
 
-_SIMULATE_KEYS = ("seed", "out_dir", "preset", "baserate", "mu", "sigma", "k", "covariates",
-                 "spec", "n_actors", "broadcast", "n_events", "tau")
+
+# A JSON value type: its name in errors and the README, its test and its conversion.
+_Type = collections.namedtuple("_Type", "name test convert", defaults=(lambda value: value,))
+# A config key: its type, its default, its least value, the modes that read it
+# (None: every mode), the modes that accept it unread, and whether a fit
+# manifest's `settings` record it.
+_Key = collections.namedtuple("_Key", "type default least modes unread recorded",
+                              defaults=(None, None, None, (), False))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _one_of(*choices):
+    return _Type("one of " + ", ".join(choices), lambda value: value in choices)
+
+
+_INTEGER = _Type("an integer", lambda value: _is_number(value) and value % 1 == 0, int)
+_NUMBER = _Type("a number", _is_number, float)
+_NUMBERS = _Type("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                 lambda value: [float(t) for t in value])
+_STRING = _Type("a string", lambda value: isinstance(value, str))
+_PRESET = _Type("a preset: syn52, syn6 or A1..G3", lambda value: value in preset_names())
+_SPEC = _Type("a list of effects", lambda value: isinstance(value, list))
+_REQUIRED = object()  # the default of a key that a config must give
+
+
+class _ByMode(dict):
+    """A default that depends on the mode."""
+
+
+def _check_config(cfg, keys, where, mode_of=lambda given: None, prefix=""):
+    """The mode (`mode_of` the given values), and the value of each key that it reads:
+    the config's, checked, or the default where the config leaves it out or null."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise CliError("unknown %skey(s) %s in %s"
+                       % (prefix, ", ".join(map(repr, unknown)), where))
+    given = {key: value for key, value in cfg.items() if value is not None}
+    for key, value in given.items():
+        kind, least = keys[key].type, keys[key].least
+        if not kind.test(value):
+            raise CliError("%s: %s%s must be %s, not %s"
+                           % (where, prefix, key, kind.name, json.dumps(value)))
+        if least is not None and value < least:
+            raise CliError("%s: %s%s=%s is below %d" % (where, prefix, key, value, least))
+    mode, values = mode_of(given), {}
+    for key, decl in keys.items():
+        if decl.modes is None or mode in decl.modes:
+            value = given.get(key, decl.default)
+            value = value[mode] if isinstance(value, _ByMode) else value
+            if value is _REQUIRED:
+                raise CliError("missing required field %r in %s" % (key, where))
+            try:
+                values[key] = None if value is None else decl.type.convert(value)
+            except ValueError as exc:
+                raise CliError("%s: %s%s: %s" % (where, prefix, key, exc))
+        elif key in given and mode not in decl.unread:
+            raise CliError("%s: the %s mode does not read %r" % (where, mode, key))
+    return mode, values
+
+
+# A simulate's mode is its preset syn52 or syn6, or "design" for a config that
+# gives its own spec (or a classroom preset), actors and mu.
+_SYN = ("syn52", "syn6")
+_SIMULATE = {
+    "seed": _Key(_INTEGER, _REQUIRED, 0),
+    "out_dir": _Key(_STRING, "hrem_sim"),
+    "preset": _Key(_PRESET),
+    "spec": _Key(_SPEC, modes=("design",)),
+    "covariates": _Key(_STRING, modes=("design",)),
+    "n_actors": _Key(_INTEGER, _REQUIRED, 2, ("design",)),
+    "broadcast": _Key(_Type("true or false", lambda value: isinstance(value, bool)), False,
+                      modes=("design",)),
+    "baserate": _Key(_NUMBER, 0.0, modes=_SYN),
+    "mu": _Key(_NUMBERS, _ByMode(syn52=None, syn6=None, design=_REQUIRED)),
+    "sigma": _Key(_Type("a number or a list of numbers", lambda v: _is_number(v) or
+                        _NUMBERS.test(v)), _ByMode(syn52=0.0, syn6=1.0, design=0.0)),
+    "k": _Key(_INTEGER, _ByMode(syn52=1, syn6=20, design=1), 1),
+    "n_events": _Key(_INTEGER, least=1),
+    "tau": _Key(_NUMBER),
+}
+
+# A fit's mode is its sampler.
+_MCMC = ("collapsed", "tempering")
+# The readers of the data keys and n_train check them against the data.
+_FIT = {
+    "seed": _Key(_INTEGER, _REQUIRED, 0),
+    "out_dir": _Key(_STRING, "hrem_fit"),
+    "from_manifest": _Key(_STRING),
+    "sequences": _Key(_Type("a list of {file, tau} entries", lambda _: True)),
+    "covariates": _Key(_Type("a {file} entry", lambda _: True)),
+    "broadcast": _Key(_Type("a label", lambda _: True)),
+    "preset": _Key(_PRESET),
+    "spec": _Key(_SPEC),
+    "sampler": _Key(_one_of("collapsed", "tempering", "map"), "collapsed", recorded=True),
+    "hyper": _Key(_Type("an object", lambda value: isinstance(value, dict)), {}, recorded=True),
+    "n_train": _Key(_Type("an integer in 1..each sequence's events", lambda _: True),
+                    recorded=True),
+    "n_burnin": _Key(_INTEGER, 500, 0, _MCMC, recorded=True),
+    "n_keep": _Key(_INTEGER, 500, 1, _MCMC, recorded=True),
+    "thin": _Key(_INTEGER, 1, 1, _MCMC, recorded=True),
+    "rhat_max": _Key(_NUMBER, 1.2, modes=_MCMC),
+    # Tempering accepts mu_update without reading it (the benchmark's config sets it).
+    "mu_update": _Key(_one_of("conjugate", "paper"), "conjugate", modes=("collapsed",),
+                      unread=("tempering",), recorded=True),
+    "ladder": _Key(_NUMBERS._replace(convert=lambda value: list(_check_ladder(value))),
+                   [1, 2, 4, 8, 16], modes=("tempering",), recorded=True),
+    "t_swap": _Key(_INTEGER, 10, 0, ("tempering",), recorded=True),
+}
+_HYPER = {f.name: _Key(_NUMBER, f.default) for f in dataclasses.fields(Hyperparams)}
+
+
+# ---------------------------------------------------------------------------
+# simulate
 
 
 def cmd_simulate(args):
-    cfg = _read_config(args.config)
-    _check_keys(cfg, _SIMULATE_KEYS, args.config)
-    seed = _require(cfg, "seed")
-    out_dir = cfg.get("out_dir", "hrem_sim")
+    mode, v = _check_config(_read_config(args.config), _SIMULATE, args.config, lambda given:
+                            given["preset"] if given.get("preset") in _SYN else "design")
+    if (v["n_events"] is None) == (v["tau"] is None):
+        raise CliError("%s: give exactly one of 'n_events' and 'tau'" % args.config)
+    out_dir = v["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
-    preset = cfg.get("preset")
-    if preset in ("syn52", "syn6"):
-        design = syn52(baserate=float(cfg.get("baserate", 0.0)))
-        spec, risk, cov = design.spec, design.risk, design.cov
-        mu = np.asarray(cfg.get("mu", design.beta), dtype=float)
-        default_k = 20 if preset == "syn6" else 1
-        sigma = np.asarray(cfg.get("sigma", 1.0 if preset == "syn6" else 0.0), dtype=float)
-        k = int(cfg.get("k", default_k))
-    else:
+    if mode == "design":
         cov = CovariateSet()
-        if "covariates" in cfg:
-            cov, _ = _parse({"file": cfg["covariates"]}, load_covariates)
-        spec = _resolve_spec(cfg, cov, args.config)
-        n_actors = int(_require(cfg, "n_actors"))
-        risk = build_risk_set(n_actors, include_broadcast=bool(cfg.get("broadcast", False)))
-        mu = np.asarray(_require(cfg, "mu"), dtype=float)
-        sigma = np.asarray(cfg.get("sigma", 0.0), dtype=float)
-        k = int(cfg.get("k", 1))
+        if v["covariates"] is not None:
+            cov, _ = _parse({"file": v["covariates"]}, load_covariates)
+        spec = _resolve_spec(v, cov, args.config)
+        risk = build_risk_set(v["n_actors"], include_broadcast=v["broadcast"])
+        mu = v["mu"]
+    else:
+        design = syn52(baserate=v["baserate"])
+        spec, risk, cov = design.spec, design.risk, design.cov
+        mu = design.beta if v["mu"] is None else v["mu"]
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(v["sigma"], dtype=float)
     if mu.shape != (spec.p,):
         raise CliError("mu has length %d, spec has P=%d" % (mu.size, spec.p))
 
-    stop = {}
-    if "n_events" in cfg:
-        stop["n_events"] = int(cfg["n_events"])
-    elif "tau" in cfg:
-        stop["tau"] = float(cfg["tau"])
-    else:
-        raise CliError("config needs 'n_events' or 'tau'")
-
-    pairs = simulate_hierarchical(mu, sigma, k, spec, risk, cov, seed=int(seed), **stop)
+    try:
+        pairs = simulate_hierarchical(mu, sigma, v["k"], spec, risk, cov, seed=v["seed"],
+                                      n_events=v["n_events"], tau=v["tau"])
+    except (ValueError, SimulationExplosion) as exc:
+        raise CliError("%s: %s" % (args.config, exc))
     sequences = []
     for idx, (hist, beta_k) in enumerate(pairs):
         fname = os.path.join(out_dir, "events_%03d.csv" % idx)
@@ -182,8 +279,8 @@ def cmd_simulate(args):
     })
     manifest = {
         "command": "simulate",
-        "seed": int(seed),
-        "preset": preset,
+        "seed": v["seed"],
+        "preset": v["preset"],
         "spec": json.loads(spec.to_json()),
         "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
@@ -199,9 +296,7 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # fit
 
-# The data keys of a fit config: `sequences` (a list of {"file", "tau"}),
-# `covariates` ({"file"} or null) and `broadcast` (the broadcast recipient's
-# label in the event files, or null).  A manifest holds them with `n_actors`.
+# The data keys of a fit config; a manifest holds them with `n_actors`.
 _DATA_KEYS = ("sequences", "covariates", "broadcast")
 
 
@@ -325,108 +420,40 @@ def _load_posterior(manifest):
     )
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value):
-    """`value` as an int; a bool, a string or a fractional number raises ValueError."""
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("must be an integer, not %s" % json.dumps(value))
-    return int(value)
-
-
-def _number(value):
-    if not _is_number(value):
-        raise ValueError("must be a number, not %s" % json.dumps(value))
-    return float(value)
-
-
-def _numbers(value):
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ValueError("must be a list of numbers, not %s" % json.dumps(value))
-    return [float(t) for t in value]
-
-
-_CHAINS = {"n_burnin": (_integer, 500), "n_keep": (_integer, 500), "thin": (_integer, 1),
-           "rhat_max": (_number, 1.2)}
-# The run settings each sampler reads, as key -> (conversion, default).  A
-# fit records these, bar the convergence threshold, and rejects the others.
-_SAMPLER_SETTINGS = {
-    "collapsed": dict(_CHAINS, mu_update=(str, "conjugate")),
-    "tempering": dict(_CHAINS, ladder=(_numbers, [1, 2, 4, 8, 16]), t_swap=(_integer, 10)),
-    "map": {},
-}
-_RUN_KEYS = tuple(sorted({key for reads in _SAMPLER_SETTINGS.values() for key in reads}))
-# The least value of each integer run setting.
-_RUN_MINIMUM = {"n_burnin": 0, "n_keep": 1, "thin": 1, "t_swap": 0}
-
-_FIT_KEYS = _DATA_KEYS + _RUN_KEYS + (
-    "seed", "out_dir", "from_manifest", "preset", "spec", "sampler", "hyper", "n_train")
-
-
 def cmd_fit(args):
     cfg = _read_config(args.config)
-    _check_keys(cfg, _FIT_KEYS, args.config)
-    seed = _require(cfg, "seed")
-    out_dir = cfg.get("out_dir", "hrem_fit")
-    hyper_cfg = cfg.get("hyper", {})
-    _check_keys(hyper_cfg, [f.name for f in dataclasses.fields(Hyperparams)], args.config,
-                "hyper key")
+    sampler, v = _check_config(cfg, _FIT, args.config,
+                               lambda given: given.get("sampler", _FIT["sampler"].default))
+    _, hyper_values = _check_config(v["hyper"], _HYPER, args.config, prefix="hyper ")
     try:
-        hyper = Hyperparams(**hyper_cfg)
+        hyper = Hyperparams(**hyper_values)
     except ValueError as exc:
         raise CliError("bad hyper value in %s: %s" % (args.config, exc))
+    out_dir = v["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
     where, doc = args.config, cfg
-    if "from_manifest" in cfg:
-        clash = [key for key in _DATA_KEYS if key in cfg]
+    if v["from_manifest"] is not None:
+        clash = [key for key in _DATA_KEYS if cfg.get(key) is not None]
         if clash:
             raise CliError("%s: 'from_manifest' names the data, so %s must go"
                            % (args.config, ", ".join(map(repr, clash))))
-        where, doc = cfg["from_manifest"], _read_config(cfg["from_manifest"])
+        where, doc = v["from_manifest"], _read_config(v["from_manifest"])
     histories, risk, cov, data = _load_data(doc, where)
-    spec = _resolve_spec(cfg, cov, args.config)
+    spec = _resolve_spec(v, cov, args.config)
     try:
         spec.check(cov, risk.n_actors)
     except KeyError as exc:
         raise CliError("spec/data mismatch: %s" % exc)
-    sampler = cfg.get("sampler", "collapsed")
-    if sampler not in _SAMPLER_SETTINGS:
-        raise CliError("unknown sampler %r" % sampler)
-    reads = _SAMPLER_SETTINGS[sampler]
-    # Tempering accepts mu_update without reading it (the benchmark's config sets it).
-    unread = [key for key in _RUN_KEYS if key in cfg and key not in reads
-              and (sampler, key) != ("tempering", "mu_update")]
-    if unread:
-        raise CliError("%s: the %s sampler does not read %s"
-                       % (args.config, sampler, ", ".join(map(repr, unread))))
-    if cfg.get("mu_update", "conjugate") not in ("conjugate", "paper"):
-        raise CliError("%s: mu_update must be conjugate or paper" % args.config)
-    run = {}
-    for key, (convert, default) in reads.items():
-        try:
-            run[key] = convert(cfg.get(key, default))
-        except ValueError as exc:
-            raise CliError("%s: %s %s" % (args.config, key, exc))
-    for key, least in _RUN_MINIMUM.items():
-        if key in run and run[key] < least:
-            raise CliError("%s: %s=%d is below %d" % (args.config, key, run[key], least))
-    if "ladder" in run:
-        try:
-            _check_ladder(run["ladder"])
-        except ValueError as exc:
-            raise CliError("%s: ladder %s: %s" % (args.config, run["ladder"], exc))
-    rhat_max = run.pop("rhat_max", None)
-    n_train = cfg.get("n_train")
-    tables = _training_tables(spec, histories, risk, cov, n_train, data["sequences"])
+    tables = _training_tables(spec, histories, risk, cov, v["n_train"], data["sequences"])
 
-    settings = {"sampler": sampler, **run, "hyper": hyper_cfg, "n_train": n_train}
+    settings = {key: v[key] for key, decl in _FIT.items() if decl.recorded and key in v}
+    # The recorded keys that only some samplers read are the sampler's run settings.
+    run = {key: value for key, value in settings.items() if _FIT[key].modes}
     if sampler == "collapsed":
-        samples = run_collapsed_sampler(tables, hyper, **run, seed=int(seed))
+        samples = run_collapsed_sampler(tables, hyper, **run, seed=v["seed"])
     elif sampler == "tempering":
-        samples = run_parallel_tempering(tables, hyper, **run, seed=int(seed))
+        samples = run_parallel_tempering(tables, hyper, **run, seed=v["seed"])
     else:
         betas, mu, sigma2, report = map_estimate(tables, hyper)
         samples = PosteriorSamples(
@@ -438,15 +465,15 @@ def cmd_fit(args):
     paths = _save_posterior(samples, out_dir)
     # `select` ranks fits by this, scored on the training tables at hand.
     dic = diagnostics.dic(samples, tables)
-    diag = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in samples.diagnostics.items()}
+    diag = {name: (x.tolist() if isinstance(x, np.ndarray) else x)
+            for name, x in samples.diagnostics.items()}
     manifest = {
         "command": "fit",
-        "seed": int(seed),
+        "seed": v["seed"],
         "out_dir": out_dir,
         "spec": json.loads(spec.to_json()),
         **data,
-        "sequences": [dict(e, n_train=n_train) for e in data["sequences"]],
+        "sequences": [dict(e, n_train=v["n_train"]) for e in data["sequences"]],
         "settings": settings,
         "dims": {
             "draws": samples.n_draws,
@@ -463,6 +490,7 @@ def cmd_fit(args):
         why = "MAP stopped before converging"
     else:
         # A NaN R-hat (fewer than 4 kept draws) fails too: it cannot show convergence.
+        rhat_max = v["rhat_max"]
         status, failed = "max_rhat=%.3f" % diag["max_rhat"], not diag["max_rhat"] <= rhat_max
         if np.isnan(diag["max_rhat"]):
             why = ("R-hat is undefined: split R-hat needs at least 4 kept draws, this fit "
@@ -505,14 +533,12 @@ def _reload_fit(manifest_path):
 
 def cmd_predict(args):
     manifest, spec, risk, cov, histories, samples = _reload_fit(args.manifest)
-    z_list = [int(z) for z in args.z.split(",")]
-    for z in z_list:
+    for z in args.z:
         if z < 1 or z > len(risk):
             raise CliError("z=%d outside 1..|R|=%d" % (z, len(risk)))
     n_train = args.n_train if args.n_train is not None else manifest["settings"].get("n_train")
     if n_train is None:
         raise CliError("no training cutoff: pass --n-train or fit with n_train")
-    n_train = int(n_train)
     if n_train < 1:
         raise CliError("n_train=%d is below 1" % n_train)
     beta_hat = samples.beta_mean()
@@ -520,11 +546,11 @@ def cmd_predict(args):
     rows = ["sequence,z,recall_model,recall_baseline"]
     for k, hist in enumerate(histories):
         if n_train >= hist.m:
-            rows.extend("%d,%d,," % (k, z) for z in z_list)
+            rows.extend("%d,%d,," % (k, z) for z in args.z)
             continue
         model = score_events(beta_hat[k], hist, spec, risk, cov, start=n_train)
         baseline = diagnostics.baseline_counts(hist, risk, n_train)
-        for z in z_list:
+        for z in args.z:
             rm = diagnostics.recall(model.higher, model.ties, z, rng)
             rb = diagnostics.recall(*baseline, z, rng)
             rows.append("%d,%d,%r,%r" % (k, z, rm, rb))
@@ -613,8 +639,18 @@ def cmd_select(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 1, as every usage error does: exit 2 means nonconvergence."""
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    def cutoffs(text):
+        return [int(z) for z in text.split(",")]
+
+    parser = _Parser(
         prog="hrem",
         description="Hierarchical relational event models: simulate, fit, evaluate.",
     )
@@ -631,7 +667,8 @@ def build_parser():
 
     p_pred = sub.add_parser("predict", help="recall@z on held-out events")
     p_pred.add_argument("--manifest", required=True)
-    p_pred.add_argument("--z", required=True, help="comma-separated cutoffs, e.g. 5,20")
+    p_pred.add_argument("--z", required=True, type=cutoffs,
+                        help="comma-separated cutoffs, e.g. 5,20")
     p_pred.add_argument("--n-train", dest="n_train", type=int)
     p_pred.add_argument("--out")
     p_pred.set_defaults(func=cmd_predict)
@@ -651,13 +688,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+        return 1
 
 
 if __name__ == "__main__":

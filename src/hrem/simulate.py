@@ -66,6 +66,10 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     """
     if (tau is None) == (n_events is None):
         raise ValueError("specify exactly one of tau or n_events")
+    if n_events is not None and n_events < 1:
+        raise ValueError("n_events must be at least 1, not %r" % (n_events,))
+    if tau is not None and not tau > 0:
+        raise ValueError("tau must be positive, not %r" % (tau,))
     if rng is None:
         rng = np.random.default_rng(seed)
     beta = np.asarray(beta, dtype=float)

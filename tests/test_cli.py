@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hrem import cli
 from hrem.cli import main
 
 
@@ -128,7 +129,8 @@ def test_fit_tempering_without_a_swap_writes_null_not_nan(sim_dir):
 def test_fit_chain_settings_out_of_range_exit_one_naming_the_key(sim_dir, capsys):
     bad = [("collapsed", "n_burnin", -3), ("tempering", "n_burnin", -3),
            ("collapsed", "n_keep", 0), ("tempering", "n_keep", 0),
-           ("collapsed", "thin", 0), ("tempering", "thin", 0), ("tempering", "t_swap", -1)]
+           ("collapsed", "thin", 0), ("tempering", "thin", 0), ("tempering", "t_swap", -1),
+           ("map", "seed", -1)]
     for sampler, key, value in bad:
         cfg = fit_config(sim_dir, out="fit_bad", sampler=sampler, **{key: value})
         assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1, (sampler, key)
@@ -241,15 +243,125 @@ def test_fit_bad_ladder_exits_one_naming_the_config_and_key(sim_dir, capsys):
     ("ladder", "ab", 'must be a list of numbers, not "ab"'),
     ("ladder", "12", 'must be a list of numbers, not "12"'),
     ("rhat_max", "x", 'must be a number, not "x"'),
+    ("seed", 1.5, "must be an integer, not 1.5"),
+    ("seed", True, "must be an integer, not true"),
+    ("seed", "x", 'must be an integer, not "x"'),
+    ("sampler", ["map"], 'must be one of collapsed, tempering, map, not ["map"]'),
+    ("hyper", {"mu_prior_sd": "x"}, 'mu_prior_sd must be a number, not "x"'),
+    ("hyper", {"mu_prior_sd": True}, "mu_prior_sd must be a number, not true"),
+    ("hyper", [1.0], "must be an object, not [1.0]"),
+    ("out_dir", 5, "must be a string, not 5"),
+    ("from_manifest", 5, "must be a string, not 5"),
+    ("preset", "nope", 'must be a preset: syn52, syn6 or A1..G3, not "nope"'),
 ])
 def test_fit_run_setting_of_the_wrong_type_exits_one_naming_the_config_and_key(
         sim_dir, capsys, key, value, words):
-    over = dict({"n_burnin": 2, "n_keep": 4}, **{key: value})
-    cfg = fit_config(sim_dir, out="fit_t", sampler="tempering", **over)
+    over = dict({"sampler": "tempering", "n_burnin": 2, "n_keep": 4}, **{key: value})
+    cfg = fit_config(sim_dir, out="fit_t", **over)
     assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1
     err = capsys.readouterr().err
     assert "%s: %s %s" % (cfg, key, words) in err, err
     assert not os.path.exists(sim_dir / "fit_t" / "manifest.json")
+
+
+@pytest.mark.parametrize("over, words", [
+    ({"k": 2.5}, "k must be an integer, not 2.5"),
+    ({"k": 0}, "k=0 is below 1"),
+    ({"n_events": 40.7}, "n_events must be an integer, not 40.7"),
+    ({"n_events": 0}, "n_events=0 is below 1"),
+    ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+    ({"seed": -1}, "seed=-1 is below 0"),
+    ({"sigma": -1}, "sigma must be nonnegative"),
+    ({"mu": [1000.0] * 6}, "total rate inf exceeded ceiling"),
+    ({"n_events": None, "tau": -1}, "tau must be positive, not -1.0"),
+    ({"tau": 50.0}, "give exactly one of 'n_events' and 'tau'"),
+    ({"n_events": None}, "give exactly one of 'n_events' and 'tau'"),
+    ({"spec": [{"type": "baserate"}]}, "the syn52 mode does not read 'spec'"),
+    ({"preset": "syn6", "n_actors": 4}, "the syn6 mode does not read 'n_actors'"),
+    ({"preset": None, "spec": [{"type": "baserate"}], "n_actors": 4.6, "mu": [0.0]},
+     "n_actors must be an integer, not 4.6"),
+    ({"preset": None, "spec": [{"type": "baserate"}], "n_actors": 1, "mu": [0.0]},
+     "n_actors=1 is below 2"),
+    ({"preset": None, "spec": [{"type": "baserate"}], "n_actors": 4, "mu": [0.0],
+      "broadcast": "yes"}, 'broadcast must be true or false, not "yes"'),
+    ({"preset": None, "spec": [{"type": "baserate"}], "n_actors": 4, "mu": [0.0],
+      "baserate": -2.0}, "the design mode does not read 'baserate'"),
+    ({"preset": "A1", "spec": [{"type": "baserate"}], "n_actors": 4, "mu": [0.0]},
+     "give exactly one of 'preset' and 'spec'"),
+])
+def test_simulate_setting_of_the_wrong_type_or_range_exits_one_naming_the_config_and_key(
+        tmp_path, capsys, over, words):
+    doc = dict({"seed": 7, "preset": "syn52", "k": 2, "n_events": 20,
+                "out_dir": str(tmp_path / "sim")}, **over)
+    cfg = write_json(tmp_path / "sim.json", doc)
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "%s: %s" % (cfg, words) in err and "Traceback" not in err, err
+    assert not os.path.exists(tmp_path / "sim" / "manifest.json")
+
+
+def test_fit_needs_exactly_one_of_preset_and_spec(sim_dir, capsys):
+    for over in ({"spec": [{"type": "baserate"}]}, {"preset": None}):
+        cfg = fit_config(sim_dir, out="fit_p", sampler="map", **over)
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "%s: give exactly one of 'preset' and 'spec'" % cfg in err, err
+        assert not os.path.exists(sim_dir / "fit_p" / "manifest.json")
+
+
+def test_fit_hyper_null_reads_as_the_default_priors(sim_dir):
+    cfg = fit_config(sim_dir, out="fit_h", sampler="map", hyper=None)
+    assert main(["fit", "--config", cfg]) == 0
+    man = json.load(open(sim_dir / "fit_h" / "manifest.json"))
+    assert man["settings"]["hyper"] == {}
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["fit"], "the following arguments are required: --config"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["predict", "--manifest", "m.json", "--z", "5", "--n-train", "abc"],
+     "argument --n-train: invalid int value: 'abc'"),
+    (["diagnose", "--manifest", "m.json", "--surprise-threshold", "x"],
+     "argument --surprise-threshold: invalid int value: 'x'"),
+    (["predict", "--manifest", "m.json", "--z", "5,x"], "argument --z: invalid cutoffs value"),
+    (["predict", "--manifest", "m.json", "--z", ""], "argument --z: invalid cutoffs value"),
+])
+def test_usage_error_exits_one_naming_the_option(capsys, argv, words):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err, err
+
+
+def _readme_cell(value):
+    if value is cli._REQUIRED:
+        return "required"
+    if isinstance(value, cli._ByMode):
+        return ", ".join("%s: %s" % (mode, _readme_cell(v)) for mode, v in value.items())
+    return "null" if value is None else "`%s`" % json.dumps(value)
+
+
+def test_readme_config_table_matches_the_declarations():
+    want = []
+    for command, keys in (("simulate", cli._SIMULATE), ("fit", cli._FIT),
+                          ("fit hyper", cli._HYPER)):
+        for key, decl in keys.items():
+            read_by = "all" if decl.modes is None else ", ".join(decl.modes)
+            read_by += "".join("; %s accepts it unread" % mode for mode in decl.unread)
+            least = "" if decl.least is None else str(decl.least)
+            want.append([command, "`%s`" % key, decl.type.name, _readme_cell(decl.default),
+                         least, read_by])
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    lines = open(readme, encoding="utf-8").read().splitlines()
+    start = lines.index("| command | key | type | default | least value | read by |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert rows == want
 
 
 def test_fit_unknown_attribute_exits_one(sim_dir, capsys):

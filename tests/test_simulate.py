@@ -48,6 +48,15 @@ def test_stop_modes_exclusive():
         simulate_history(d.beta, d.spec, d.risk, d.cov, tau=1.0, n_events=5, seed=0)
 
 
+def test_stop_must_leave_room_for_an_event():
+    d = syn52()
+    for stop, words in (({"n_events": 0}, "n_events must be at least 1, not 0"),
+                        ({"tau": -1.0}, "tau must be positive, not -1.0"),
+                        ({"tau": 0.0}, "tau must be positive, not 0.0")):
+        with pytest.raises(ValueError, match=words):
+            simulate_history(d.beta, d.spec, d.risk, d.cov, seed=0, **stop)
+
+
 def test_by_count_sets_tau_beyond_last_event():
     d = syn52(baserate=-1.0)
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=50, seed=1)
