@@ -50,8 +50,14 @@ class CliError(Exception):
     """A usage or data error: the command prints it and exits 1."""
 
 
-def _read_checked(path, sha256=None):
-    """The bytes of a file and their sha256, checked against `sha256` when given."""
+def _read_checked(path, sha256=None, entry=None):
+    """The bytes of a file and their sha256, checked against `sha256` when given.
+
+    `entry` names the config or manifest entry that gave `path`, for the
+    error when `path` is not a string.
+    """
+    if not isinstance(path, str):
+        raise CliError("%s: 'file' must be a string, got %r" % (entry, path))
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -106,9 +112,9 @@ def _resolve_spec(values, cov, where):
         raise CliError("%s: %s" % (where, exc))
 
 
-def _parse(entry, load, *args, **kw):
-    """`load` of an entry's file, checked against the entry's sha256 if any; and the sha256."""
-    data, digest = _read_checked(entry["file"], entry.get("sha256"))
+def _parse(entry, name, load, *args, **kw):
+    """`load` of the entry `name`'s file, checked against its sha256 if any; and the digest."""
+    data, digest = _read_checked(entry["file"], entry.get("sha256"), name)
     try:
         return load(io.StringIO(data.decode("utf-8")), *args, **kw), digest
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -247,7 +253,8 @@ def cmd_simulate(args):
     if mode == "design":
         cov = CovariateSet()
         if v["covariates"] is not None:
-            cov, _ = _parse({"file": v["covariates"]}, load_covariates)
+            cov, _ = _parse({"file": v["covariates"]}, "%s: 'covariates'" % args.config,
+                            load_covariates)
         spec = _resolve_spec(v, cov, args.config)
         risk = build_risk_set(v["n_actors"], include_broadcast=v["broadcast"])
         mu = v["mu"]
@@ -340,7 +347,8 @@ def _load_data(doc, where):
     broadcast = doc.get("broadcast")
     histories, entries = [], []
     for idx, e in enumerate(seqs):
-        (hist, _), digest = _parse(e, load_history, "csv", tau=e["tau"],
+        name = "%s: 'sequences' entry %d" % (where, idx)
+        (hist, _), digest = _parse(e, name, load_history, "csv", tau=e["tau"],
                                    n_actors=doc.get("n_actors"), broadcast_label=broadcast,
                                    sequence_id="seq%03d" % idx)
         if histories and hist.actor_labels != histories[0].actor_labels:
@@ -353,7 +361,7 @@ def _load_data(doc, where):
     risk = build_risk_set(len(labels), include_broadcast=broadcast is not None)
     cov = CovariateSet()
     if cov_entry is not None:
-        cov, digest = _parse(cov_entry, load_covariates)
+        cov, digest = _parse(cov_entry, "%s: 'covariates' entry" % where, load_covariates)
         cov = cov.relabel(labels + ((broadcast,) if broadcast is not None else ()))
         for hist, e in zip(histories, seqs):
             bad = validate_track(hist, cov)
@@ -404,14 +412,15 @@ def _save_posterior(samples: PosteriorSamples, out_dir):
     return paths
 
 
-def _load_posterior(manifest):
-    """Read the posterior CSVs in row order, after checking their sha256."""
+def _load_posterior(manifest, where="fit manifest"):
+    """Read the posterior CSVs of the manifest `where` in row order, after checking each sha256."""
     dims = manifest["dims"]
     size = {"draw": dims["draws"], "sequence": dims["sequences"], "effect": dims["effects"]}
     arrays = {}
     for name, field, header in _POSTERIOR:
         entry = manifest["posterior"][name]
-        data, _ = _read_checked(entry["file"], entry["sha256"])
+        data, _ = _read_checked(entry["file"], entry["sha256"],
+                                "%s: 'posterior' entry %r" % (where, name))
         values = [float(r[r.rindex(",") + 1:]) for r in data.decode("utf-8").splitlines()[1:]]
         arrays[field] = np.array(values).reshape([size[c] for c in header.split(",")[:-1]])
     return PosteriorSamples(
@@ -524,7 +533,7 @@ def _reload_fit(manifest_path):
     histories, risk, cov, _ = _load_data(manifest, manifest_path)
     try:
         spec = StatisticSpec.from_obj(manifest["spec"], cov)
-        samples = _load_posterior(manifest)
+        samples = _load_posterior(manifest, manifest_path)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError("%s is not a complete fit manifest: %s %s"
                        % (manifest_path, type(exc).__name__, exc))
@@ -616,11 +625,13 @@ def cmd_select(args):
         posterior, d = manifest["posterior"], manifest["dic"]
         _check_entry("posterior", posterior, [name for name, _, _ in _POSTERIOR], mpath)
         _check_entry("dic", d, ("dic", "p_d", "mean_deviance"), mpath)
-        outputs = [posterior[name] for name, _, _ in _POSTERIOR]
-        for entry in outputs:
-            _check_entry("posterior", entry, ("file", "sha256"), mpath)
-        for entry in seqs + ([cov_entry] if cov_entry is not None else []) + outputs:
-            _read_checked(entry["file"], entry["sha256"])
+        named = [("'sequences' entry %d" % idx, e) for idx, e in enumerate(seqs)]
+        named += [("'covariates' entry", cov_entry)] if cov_entry is not None else []
+        for name, _, _ in _POSTERIOR:
+            _check_entry("posterior", posterior[name], ("file", "sha256"), mpath)
+            named.append(("'posterior' entry %r" % name, posterior[name]))
+        for name, entry in named:
+            _read_checked(entry["file"], entry["sha256"], "%s: %s" % (mpath, name))
         data_keys.add((manifest["settings"].get("n_train"), tuple(s["sha256"] for s in seqs)))
         loaded.append((mpath, d))
     if len(data_keys) != 1:

@@ -214,7 +214,8 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
     are consistent.
     """
     report = []
-    if history.tau <= 0:
+    window = history.tau > 0  # without a window, one message says so, not one per event
+    if not window:
         report.append("tau must be positive, got %r" % history.tau)
     if history.n_actors < 1:
         report.append("n_actors must be positive, got %r" % history.n_actors)
@@ -223,8 +224,9 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
         if t <= prev_t:
             report.append("event %d: times not strictly increasing (%g after %g)" % (m, t, prev_t))
         prev_t = t
-        if t >= history.tau:
-            report.append("event %d: time %g outside observation window [0, %g)" % (m, t, history.tau))
+        if window and t >= history.tau:
+            report.append("event %d: time %g outside observation window [0, %g)"
+                          % (m, t, history.tau))
         if (i, j) not in risk.index:
             report.append("event %d: dyad (%d, %d) not in risk set" % (m, i, j))
         if i == j:

@@ -559,8 +559,10 @@ class UniqueStatTable:
     """Distinct statistic vectors with event counts q and exposures m.
 
     The log-likelihood of a sequence reduces to
-    sum_r [q_r * beta'U_r - m_r * exp(beta'U_r)], so MCMC evaluations
-    cost O(P * |U|) instead of O(M * P * N^2).
+    sum_r [q_r * beta'U_r - m_r * exp(beta'U_r)], so a likelihood costs
+    O(P * |U|) instead of O(M * P * N^2).  A collapsed slice evaluation
+    costs O(V_p), the number of distinct values in column p, after one
+    O(|U|) pass per update (:meth:`hrem.inference.CollapsedGibbs.sweep`).
     """
 
     vectors: np.ndarray  # (|U|, P)

@@ -885,3 +885,40 @@ def test_fit_config_unknown_key_or_second_data_source_exits_one_naming_it(sim_di
     cfg = fit_config(sim_dir, out="fit_both", sampler="map", covariates=cov)
     assert main(["fit", "--config", cfg]) == 1
     assert "'covariates'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("place", ["sequences", "covariates", "posterior"])
+def test_a_file_entry_that_is_not_a_string_exits_one_naming_the_entry(sim_dir, capsys, place):
+    fd = 987  # not an open descriptor, so a reader that opened it would touch none of pytest's
+    with pytest.raises(OSError):
+        os.fstat(fd)
+    sim = json.load(open(sim_dir / "sim" / "manifest.json"))
+    if place == "posterior":
+        assert main(["fit", "--config", fit_config(sim_dir, sampler="map")]) == 0
+        where = str(sim_dir / "fit" / "manifest.json")
+        manifest = json.load(open(where))
+        manifest["posterior"]["beta.csv"]["file"] = fd
+        write_json(where, manifest)
+        name = "'posterior' entry 'beta.csv'"
+        commands = [["predict", "--manifest", where, "--z", "5"],
+                    ["diagnose", "--manifest", where], ["select", where, where]]
+    else:
+        cfg = {"seed": 1, "preset": "syn52", "sampler": "map", "n_train": 60,
+               "out_dir": str(sim_dir / "fit"),
+               "sequences": [{"file": s["file"], "tau": s["tau"]} for s in sim["sequences"]],
+               "covariates": {"file": sim["covariates"]["file"]}}
+        if place == "sequences":
+            cfg["sequences"][1]["file"] = fd
+            name = "'sequences' entry 1"
+        else:
+            cfg["covariates"]["file"] = fd
+            name = "'covariates' entry"
+        where = write_json(sim_dir / "fit_fd.json", cfg)
+        commands = [["fit", "--config", where]]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "%s: %s: 'file' must be a string, got %d" % (where, name, fd) in err, err
+    with pytest.raises(OSError):
+        os.fstat(fd)

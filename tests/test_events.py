@@ -73,6 +73,17 @@ def test_validate_event_beyond_tau():
     assert any("window" in r for r in report)
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0])
+def test_validate_without_a_window_says_so_once_not_once_per_event(tau):
+    events = tuple((0.5 * (m + 1), m % 2, 1 - m % 2) for m in range(50))
+    report = validate(EventHistory(events=events, tau=tau, n_actors=2), build_risk_set(2))
+    assert report == ["tau must be positive, got %r" % tau]
+    csv = "t,sender,recipient\n" + "".join("%r,%d,%d\n" % e for e in events)
+    with pytest.raises(ValidationError) as exc:
+        load_history(io.StringIO(csv), "csv", tau=tau)
+    assert str(exc.value) == "tau must be positive, got %r" % tau
+
+
 def test_build_risk_set_sizes():
     assert set(build_risk_set(2).dyads) == {(0, 1), (1, 0)}
     assert len(build_risk_set(10)) == 90

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,18 @@ from hrem import inference
 from hrem.likelihood import grad_loglik_full, loglik_full
 from hrem.presets import syn52
 from hrem.simulate import simulate_hierarchical, simulate_history
-from hrem.stats import Baserate, StatisticSpec, unique_stat_table
+from hrem.stats import (
+    Baserate,
+    ContextIndicator,
+    ContextInteraction,
+    DyadValue,
+    RecencyReceive,
+    RecencySend,
+    StatisticSpec,
+    ToBroadcast,
+    UniqueStatTable,
+    unique_stat_table,
+)
 
 import scalar_oracle as oracle
 
@@ -173,6 +185,97 @@ def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
                 assert getattr(samples, name)[draw].tobytes() == getattr(ref, name).tobytes()
             assert samples.logpost[draw] == ref.log_posterior(), draw
     assert len(widths) > 1  # burn-in adapted some widths
+
+
+def _classroom_tables(k, n_events, seed):
+    """Tables of a small classroom design: recency ranks, a dyad count, context interactions.
+
+    The histories are simulated without contexts; the tables are built with
+    a track that switches to groupwork, and back, exactly at event times, so
+    such an event can score a row that no interval exposes (m = 0).
+    """
+    n = 5
+    rng = np.random.default_rng([seed, 5])
+    activities = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = float(rng.poisson(1.0))
+            if shared:
+                activities[(i, j)] = activities[(j, i)] = shared
+    count = DyadValue("activities")
+    spec = StatisticSpec((Baserate(), count, RecencySend(), RecencyReceive(), ToBroadcast(),
+                          ContextIndicator("groupwork"), ContextInteraction(count, "groupwork"),
+                          ContextInteraction(RecencySend(), "groupwork")))
+    risk = build_risk_set(n, include_broadcast=True)
+    plain = CovariateSet(dyad_attrs={"activities": activities})
+    mu = np.array([-1.0, 0.3, 1.0, 0.8, 0.5, 0.0, 0.0, 0.0])
+    pairs = simulate_hierarchical(mu, 0.3, k, spec, risk, plain, n_events=n_events, seed=seed)
+    tables = []
+    for hist, _ in pairs:
+        switches = (hist.events[n_events // 3][0], hist.events[2 * n_events // 3][0])
+        track = ((0.0, "lecture"), (switches[0], "groupwork"), (switches[1], "lecture"))
+        cov = CovariateSet(dyad_attrs={"activities": activities}, context_track=track)
+        tables.append(unique_stat_table(spec, hist, risk, cov))
+    return tables
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_collapsed_sampler_matches_the_scalar_sweep_bitwise_on_many_valued_columns(seed):
+    # The sweep scores a column from sums over its distinct values, so a code
+    # pointing at the wrong value shows only where a column has more than two.
+    tables = _classroom_tables(k=3, n_events=60, seed=seed)
+    assert max(np.unique(t.vectors[:, p]).size for t in tables for p in range(8)) > 2
+    assert any(np.any(t.m == 0) for t in tables)
+    n_burnin, n_keep = 25, 10
+    samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=seed)
+    lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
+    ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
+    widths = set()
+    for it in range(n_burnin + n_keep):
+        lib.adapt = ref.adapt = it < n_burnin
+        lib.sweep()
+        oracle.collapsed_sweep(ref)
+        for name in ("betas", "mu", "sigma2", "widths"):
+            assert getattr(lib, name).tobytes() == getattr(ref, name).tobytes(), (it, name)
+        widths.update(ref.widths.ravel().tolist())
+        if it >= n_burnin:
+            draw = it - n_burnin
+            for name in ("betas", "mu", "sigma2"):
+                assert getattr(samples, name)[draw].tobytes() == getattr(ref, name).tobytes()
+            assert samples.logpost[draw] == ref.log_posterior(), draw
+    assert len(widths) > 1  # burn-in adapted some widths
+
+
+def _overflow_table(top):
+    """One effect; the last row, unexposed, has the value `top`."""
+    return UniqueStatTable(vectors=np.array([[0.0], [1.0], [top]]), q=np.array([3, 4, 0]),
+                           m=np.array([2.0, 3.0, 0.0]))
+
+
+def test_slice_evaluation_whose_hazard_overflows_is_minus_inf_without_a_warning(monkeypatch):
+    far, original = [], inference.slice_sample
+
+    def slice_sample(x0, logf, *args, **kw):
+        # exp(1000) overflows in the exposed row, and makes 0 * inf in the unexposed one
+        far.append((logf(x0 + 1000.0), logf(x0 - 1000.0)))
+        return original(x0, logf, *args, **kw)
+
+    monkeypatch.setattr(inference, "slice_sample", slice_sample)
+    sampler = inference.CollapsedGibbs([_overflow_table(-2.0)], HYPER, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sampler.sweep()
+    assert far == [(-math.inf, -math.inf)]
+
+
+def test_unexposed_row_whose_start_hazard_overflows_raises_floating_point_error():
+    sampler = inference.CollapsedGibbs([_overflow_table(800.0)], HYPER,
+                                       np.random.default_rng(0), init=([[1.0]], [0.0], [1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="non-finite log-posterior at sequence 0, effect 0"):
+            sampler.sweep()
 
 
 def test_run_collapsed_sampler_rejects_empty_chain():
