@@ -482,7 +482,10 @@ def cmd_fit(args):
         "out_dir": out_dir,
         "spec": json.loads(spec.to_json()),
         **data,
-        "sequences": [dict(e, n_train=v["n_train"]) for e in data["sequences"]],
+        "sequences": [dict(e, n_train=v["n_train"], table={"events": t.n_events,
+                                                            "risk_rows": len(risk),
+                                                            "unique_rows": t.n_unique})
+                      for e, t in zip(data["sequences"], tables)],
         "settings": settings,
         "dims": {
             "draws": samples.n_draws,

@@ -116,10 +116,15 @@ class RiskSet:
         return int(self.senders.max()) + 1
 
     @functools.cached_property
-    def actor_masks(self) -> tuple:
-        """(senders == a, recipients == a) as rows a of two boolean arrays."""
-        nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 1)[:, None]
-        return (self.senders == nodes, self.recipients == nodes)
+    def actor_masks(self) -> np.ndarray:
+        """(nodes + 1, 2, |R|) booleans: [a, 0] is senders == a, [a, 1] recipients == a.
+
+        The nodes are the ids up to the largest one; the last row, -1, stands
+        for no actor and is all False.
+        """
+        nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 2)[:, None]
+        nodes[-1] = -1
+        return np.stack([self.senders == nodes, self.recipients == nodes], axis=1)
 
 
 def build_risk_set(n_actors: int, include_broadcast: bool = False) -> RiskSet:

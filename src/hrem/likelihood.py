@@ -3,8 +3,9 @@
 The hazard of dyad (i, j) is log-linear in its statistic vector and
 piecewise constant between changepoints (events and context switches).
 `loglik_full` evaluates the cached form over unique statistic vectors;
-`score_events` walks the statistic matrices of every changepoint instead
-and scores each event for the likelihood and the diagnostics;
+`score_events` walks the statistic matrices of every changepoint instead,
+a block of segments at a time, and scores each event for the likelihood
+and the diagnostics;
 `loglik_naive` sums its scores, which checks the cache's deduplication
 and exposure sums.
 """
@@ -85,35 +86,38 @@ def score_events(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
                  risk: RiskSet, cov: CovariateSet, start: int = 0) -> EventScores:
     """Score the events from index `start` on, and the tail, in one walk.
 
-    Each interval computes x(context) @ beta and its exponential once per
-    context.  Events before `start` only advance the state.
+    Each block of the walk gives every segment's x @ beta (each matrix's
+    own product) and total hazard in a few array operations, and scores
+    its events together; an event's exposure sums its interval's pieces in
+    order.  Events before `start` only advance the state.
     """
     beta = np.asarray(beta, dtype=float)
     n = history.m - start
     log_hazard, exposure, prob, log_prob = (np.empty(n) for _ in range(4))
     higher, ties = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    parts = []  # exposures of the pieces of the current interval
     with np.errstate(over="ignore"):
-        for step in walk(spec, history, risk, cov, start=start):
-            etas, totals, parts = {}, {}, []
-            for dur, ctx in step.segments:
-                if ctx not in etas:
-                    etas[ctx] = step.x(ctx) @ beta
-                    totals[ctx] = float(np.exp(etas[ctx]).sum())
-                parts.append(dur * totals[ctx])
-            if step.event is None:
-                return EventScores(log_hazard, exposure, prob, log_prob, higher, ties, sum(parts))
-            m, row, x = step.index - start, step.row, step.x(step.context)
-            eta = etas[step.context] if step.context in etas else x @ beta
-            top, observed = eta.max(), eta[row]
-            w = eta - top
+        for block in walk(spec, history, risk, cov, start=start):
+            eta = block.log_hazards(beta)  # (B, |R|)
+            totals = np.exp(eta).sum(axis=1)
+            for dur, total, m in zip(block.dur.tolist(), totals.tolist(), block.event.tolist()):
+                if dur > 0:
+                    parts.append(dur * total)
+                if m >= 0:
+                    exposure[m - start] = sum(parts)
+                    parts.clear()
+            hit = (block.event >= 0).nonzero()[0]
+            at, rows, e = block.event[hit] - start, block.row[hit], eta[hit]
+            top, observed = e.max(axis=1), e[np.arange(len(hit)), rows]
+            w = e - top[:, None]
             np.exp(w, out=w)
-            norm = w.sum()
-            log_hazard[m] = beta @ x[row]
-            exposure[m] = sum(parts)
-            prob[m] = w[row] / norm
-            log_prob[m] = observed - (top + np.log(norm))
-            higher[m] = np.count_nonzero(eta > observed)
-            ties[m] = np.count_nonzero(eta == observed)
+            norm = w.sum(axis=1)
+            log_hazard[at] = [beta @ x for x in block.rows(hit, rows)]
+            prob[at] = w[np.arange(len(hit)), rows] / norm
+            log_prob[at] = observed - (top + np.log(norm))
+            higher[at] = np.count_nonzero(e > observed[:, None], axis=1)
+            ties[at] = np.count_nonzero(e == observed[:, None], axis=1)
+    return EventScores(log_hazard, exposure, prob, log_prob, higher, ties, sum(parts))
 
 
 def loglik_naive(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,

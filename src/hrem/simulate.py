@@ -82,45 +82,47 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     events = []
     t = 0.0
     peak = 0.0
-    while True:
-        ctx = cov.context_at(t)
-        with np.errstate(over="ignore"):
+    # One errstate for the loop: an overflowing hazard or total rate is
+    # reported by the explosion check below.
+    with np.errstate(over="ignore"):
+        while True:
+            ctx = cov.context_at(t)
             lam = np.exp(spec.matrix(state, cov, risk, context=ctx) @ beta)
-        total = float(lam.sum())
-        peak = max(peak, total)
-        if not np.isfinite(total) or (rate_ceiling is not None and total > rate_ceiling):
-            raise SimulationExplosion(
-                "total rate %.3g exceeded ceiling" % total, peak, len(events)
-            )
-        dt = rng.exponential(1.0 / total)
-        t_ctx = _next_context_change(cov, t)
-        stop_t = tau if tau is not None else math.inf
-        if t + dt > t_ctx and t_ctx < stop_t:
-            # Hazards change at the context boundary; restart the clock there.
-            t = t_ctx
-            continue
-        if t + dt <= t:
-            # gap underflowed: the rate is effectively infinite
-            raise SimulationExplosion(
-                "inter-event time underflow at total rate %.3g" % total, peak, len(events)
-            )
-        t = t + dt
-        if tau is not None and t >= tau:
-            break
-        # Generator.choice(len(lam), p=lam / total) without its checks of p:
-        # the same inverse-CDF search on the same single uniform.
-        cdf = (lam / total).cumsum()
-        cdf /= cdf[-1]
-        row = cdf.searchsorted(rng.random(), side="right")
-        i, j = risk.dyads[row]
-        events.append((t, i, j))
-        state.apply((t, i, j), cov)
-        if n_events is not None and len(events) >= n_events:
-            break
-        if len(events) >= max_events:
-            raise SimulationExplosion(
-                "event cap %d exceeded before horizon" % max_events, peak, len(events)
-            )
+            total = float(lam.sum())
+            peak = max(peak, total)
+            if not math.isfinite(total) or (rate_ceiling is not None and total > rate_ceiling):
+                raise SimulationExplosion(
+                    "total rate %.3g exceeded ceiling" % total, peak, len(events)
+                )
+            dt = rng.exponential(1.0 / total)
+            t_ctx = _next_context_change(cov, t)
+            stop_t = tau if tau is not None else math.inf
+            if t + dt > t_ctx and t_ctx < stop_t:
+                # Hazards change at the context boundary; restart the clock there.
+                t = t_ctx
+                continue
+            if t + dt <= t:
+                # gap underflowed: the rate is effectively infinite
+                raise SimulationExplosion(
+                    "inter-event time underflow at total rate %.3g" % total, peak, len(events)
+                )
+            t = t + dt
+            if tau is not None and t >= tau:
+                break
+            # Generator.choice(len(lam), p=lam / total) without its checks of p:
+            # the same inverse-CDF search on the same single uniform.
+            cdf = (lam / total).cumsum()
+            cdf /= cdf[-1]
+            row = cdf.searchsorted(rng.random(), side="right")
+            i, j = risk.dyads[row]
+            events.append((t, i, j))
+            state.apply((t, i, j), cov)
+            if n_events is not None and len(events) >= n_events:
+                break
+            if len(events) >= max_events:
+                raise SimulationExplosion(
+                    "event cap %d exceeded before horizon" % max_events, peak, len(events)
+                )
 
     if tau is None:
         t_last = events[-1][0]

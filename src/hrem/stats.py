@@ -5,8 +5,18 @@ the log-linear hazard, computed as a column over the whole risk set.
 Effects fall into three families: exogenous (actor/dyad attributes,
 contexts), first-order endogenous (participation shifts, recency ranks,
 event counts), and interactions between the two.  A sequence's evolving
-endogenous information lives in :class:`SeqState`, and :func:`walk` steps
-through a history's hazard intervals for every consumer of the statistics.
+endogenous information lives in :class:`SeqState`.
+
+:func:`walk` steps through a history's hazard changepoints for every
+consumer of the statistics and yields their matrices a :class:`Block` of
+consecutive segments at a time.  Each effect computes its column for a
+whole block in one call (:class:`Segments`): the exogenous columns once per
+context label, the participation shifts and the other columns of the
+previous event from array operations over the block, and only the columns
+that read the state (recency ranks, counts) once per segment as the walk
+passes it.  So a block costs a few array operations per effect, where a
+matrix per changepoint cost several Python-level calls per effect.
+:meth:`StatisticSpec.matrix` runs the same columns on one state.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ __all__ = [
     "StatisticSpec",
     "SeqState",
     "UniqueStatTable",
-    "WalkStep",
+    "Block",
+    "Segments",
     "walk",
     "unique_stat_table",
     "pshift_label",
@@ -144,19 +155,67 @@ class SeqState:
 # Effects
 
 
+class Segments:
+    """Changepoint segments whose statistic columns one call computes.
+
+    `contexts` holds each segment's context label, and row n of the
+    (n, 2) integer array `prev` the sender and recipient of the event
+    before segment n, (-1, -1) before the first event.  `state` is the
+    :class:`SeqState` that every segment sees: the walk sets it only on a
+    segment of its own, for the columns that read it.
+    """
+
+    __slots__ = ("contexts", "prev", "state", "_roles")
+
+    def __init__(self, contexts, prev=None, state=None):
+        self.contexts = contexts
+        self.prev = prev
+        self.state = state
+        self._roles = None
+
+    def in_context(self, label) -> np.ndarray:
+        """(n, 1) booleans: which segments are in context `label`."""
+        return np.array([c == label for c in self.contexts])[:, None]
+
+    def roles(self, risk: RiskSet) -> tuple:
+        """(sender is a, sender is b, recipient is a, recipient is b) for the previous event (a, b).
+
+        Four (n, |R|) boolean arrays, all False before the first event,
+        gathered once per segments.
+        """
+        if self._roles is None:
+            on = risk.actor_masks.take(self.prev, axis=0)  # row -1 is all False
+            self._roles = (on[:, 0, 0], on[:, 1, 0], on[:, 0, 1], on[:, 1, 1])
+        return self._roles
+
+
 @dataclass(frozen=True)
 class Effect:
     @property
     def endogenous(self) -> bool:
-        """True when the column depends on the sequence state.
+        """True when the column depends on the walk: on the events before a segment.
 
         Other columns depend only on the covariates, the risk set and the
-        context label, so :meth:`StatisticSpec.matrix` computes them once.
+        context label, so :class:`StatisticSpec` computes them once per label.
         """
         return False
 
-    def column(self, state, cov, risk, context):
-        """The statistic of every risk-set dyad, in the order of ``risk.dyads``."""
+    @property
+    def reads_state(self) -> bool:
+        """True when the column reads the running :class:`SeqState`.
+
+        The walk computes such a column once per segment, while the state
+        is current; every other endogenous column it computes for a whole
+        block of segments from their previous events and contexts.
+        """
+        return False
+
+    def column(self, segs, cov, risk):
+        """The statistic of every risk-set dyad in each of the n segments `segs`.
+
+        An array that broadcasts to (n, |R|), its columns in the order of
+        ``risk.dyads``.
+        """
         raise NotImplementedError
 
     def check(self, cov: CovariateSet, n_actors: int):
@@ -197,7 +256,7 @@ def _recipient_indicator(cov, name, level, risk):
 
 @dataclass(frozen=True)
 class Baserate(Effect):
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         return np.ones(len(risk))
 
 
@@ -206,7 +265,7 @@ class SenderAttr(Effect):
     attr: str
     level: object = None
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         return _actor_indicator(cov, self.attr, self.level, risk.n_actors)[risk.senders]
 
 
@@ -215,7 +274,7 @@ class ReceiverAttr(Effect):
     attr: str
     level: object = None
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         return _recipient_indicator(cov, self.attr, self.level, risk)[risk.recipients]
 
 
@@ -223,7 +282,7 @@ class ReceiverAttr(Effect):
 class DyadMatch(Effect):
     attr: str
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         n_actors = risk.n_actors
         vals = cov.actor_values(self.attr, n_actors)
         vi = vals[risk.senders]
@@ -245,7 +304,7 @@ class DyadMatch(Effect):
 class DyadValue(Effect):
     attr: str
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         attr = cov.dyad_attrs[self.attr]
         return np.array([attr.get(d, 0.0) for d in risk.dyads], dtype=float)
 
@@ -262,7 +321,7 @@ class Mix(Effect):
     sender_level: object
     receiver_level: object
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         s_ind = _actor_indicator(cov, self.attr, self.sender_level, risk.n_actors)
         r_ind = _recipient_indicator(cov, self.attr, self.receiver_level, risk)
         return s_ind[risk.senders] * r_ind[risk.recipients]
@@ -287,25 +346,20 @@ class PShift(Effect):
 
     endogenous = True
 
-    def column(self, state, cov, risk, context):
-        if state.last_event is None:
-            return np.zeros(len(risk))
-        a, b = state.last_event
-        s_is, r_is = risk.actor_masks
-        k = self.kind
+    def column(self, segs, cov, risk):
+        s_a, s_b, r_a, r_b = segs.roles(risk)
+        k = self.kind  # on booleans, x > y is x & ~y
         if k == "AB-BA":
-            hit = s_is[b] & r_is[a]
-        elif k == "AB-BY":
-            hit = s_is[b] & ~(r_is[a] | r_is[b])
-        elif k == "AB-XA":
-            hit = r_is[a] & ~(s_is[a] | s_is[b])
-        elif k == "AB-XB":
-            hit = r_is[b] & ~(s_is[a] | s_is[b])
-        elif k == "AB-XY":
-            hit = ~(s_is[a] | s_is[b] | r_is[a] | r_is[b])
-        else:  # AB-AY
-            hit = s_is[a] & ~(r_is[a] | r_is[b])
-        return hit.astype(float)
+            return s_b & r_a
+        if k == "AB-BY":
+            return s_b > (r_a | r_b)
+        if k == "AB-XA":
+            return r_a > (s_a | s_b)
+        if k == "AB-XB":
+            return r_b > (s_a | s_b)
+        if k == "AB-XY":
+            return (segs.prev[:, :1] >= 0) > (s_a | s_b | r_a | r_b)
+        return s_a > (r_a | r_b)  # AB-AY
 
 
 def pshift_label(prev_event, event):
@@ -322,19 +376,19 @@ def pshift_label(prev_event, event):
 
 @dataclass(frozen=True)
 class RecencySend(Effect):
-    endogenous = True
+    endogenous = reads_state = True
 
-    def column(self, state, cov, risk, context):
-        ranks = state._inverse_ranks("send", len(risk.actor_masks[0]))
+    def column(self, segs, cov, risk):
+        ranks = segs.state._inverse_ranks("send", len(risk.actor_masks) - 1)
         return ranks[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
 class RecencyReceive(Effect):
-    endogenous = True
+    endogenous = reads_state = True
 
-    def column(self, state, cov, risk, context):
-        ranks = state._inverse_ranks("receive", len(risk.actor_masks[0]))
+    def column(self, segs, cov, risk):
+        ranks = segs.state._inverse_ranks("receive", len(risk.actor_masks) - 1)
         return ranks[risk.senders, risk.recipients]
 
 
@@ -342,8 +396,8 @@ class RecencyReceive(Effect):
 class ContextIndicator(Effect):
     label: str
 
-    def column(self, state, cov, risk, context):
-        return np.full(len(risk), float(context == self.label))
+    def column(self, segs, cov, risk):
+        return segs.in_context(self.label).astype(float)
 
 
 @dataclass(frozen=True)
@@ -355,10 +409,12 @@ class ContextInteraction(Effect):
     def endogenous(self) -> bool:
         return self.base.endogenous
 
-    def column(self, state, cov, risk, context):
-        if context != self.label:
-            return np.zeros(len(risk))
-        return self.base.column(state, cov, risk, context)
+    @property
+    def reads_state(self) -> bool:
+        return self.base.reads_state
+
+    def column(self, segs, cov, risk):
+        return np.where(segs.in_context(self.label), self.base.column(segs, cov, risk), 0.0)
 
     def check(self, cov, n_actors):
         self.base.check(cov, n_actors)
@@ -388,21 +444,21 @@ class ToBroadcast(Effect):
     def endogenous(self) -> bool:
         return self.prev
 
-    def column(self, state, cov, risk, context):
+    def column(self, segs, cov, risk):
         bc = risk.broadcast_actor
-        if bc is None:
+        on = True
+        if self.prev and bc is not None:
+            # The segments that follow such a broadcast; -1 (no event yet) is never bc.
+            on = segs.prev[:, 1] == bc
+            on[on] = [self._sender_ok(cov, a) for a in segs.prev[on, 0].tolist()]
+            on = on[:, None]
+        if bc is None or not np.any(on):
             return np.zeros(len(risk))
-        if self.prev:
-            if state.last_event is None:
-                return np.zeros(len(risk))
-            a, b = state.last_event
-            if b != bc or not self._sender_ok(cov, a):
-                return np.zeros(len(risk))
         hit = risk.recipients == bc
         if self.attr is not None:
             ind = _actor_indicator(cov, self.attr, self.level, risk.n_actors).astype(bool)
             hit = hit & ind[risk.senders]
-        return hit.astype(float)
+        return on & hit
 
 
 @dataclass(frozen=True)
@@ -411,13 +467,13 @@ class EventCount(Effect):
 
     power: float = 1.0
 
-    endogenous = True
+    endogenous = reads_state = True
 
     def __post_init__(self):
         object.__setattr__(self, "power", float(self.power))
 
-    def column(self, state, cov, risk, context):
-        c = state.counts[risk.senders, risk.recipients].astype(float)
+    def column(self, segs, cov, risk):
+        c = segs.state.counts[risk.senders, risk.recipients].astype(float)
         out = np.zeros(len(risk))
         nz = c > 0
         out[nz] = c[nz] ** self.power
@@ -463,7 +519,10 @@ class StatisticSpec:
         if len(set(self.effects)) != len(self.effects):
             raise ValueError("duplicate effect descriptors")
         dynamic = tuple(p for p, eff in enumerate(self.effects) if eff.endogenous)
-        object.__setattr__(self, "_endogenous", dynamic)
+        object.__setattr__(self, "_dynamic", dynamic)
+        for name, reads in (("_stateful", True), ("_arrayed", False)):
+            object.__setattr__(self, name, tuple((d, self.effects[p]) for d, p in enumerate(dynamic)
+                                                 if self.effects[p].reads_state == reads))
 
     @property
     def p(self) -> int:
@@ -480,30 +539,58 @@ class StatisticSpec:
 
     def matrix(self, state: SeqState, cov: CovariateSet, risk: RiskSet,
                context=_UNSET) -> np.ndarray:
-        """|R| x P statistic matrix, one row per risk-set dyad.
+        """|R| x P statistic matrix of `state`, one row per risk-set dyad.
 
-        The exogenous columns depend only on (cov, risk, context).  They are
-        computed once per context label and kept in a one-entry cache keyed
-        by the identity of cov and risk; each call copies that block and
-        fills in the endogenous columns from the state.
+        It is the matrix of one segment in `context` (by default the
+        state's), from the exogenous block and the effect columns that
+        :func:`walk` uses.
         """
         if context is _UNSET:
             context = state.current_context
+        segs = Segments([context], np.array([state.last_event or (-1, -1)]), state)
+        stack, codes = self._stack(cov, risk, segs.contexts)
+        out = stack[codes[0]].copy()
+        for p in self._dynamic:
+            out[:, p] = self.effects[p].column(segs, cov, risk)
+        return out
+
+    def _stack(self, cov: CovariateSet, risk: RiskSet, contexts) -> tuple:
+        """(stack, codes): the exogenous columns of every context label, and the labels' codes.
+
+        The exogenous columns depend only on (cov, risk, context).  They are
+        computed once per context label and kept in `stack`, a
+        (labels, |R|, P) array whose endogenous columns are 0, in a
+        one-entry cache keyed by the identity of cov and risk; ``codes[n]``
+        is the position of ``contexts[n]`` in it.
+        """
         cache = self.__dict__.get("_static")
         if cache is None or cache[0] is not cov or cache[1] is not risk:
-            cache = (cov, risk, {})
-            self.__dict__["_static"] = cache
-        block = cache[2].get(context)
-        if block is None:
-            block = np.zeros((len(risk), self.p))
-            for p, eff in enumerate(self.effects):
-                if not eff.endogenous:
-                    block[:, p] = eff.column(state, cov, risk, context)
-            cache[2][context] = block
-        out = block.copy()
-        for p in self._endogenous:
-            out[:, p] = self.effects[p].column(state, cov, risk, context)
-        return out
+            cache = self.__dict__["_static"] = [cov, risk, {}, np.zeros((0, len(risk), self.p))]
+        codes = cache[2]
+        try:
+            return cache[3], [codes[c] for c in contexts]
+        except KeyError:  # a label not seen yet
+            pass
+        new = [c for c in dict.fromkeys(contexts) if c not in codes]
+        block = np.zeros((len(new), len(risk), self.p))
+        for p, eff in enumerate(self.effects):
+            if not eff.endogenous:
+                block[:, :, p] = eff.column(Segments(new), cov, risk)
+        codes.update({c: len(codes) + n for n, c in enumerate(new)})
+        cache[3] = np.concatenate([cache[3], block])
+        return cache[3], [codes[c] for c in contexts]
+
+    def _block(self, segs: Segments, cov: CovariateSet, risk: RiskSet, dyn, dur, event,
+               row) -> "Block":
+        """The :class:`Block` of `segs`, whose columns that read the state are in `dyn`.
+
+        Every other endogenous column is computed here for all the segments
+        at once, and written to its row of `dyn`.
+        """
+        for d, eff in self._arrayed:
+            dyn[d] = eff.column(segs, cov, risk)
+        stack, codes = self._stack(cov, risk, segs.contexts)
+        return Block(stack, np.array(codes), self._dynamic, dyn, segs.contexts, dur, event, row)
 
     def to_json(self) -> str:
         return json.dumps([eff.to_json() for eff in self.effects], indent=1)
@@ -563,6 +650,11 @@ class UniqueStatTable:
     O(P * |U|) instead of O(M * P * N^2).  A collapsed slice evaluation
     costs O(V_p), the number of distinct values in column p, after one
     O(|U|) pass per update (:meth:`hrem.inference.CollapsedGibbs.sweep`).
+    :func:`unique_stat_table` builds it a block of the walk at a time: it
+    compares the endogenous columns of consecutive segments in one array
+    operation per block and hashes only the rows that changed, so a build
+    costs O(S * |R| * D) array work for S segments and D endogenous effects,
+    plus one dict lookup of P floats per changed row.
     """
 
     vectors: np.ndarray  # (|U|, P)
@@ -578,60 +670,126 @@ class UniqueStatTable:
         return int(self.q.sum())
 
 
-class WalkStep:
-    """One hazard interval of :func:`walk`: from the previous event to the next one.
+class Block:
+    """Statistic matrices of consecutive changepoint segments of one :func:`walk`.
 
-    `segments` iterates once over the (duration, context) pieces of the
-    interval (its tuples are built only when a consumer needs them), `event`
-    is the event that ends it (None for the censored tail, which ends at
-    tau), `context` the context at that event and `row` the event's
-    risk-set row.  `x(context)` is the statistic matrix of the state before
-    the event, built on first use; it is valid until the walk advances.
+    `dur[b]` is the duration of segment b and `contexts[b]` its context
+    label.  `event[b]` is the index of the event that ends the segment and
+    `row[b]` that event's risk-set row, both -1 for a segment that ends at a
+    context switch or at tau.  A segment of zero duration holds only its
+    event: the context switched at the event's own time, so no piece of the
+    interval has the event's context, and the segment has no exposure.
+
+    The matrices are kept as parts: `codes[b]` is segment b's position in
+    `stack`, the spec's (contexts, |R|, P) stack of exogenous columns, and
+    `dyn[d]` is the (B, |R|) array of the d-th endogenous column, which is
+    column `columns[d]` of the matrices.  :meth:`matrices` assembles the
+    matrices of some segments, :meth:`rows` only some rows, and
+    :meth:`log_hazards` the matrices' products with beta.
     """
 
-    __slots__ = ("index", "event", "segments", "context", "row", "_build", "_memo")
+    __slots__ = ("stack", "codes", "columns", "dyn", "contexts", "dur", "event", "row")
 
-    def __init__(self, index, event, segments, context, row, build):
-        self.index = index
+    def __init__(self, stack, codes, columns, dyn, contexts, dur, event, row):
+        self.stack = stack
+        self.codes = codes
+        self.columns = columns
+        self.dyn = dyn
+        self.contexts = contexts
+        self.dur = dur
         self.event = event
-        self.segments = segments
-        self.context = context
         self.row = row
-        self._build = build
-        self._memo = {}
 
-    def x(self, context) -> np.ndarray:
-        mat = self._memo.get(context)
-        if mat is None:
-            mat = self._memo[context] = self._build(context)
-        return mat
+    def matrices(self, segments=slice(None)) -> np.ndarray:
+        """The (n, |R|, P) statistic matrices of the `segments` (a slice) of the block."""
+        x = self.stack[self.codes[segments]]
+        for d, p in enumerate(self.columns):
+            x[:, :, p] = self.dyn[d, segments]
+        return x
+
+    def log_hazards(self, beta) -> np.ndarray:
+        """(B, |R|) log hazards, each segment's own x @ beta.
+
+        The matrices are assembled at most max(1, _MATRIX_BLOCK // (|R| * P))
+        segments at a time.
+        """
+        step = max(1, _MATRIX_BLOCK // self.stack[0].size)
+        return np.concatenate([self.matrices(slice(lo, lo + step)) @ beta
+                               for lo in range(0, len(self.dur), step)])
+
+    def rows(self, b, r) -> np.ndarray:
+        """The statistic rows of dyads `r` in segments `b` (index arrays): (n, P)."""
+        out = self.stack[self.codes[b], r]
+        if self.columns:
+            out[:, list(self.columns)] = self.dyn[:, b, r].T
+        return out
+
+
+# Risk-set rows in one block of the walk, max(1, _WALK_BLOCK // |R|)
+# segments: enough for a few array operations per effect to replace a
+# block's per-segment calls, few enough that the consumers' per-row
+# arrays keep peak memory flat.
+_WALK_BLOCK = 1 << 12
+# Floats of full statistic matrices assembled at once.
+_MATRIX_BLOCK = 1 << 16
 
 
 def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: CovariateSet,
          start: int = 0):
-    """Yield a :class:`WalkStep` per event from index `start` on, then one for the tail.
+    """Yield the segments of a history's hazard intervals in order, a :class:`Block` at a time.
 
-    Events before `start` only advance the state, and no step builds a
-    matrix that its consumer does not ask for.
+    The interval before event m (from event m-1, or 0) splits into pieces
+    at context switches; the last piece ends in the event, and the censored
+    tail (from the last event to tau) ends in none.  Events before `start`
+    only advance the state.  A block holds B = max(1, _WALK_BLOCK // |R|)
+    segments.  Its exogenous columns are codes into the spec's per-context
+    stack; each of its D endogenous columns is computed for the whole block
+    in one call from the segments' previous events and contexts, except
+    the columns that read the state, which are computed once per segment as
+    the walk passes it.  So a block costs O(B * |R| * D) memory and a few
+    array operations per effect, and its full matrices are assembled only
+    when a consumer asks for them.
     """
     state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    size = max(1, _WALK_BLOCK // len(risk))
+    dyn = np.empty((len(spec._dynamic), size, len(risk)))
+    pending = []  # (duration, context, previous event, event, row)
 
-    def build(context):
-        return spec.matrix(state, cov, risk, context=context)
+    def block():
+        nonlocal dyn
+        dur, contexts, prev, event, row = zip(*pending)
+        segs = Segments(list(contexts), np.array(prev))
+        out = spec._block(segs, cov, risk, dyn[:, :len(pending)], np.array(dur),
+                          np.array(event), np.array(row))
+        dyn = np.empty_like(dyn)  # the block keeps its columns
+        pending.clear()
+        return out
 
     prev_t = 0.0
-    for m, event in enumerate(history.events):
-        t, i, j = event
+    tail = ((history.tau, None, None),)
+    for m, (t, i, j) in enumerate(itertools.chain(history.events, tail)):
         if m >= start:
-            yield WalkStep(m, event, cov.context_segments(prev_t, t), cov.context_at(t),
-                           risk.index[(i, j)], build)
-        state.apply(event, cov)
-        prev_t = t
-    yield WalkStep(history.m, None, cov.context_segments(prev_t, history.tau), None, None, build)
-
-
-# Row ids held for one np.add.at into the exposures; bounded so peak memory stays flat.
-_EXPOSURE_BLOCK = 1 << 14
+            prev = state.last_event or (-1, -1)
+            pieces = [(d, c, prev, -1, -1) for d, c in cov.context_segments(prev_t, t)]
+            if i is not None:
+                ctx, row = cov.context_at(t), risk.index[(i, j)]
+                if pieces and pieces[-1][1] == ctx:
+                    pieces[-1] = pieces[-1][:3] + (m, row)
+                else:
+                    pieces.append((0.0, ctx, prev, m, row))
+            for piece in pieces:
+                if spec._stateful:
+                    segs = Segments([piece[1]], state=state)
+                    for d, eff in spec._stateful:
+                        dyn[d, len(pending)] = eff.column(segs, cov, risk)
+                pending.append(piece)
+                if len(pending) == size:
+                    yield block()
+        if i is not None:
+            state.apply((t, i, j), cov)
+            prev_t = t
+    if pending:
+        yield block()
 
 
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
@@ -643,44 +801,62 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     deduplication is exact bitwise equality of the float64 vectors; rows
     keep their order of first occurrence, and each exposure is summed in
     event order.  An event changes only some rows of the matrix, so each
-    segment's matrix is compared bitwise with the previous segment's (as
-    uint64, which keeps 0.0 and -0.0 apart) and only the rows that differ
-    are looked up; the others keep their ids.
+    block of the walk compares every segment's endogenous columns bitwise
+    with the previous segment's in one operation, and its exogenous columns
+    only across a context switch, and looks up only the rows that differ;
+    the others keep their ids.  The block's exposures are then added in one
+    ``np.add.at``, in the order a segment-by-segment build adds them.
     """
     row_key = np.dtype((np.void, 8 * spec.p))
     ids = defaultdict(itertools.count().__next__)  # row bytes -> id, in order of first occurrence
+    n_rows = len(risk)
     m = np.zeros(0)
-    # The row ids of each exposed segment in event order, and its duration,
-    # added to m in blocks of at most _EXPOSURE_BLOCK ids.
-    rows, durs = [], []
     observed = []
-
-    def add_exposures():
-        nonlocal m
-        m = np.concatenate([m, np.zeros(len(ids) - len(m))])
-        if rows:
-            np.add.at(m, np.concatenate(rows), np.repeat(durs, len(risk)))
-        rows.clear()
-        durs.clear()
-
-    prev_x, prev_ids = None, np.zeros(len(risk), dtype=np.intp)
-    for step in walk(spec, history, risk, cov):
-        for dur, ctx in step.segments:
-            if (len(rows) + 1) * len(risk) > _EXPOSURE_BLOCK:
-                add_exposures()
-            x = step.x(ctx)
-            changed = (slice(None) if prev_x is None else
-                       (x.view(np.uint64) != prev_x.view(np.uint64)).any(axis=1).nonzero()[0])
-            seg_ids = prev_ids.copy()
-            seg_ids[changed] = np.fromiter(
-                map(ids.__getitem__, x[changed].view(row_key).ravel().tolist()), dtype=np.intp)
-            rows.append(seg_ids)
-            durs.append(dur)
-            prev_x, prev_ids = x, seg_ids
-        if step.event is not None:
-            observed.append(ids[step.x(step.context)[step.row].tobytes()])
-    add_exposures()  # also sizes m to every row: the last rows may be unexposed
+    prev = None  # (context, exogenous rows, endogenous columns, row ids) of the last exposed segment
+    for block in walk(spec, history, risk, cov):
+        exposed = block.dur > 0
+        # The exposed segments, as a view unless an event-only segment sits among them.
+        sel = slice(None) if exposed.all() else exposed.nonzero()[0]
+        at = np.arange(len(block.dur))[sel]
+        # Compared as uint64, which keeps 0.0 and -0.0 apart.
+        codes, dyn = block.codes[sel], block.dyn[:, sel].view(np.uint64)
+        static = block.stack.view(np.uint64)
+        look = np.zeros((len(block.dur), n_rows), dtype=bool)
+        if len(codes):
+            # Segments in one context share their exogenous rows; across a
+            # switch, the rows whose exogenous columns differ change too.
+            changed = np.empty((len(codes), n_rows), dtype=bool)
+            changed[1:] = (dyn[:, 1:] != dyn[:, :-1]).any(axis=0)
+            for k in (codes[1:] != codes[:-1]).nonzero()[0] + 1:
+                changed[k] |= (static[codes[k]] != static[codes[k - 1]]).any(axis=1)
+            if prev is None:
+                changed[0] = True
+            else:
+                changed[0] = (dyn[:, 0] != prev[2]).any(axis=0)
+                if block.contexts[at[0]] != prev[0]:
+                    changed[0] |= (static[codes[0]] != prev[1]).any(axis=1)
+            look[sel] = changed
+        only = (~exposed).nonzero()[0]
+        look[only, block.row[only]] = True
+        # Lookups in segment order, then row order: the order of first occurrence.
+        block_ids = np.empty(look.shape, dtype=np.intp)
+        block_ids[look] = np.fromiter(
+            map(ids.__getitem__, block.rows(*look.nonzero()).view(row_key).ravel().tolist()),
+            dtype=np.intp)
+        if len(codes):
+            # A row that did not change keeps the id of the last segment that looked it up.
+            last = np.where(changed, np.arange(1, len(codes) + 1)[:, None], 0)
+            np.maximum.accumulate(last, axis=0, out=last)
+            prev_ids = np.zeros(n_rows, dtype=np.intp) if prev is None else prev[3]
+            seg_ids = np.concatenate([prev_ids[None], block_ids[sel]])[last, np.arange(n_rows)]
+            block_ids[sel] = seg_ids
+            m = np.concatenate([m, np.zeros(len(ids) - len(m))])
+            np.add.at(m, seg_ids.ravel(), np.repeat(block.dur[sel], n_rows))
+            prev = (block.contexts[at[-1]], static[codes[-1]], dyn[:, -1].copy(), seg_ids[-1])
+        hit = (block.event >= 0).nonzero()[0]
+        observed.extend(block_ids[hit, block.row[hit]].tolist())
     n = len(ids)
+    m = np.concatenate([m, np.zeros(n - len(m))])  # the last rows may be unexposed
     vectors = np.frombuffer(b"".join(ids), dtype=float).reshape(n, spec.p)
     q = np.bincount(np.array(observed, dtype=np.intp), minlength=n).astype(np.int64)
     return UniqueStatTable(vectors=vectors, q=q, m=m)

@@ -190,19 +190,21 @@ def loglik(beta, history, spec, risk, cov):
 
 
 # Ranks, one event at a time: the reference for the vectorized tie-break.
-# The log hazards come from the library's statistic matrices, since what
-# this pins is the rank and the random stream, not the statistics.
+# The log hazards come from the library's one-state statistic matrices,
+# built per event on a SeqState as simulate_by_choice builds them, since
+# what this pins is the rank and the random stream, not the statistics.
 
 
 def event_log_hazards(beta, history, spec, risk, cov, start=0):
     """(x @ beta over the risk set, observed row) for each event from `start` on."""
-    from hrem.stats import walk
-
+    beta = np.asarray(beta, dtype=float)
+    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     out = []
-    for step in walk(spec, history, risk, cov, start=start):
-        if step.event is None:
-            break
-        out.append((step.x(step.context) @ np.asarray(beta, dtype=float), step.row))
+    for m, (t, i, j) in enumerate(history.events):
+        if m >= start:
+            x = spec.matrix(state, cov, risk, context=cov.context_at(t))
+            out.append((x @ beta, risk.index[(i, j)]))
+        state.apply((t, i, j), cov)
     return out
 
 

@@ -443,6 +443,23 @@ def _map_fit(sim_dir):
     return (manifest,) + cli._reload_fit(manifest)
 
 
+@pytest.mark.parametrize("n_train", [60, None])
+def test_fit_manifest_records_each_sequence_table_size(sim_dir, n_train):
+    from hrem import cli
+    from hrem.stats import unique_stat_table
+
+    assert main(["fit", "--config", fit_config(sim_dir, sampler="map", n_train=n_train),
+                 "--allow-nonconverged"]) == 0
+    path = str(sim_dir / "fit" / "manifest.json")
+    manifest, spec, risk, cov, histories, _ = cli._reload_fit(path)
+    for entry, hist in zip(manifest["sequences"], histories):
+        seen = hist.truncate(n_train) if n_train else hist
+        table = unique_stat_table(spec, seen, risk, cov)
+        assert entry["table"] == {"events": seen.m, "risk_rows": len(risk),
+                                  "unique_rows": table.n_unique}
+        assert entry["table"]["events"] == (n_train or hist.m) and len(risk) == 90
+
+
 def test_diagnose_and_predict_build_the_matrices_of_one_walk_per_sequence(sim_dir,
                                                                           monkeypatch):
     from hrem.likelihood import score_events
@@ -451,13 +468,13 @@ def test_diagnose_and_predict_build_the_matrices_of_one_walk_per_sequence(sim_di
     path, manifest, spec, risk, cov, histories, samples = _map_fit(sim_dir)
     beta_hat = samples.beta_mean()
     calls = []
-    matrix = StatisticSpec.matrix
+    blocks = StatisticSpec._block  # one call per block of the walk
 
     def counted(self, *args, **kw):
         calls.append(None)
-        return matrix(self, *args, **kw)
+        return blocks(self, *args, **kw)
 
-    monkeypatch.setattr(StatisticSpec, "matrix", counted)
+    monkeypatch.setattr(StatisticSpec, "_block", counted)
     for argv, start in ((["diagnose", "--manifest", path], 0),
                         (["predict", "--manifest", path, "--z", "5,20"], 60)):
         del calls[:]

@@ -460,17 +460,112 @@ def test_unique_table_matches_per_row_oracle_on_presets():
         assert same_bits(table.m, m)
 
 
-def test_unique_table_is_the_same_for_any_exposure_block(monkeypatch):
+def block_design():
+    """Six actors plus broadcast, a spec of every walk-dependent kind, and 40 events.
+
+    The context track switches exactly at event 5's time (so that event is
+    scored in a context no piece of its interval has), inside the interval
+    before event 10, twice inside the interval before event 15, and in the
+    censored tail.
+    """
+    rng = np.random.default_rng(19)
+    n = 6
+    risk = build_risk_set(n, include_broadcast=True)
+    events, t = [], 0.0
+    for _ in range(40):
+        t += float(rng.exponential())
+        i = int(rng.integers(n))
+        j = int(rng.choice([k for k in range(n + 1) if k != i]))
+        events.append((t, i, j))
+    times = [e[0] for e in events]
+    track = ((0.0, "a"), (times[5], "b"), ((times[8] + times[9]) / 2, "a"),
+             (times[13] + (times[14] - times[13]) / 3, "b"),
+             (times[13] + 2 * (times[14] - times[13]) / 3, "c"), (times[-1] + 0.5, "b"))
+    cov = CovariateSet(actor_attrs={"teacher": {i: int(i == 0) for i in range(n)}},
+                       context_track=track)
+    history = EventHistory(events=tuple(events), n_actors=n, tau=times[-1] + 1.0)
+    spec = StatisticSpec((
+        Baserate(), SenderAttr("teacher", 1), ContextIndicator("b"),
+        *(PShift(k) for k in PSHIFT_KINDS),
+        RecencySend(), RecencyReceive(), EventCount(1.0), EventCount(0.5),
+        ToBroadcast(prev=True), ToBroadcast(attr="teacher", level=1, prev=True),
+        ContextInteraction(RecencySend(), "b"), ContextInteraction(PShift("AB-BA"), "b"),
+        ContextInteraction(EventCount(0.5), "c"),
+    ))
+    return spec, history, risk, cov
+
+
+def oracle_segments(spec, history, risk, cov, start=0):
+    """(duration, context, event, row, matrix) of every segment the walk yields from `start`."""
+    out = []
+    for m, (state, pieces, event) in enumerate(oracle._intervals(history, risk, cov)):
+        if m < start:
+            continue
+        segs = [(d, c, -1, -1) for d, c in pieces]
+        if event is not None:
+            i, j, ctx = event
+            if segs and segs[-1][1] == ctx:
+                segs[-1] = (segs[-1][0], ctx, m, risk.index[(i, j)])
+            else:
+                segs.append((0.0, ctx, m, risk.index[(i, j)]))
+        for d, c, ev, row in segs:
+            x = np.array([oracle.vector(spec, state, cov, i, j, c) for i, j in risk.dyads])
+            out.append((d, c, ev, row, x))
+    return out
+
+
+def walk_sizes(risk):
+    """Values of _WALK_BLOCK giving 1, 2 and 3 segments a block, and the default."""
     import hrem.stats
 
+    return (1, 2 * len(risk), 3 * len(risk) + 5, hrem.stats._WALK_BLOCK)
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_walk_blocks_match_the_scalar_oracle_for_every_segment_and_block_size(monkeypatch,
+                                                                                start):
+    import hrem.stats
+
+    spec, history, risk, cov = block_design()
+    want = oracle_segments(spec, history, risk, cov, start)
+    assert any(d == 0.0 for d, *_ in want) and want[0][2] == start  # event-only, first event
+    for size in walk_sizes(risk):
+        monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
+        blocks = list(hrem.stats.walk(spec, history, risk, cov, start=start))
+        per = max(1, size // len(risk))
+        assert all(len(b.dur) == per for b in blocks[:-1]) and len(blocks[-1].dur) <= per
+        got = [(d, c, ev, row, b.matrices()[k]) for b in blocks for k, (d, c, ev, row) in
+               enumerate(zip(b.dur.tolist(), b.contexts, b.event.tolist(), b.row.tolist()))]
+        assert len(got) == len(want), size
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert g[:4] == w[:4], (size, n)
+            assert same_bits(g[4], w[4]), (size, n, g[:4])
+
+
+def test_tables_and_scores_are_the_same_for_any_walk_block(monkeypatch):
+    import hrem.stats
+    from hrem.likelihood import score_events
+
+    cases = [block_design()]
     hist, risk, cov = classroom_history(40, seed=5)
-    spec = classroom_spec("E1")
-    vectors, q, m = oracle.table(spec, hist, risk, cov)
-    for block in (1, len(risk) - 1, len(risk), 3 * len(risk) + 5, 1 << 14):
-        monkeypatch.setattr(hrem.stats, "_EXPOSURE_BLOCK", block)
-        table = unique_stat_table(spec, hist, risk, cov)
-        assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q), block
-        assert same_bits(table.m, m), block
+    cases.append((classroom_spec("E1"), hist, risk, cov))
+    for spec, history, risk, cov in cases:
+        vectors, q, m = oracle.table(spec, history, risk, cov)
+        beta = np.linspace(-0.5, 0.4, spec.p)
+        scores = {}
+        for size in walk_sizes(risk):
+            monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
+            monkeypatch.setattr(hrem.stats, "_MATRIX_BLOCK", size * spec.p)
+            table = unique_stat_table(spec, history, risk, cov)
+            assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q), size
+            assert same_bits(table.m, m), size
+            for start in (0, 11):
+                got = score_events(beta, history, spec, risk, cov, start=start)
+                first = scores.setdefault(start, got)
+                for name in ("log_hazard", "exposure", "prob", "log_prob", "higher", "ties"):
+                    assert same_bits(getattr(got, name), getattr(first, name)), (size, name)
+                assert got.tail_exposure == first.tail_exposure
+            assert np.array_equal(scores[0].higher[11:], scores[11].higher)
 
 
 def test_matrix_follows_a_new_covariate_set():
