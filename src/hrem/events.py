@@ -8,10 +8,13 @@ actor ("send to all") gets id N and only ever appears as a recipient.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,29 +160,32 @@ class CovariateSet:
     context_track: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "context_track", tuple(tuple(c) for c in self.context_track))
+        track = tuple(tuple(c) for c in self.context_track)
+        object.__setattr__(self, "context_track", track)
+        # The running maximum of the starts: bisecting it finds the first
+        # start after t, as a scan of the track in order does.
+        object.__setattr__(self, "_starts", list(itertools.accumulate((s for s, _ in track), max)))
 
     def context_at(self, t: float):
-        label = None
-        for start, lab in self.context_track:
-            if start <= t:
-                label = lab
-            else:
-                break
-        return label
+        """Label of the entry before the first start after t; None before the first start."""
+        n = bisect.bisect_right(self._starts, t)
+        return self.context_track[n - 1][1] if n else None
+
+    def next_context_change(self, t: float) -> float:
+        """The first start after t; inf when no start is."""
+        n = bisect.bisect_right(self._starts, t)
+        return self._starts[n] if n < len(self._starts) else math.inf
 
     def context_segments(self, t0: float, t1: float):
-        """Yield (duration, label) pieces partitioning the interval (t0, t1]."""
+        """Yield (duration, label) pieces partitioning the interval (t0, t1].
+
+        The interval is cut at every start inside it; the starts increase
+        (:func:`validate_track`).
+        """
         if t1 <= t0:
             return
-        if not self.context_track:
-            yield (t1 - t0, None)
-            return
-        cuts = [t0]
-        for start, _ in self.context_track:
-            if t0 < start < t1:
-                cuts.append(start)
-        cuts.append(t1)
+        s = self._starts
+        cuts = [t0, *s[bisect.bisect_right(s, t0):bisect.bisect_left(s, t1)], t1]
         for a, b in zip(cuts[:-1], cuts[1:]):
             yield (b - a, self.context_at(a))
 

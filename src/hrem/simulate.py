@@ -3,7 +3,10 @@
 Between changepoints all hazards are constant, so the next inter-event
 time is Exponential(total rate) and the event itself is a categorical
 draw proportional to the dyad hazards.  Context switches introduce extra
-changepoints: by memorylessness the clock simply restarts there.
+changepoints: by memorylessness the clock simply restarts there.  When no
+column of the spec reads the walk state, a step's hazards depend only on
+its context label and the previous event, so each such pair builds its
+statistic matrix once per simulated sequence.
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ class SimulationExplosion(RuntimeError):
         self.n_events = n_events
 
 
-def _next_context_change(cov: CovariateSet, t: float) -> float:
-    for start, _ in cov.context_track:
-        if start > t:
-            return start
-    return math.inf
-
-
 def event_choice_probabilities(beta, spec: StatisticSpec, risk: RiskSet,
                                cov: CovariateSet, state: SeqState,
                                context=None) -> np.ndarray:
@@ -63,6 +59,11 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     When stopping by count, the returned window ends one mean inter-event
     gap after the last event so the censoring term stays well-defined.
     `max_events` and `rate_ceiling` guard against process explosion.
+    For a spec with no column that reads the state, each step's total rate
+    and event CDF are kept, keyed by (context label, previous event), once
+    the step has passed the explosion check; a later step with the same key
+    reuses them, checks them again and draws from `rng` as before.  Any
+    other spec builds one statistic matrix per step.
     """
     if (tau is None) == (n_events is None):
         raise ValueError("specify exactly one of tau or n_events")
@@ -82,20 +83,32 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     events = []
     t = 0.0
     peak = 0.0
+    memo = {}  # (context, previous event) -> (total rate, cdf) of a step that passed the checks
     # One errstate for the loop: an overflowing hazard or total rate is
     # reported by the explosion check below.
     with np.errstate(over="ignore"):
         while True:
             ctx = cov.context_at(t)
-            lam = np.exp(spec.matrix(state, cov, risk, context=ctx) @ beta)
-            total = float(lam.sum())
+            key = (ctx, state.last_event)
+            if spec._stateful:
+                memo.clear()  # the hazards depend on more than the key
+            total, cdf = memo.get(key, (None, None))
+            if cdf is None:
+                lam = np.exp(spec.matrix(state, cov, risk, context=ctx) @ beta)
+                total = float(lam.sum())
             peak = max(peak, total)
             if not math.isfinite(total) or (rate_ceiling is not None and total > rate_ceiling):
                 raise SimulationExplosion(
                     "total rate %.3g exceeded ceiling" % total, peak, len(events)
                 )
             dt = rng.exponential(1.0 / total)
-            t_ctx = _next_context_change(cov, t)
+            if cdf is None:
+                # Generator.choice(len(lam), p=lam / total) without its checks of p:
+                # the same inverse-CDF search on the same single uniform.
+                cdf = (lam / total).cumsum()
+                cdf /= cdf[-1]
+                memo[key] = total, cdf
+            t_ctx = cov.next_context_change(t)
             stop_t = tau if tau is not None else math.inf
             if t + dt > t_ctx and t_ctx < stop_t:
                 # Hazards change at the context boundary; restart the clock there.
@@ -109,10 +122,6 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
             t = t + dt
             if tau is not None and t >= tau:
                 break
-            # Generator.choice(len(lam), p=lam / total) without its checks of p:
-            # the same inverse-CDF search on the same single uniform.
-            cdf = (lam / total).cumsum()
-            cdf /= cdf[-1]
             row = cdf.searchsorted(rng.random(), side="right")
             i, j = risk.dyads[row]
             events.append((t, i, j))

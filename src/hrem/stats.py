@@ -740,56 +740,64 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
 
     The interval before event m (from event m-1, or 0) splits into pieces
     at context switches; the last piece ends in the event, and the censored
-    tail (from the last event to tau) ends in none.  Events before `start`
-    only advance the state.  A block holds B = max(1, _WALK_BLOCK // |R|)
-    segments.  Its exogenous columns are codes into the spec's per-context
-    stack; each of its D endogenous columns is computed for the whole block
-    in one call from the segments' previous events and contexts, except
-    the columns that read the state, which are computed once per segment as
-    the walk passes it.  So a block costs O(B * |R| * D) memory and a few
-    array operations per effect, and its full matrices are assembled only
-    when a consumer asks for them.
+    tail (from the last event to tau) ends in none.  When the event's
+    context label differs from its last piece's (a switch at the event's
+    own time), the event gets a segment of its own.  Events before `start`
+    only advance the state.  Every segment's duration, context, previous
+    event, event and row come from array operations over the whole history:
+    a bisection of the track's starts finds the pieces and the contexts.
+    A block holds B = max(1, _WALK_BLOCK // |R|) segments.  Its exogenous
+    columns are codes into the spec's per-context stack; each of its D
+    endogenous columns is computed for the whole block in one call from
+    the segments' previous events and contexts, except the columns that
+    read the state, for which one pass advances the state and computes
+    them once per segment.  So a block costs O(B * |R| * D) memory and a
+    few array operations per effect, and its full matrices are assembled
+    only when a consumer asks for them.
     """
+    ev = np.array(history.events, dtype=float).reshape(history.m, 3)
+    times = ev[:, 0]
+    late = (times[1:] <= times[:-1]).nonzero()[0]
+    if len(late):
+        raise ValueError("out-of-order event at t=%g (last t=%g)" % tuple(times[late[0] + [1, 0]]))
+    # Interval m runs from event m-1 (or 0) to event m, or to tau for m = M.
+    ivl = np.arange(start, history.m + 1)
+    t0, t1 = np.append(0.0, times)[ivl], np.append(times, history.tau)[ivl]
+    starts = np.array(cov._starts)
+    cut = np.append(starts, [0.0, 0.0])  # the padding serves only indices that np.where drops
+    labels = [lab for _, lab in cov.context_track] + [None]  # label -1: before the first start
+    first = {}
+    codes = np.array([first.setdefault(x, n) for n, x in enumerate(labels)])  # equal labels, equal codes
+    lo = starts.searchsorted(t0, "right")  # the first switch inside the interval
+    pieces = np.where(t1 > t0, starts.searchsorted(t1, "left") - lo + 1, 0)
+    # Each interval's pieces, then a segment of its event's own, dropped below unless needed.
+    count = pieces + (ivl < history.m)
+    seg = np.repeat(np.arange(len(ivl)), count)
+    k = np.arange(len(seg)) - np.repeat(count.cumsum() - count, count)  # position in the interval
+    own = k == pieces[seg]
+    a = np.where(own, t1[seg], np.where(k > 0, cut[lo[seg] + k - 1], t0[seg]))
+    b = np.where(k < pieces[seg] - 1, cut[lo[seg] + k], t1[seg])
+    lab = starts.searchsorted(a, "right") - 1
+    keep = ~own | (k == 0) | (codes[lab] != codes[np.append(-1, lab[:-1])])
+    seg, dur, lab = ivl[seg[keep]], (b - a)[keep], lab[keep]  # seg: each segment's interval
+    event = np.where(np.append(seg[1:] != seg[:-1], True) & (seg < history.m), seg, -1)
+    rows = np.array([risk.index[e[1:]] for e in history.events[start:]] + [-1], dtype=np.intp)
+    row = rows[np.where(event >= 0, event - start, -1)]
+    prev = np.concatenate([[(-1, -1)], ev[:, 1:]]).astype(np.intp)[seg]
+    contexts = [labels[x] for x in lab.tolist()]
     state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
     size = max(1, _WALK_BLOCK // len(risk))
-    dyn = np.empty((len(spec._dynamic), size, len(risk)))
-    pending = []  # (duration, context, previous event, event, row)
-
-    def block():
-        nonlocal dyn
-        dur, contexts, prev, event, row = zip(*pending)
-        segs = Segments(list(contexts), np.array(prev))
-        out = spec._block(segs, cov, risk, dyn[:, :len(pending)], np.array(dur),
-                          np.array(event), np.array(row))
-        dyn = np.empty_like(dyn)  # the block keeps its columns
-        pending.clear()
-        return out
-
-    prev_t = 0.0
-    tail = ((history.tau, None, None),)
-    for m, (t, i, j) in enumerate(itertools.chain(history.events, tail)):
-        if m >= start:
-            prev = state.last_event or (-1, -1)
-            pieces = [(d, c, prev, -1, -1) for d, c in cov.context_segments(prev_t, t)]
-            if i is not None:
-                ctx, row = cov.context_at(t), risk.index[(i, j)]
-                if pieces and pieces[-1][1] == ctx:
-                    pieces[-1] = pieces[-1][:3] + (m, row)
-                else:
-                    pieces.append((0.0, ctx, prev, m, row))
-            for piece in pieces:
-                if spec._stateful:
-                    segs = Segments([piece[1]], state=state)
-                    for d, eff in spec._stateful:
-                        dyn[d, len(pending)] = eff.column(segs, cov, risk)
-                pending.append(piece)
-                if len(pending) == size:
-                    yield block()
-        if i is not None:
-            state.apply((t, i, j), cov)
-            prev_t = t
-    if pending:
-        yield block()
+    for at in range(0, len(dur), size):
+        part = slice(at, at + size)
+        dyn = np.empty((len(spec._dynamic), len(dur[part]), len(risk)))
+        for s, m in enumerate(seg[part].tolist() if spec._stateful else ()):
+            while state.n_applied < m:
+                state.apply(history.events[state.n_applied], cov)
+            segs = Segments([contexts[at + s]], state=state)
+            for d, eff in spec._stateful:
+                dyn[d, s] = eff.column(segs, cov, risk)
+        yield spec._block(Segments(contexts[part], prev[part]), cov, risk, dyn, dur[part],
+                          event[part], row[part])
 
 
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,

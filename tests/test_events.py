@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +162,41 @@ def test_context_at():
     assert cov.context_at(0.0) == "a"
     assert cov.context_at(0.99) == "a"
     assert cov.context_at(1.0) == "b"
+
+
+def scan_context_at(track, t):
+    """The label of the last entry before the first start after t, scanning the track."""
+    label = None
+    for start, lab in track:
+        if start > t:
+            break
+        label = lab
+    return label
+
+
+def test_context_lookups_by_bisection_match_a_scan_of_the_track():
+    tracks = [((0.0, "a"), (1.0, "b"), (2.0, "b"), (3.5, "a"), (4.0, "c")),  # a repeated label
+              ((0.5, "x"), (0.75, "x"), (2.0, "y")),  # times before the first start
+              ()]
+    for track in tracks:
+        cov = CovariateSet(context_track=track)
+        starts = [s for s, _ in track]
+        times = sorted(set(starts) | {-1.0, 0.0, 0.25, 1.5, 2.0 + 1e-12, 3.75, 5.0})
+        for t in times:
+            assert cov.context_at(t) == scan_context_at(track, t), (track, t)
+            assert cov.next_context_change(t) == min([s for s in starts if s > t],
+                                                     default=math.inf), (track, t)
+        for t0, t1 in itertools.product(times, repeat=2):
+            cuts = [t0] + [s for s in starts if t0 < s < t1] + [t1]
+            want = [(b - a, scan_context_at(track, a)) for a, b in zip(cuts, cuts[1:])]
+            assert list(cov.context_segments(t0, t1)) == (want if t1 > t0 else []), (t0, t1)
+    # A track whose starts do not increase fails validate_track, which still
+    # scans it per event; both lookups answer as the scan does.
+    track = ((10.0, "a"), (0.0, "b"), (12.0, "c"))
+    cov = CovariateSet(context_track=track)
+    for t in (-1.0, 0.0, 5.0, 10.0, 11.0, 12.0, 13.0):
+        assert cov.context_at(t) == scan_context_at(track, t), t
+        assert cov.next_context_change(t) == next((s for s, _ in track if s > t), math.inf), t
 
 
 def test_truncate_shortens_window():

@@ -165,12 +165,16 @@ def test_slice_sample_given_its_start_density_skips_only_that_evaluation():
         slice_sample(2.0, lambda x: 0.0, 1.0, np.random.default_rng(7), logf0=-math.inf)
 
 
-def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
-    tables = _syn52_tables(k=5, n_events=60, seed=12)
+def assert_sampler_matches_the_scalar_sweep(tables, seed):
+    """Run the library sampler and the scalar sweep side by side; compare every state bitwise.
+
+    25 burn-in sweeps adapt the widths, and the 10 kept draws must equal
+    the scalar sweep's states.
+    """
     n_burnin, n_keep = 25, 10
-    samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=3)
-    lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(3))
-    ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(3))
+    samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=seed)
+    lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
+    ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
     widths = set()
     for it in range(n_burnin + n_keep):
         lib.adapt = ref.adapt = it < n_burnin
@@ -185,6 +189,10 @@ def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
                 assert getattr(samples, name)[draw].tobytes() == getattr(ref, name).tobytes()
             assert samples.logpost[draw] == ref.log_posterior(), draw
     assert len(widths) > 1  # burn-in adapted some widths
+
+
+def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
+    assert_sampler_matches_the_scalar_sweep(_syn52_tables(k=5, n_events=60, seed=12), seed=3)
 
 
 def _classroom_tables(k, n_events, seed):
@@ -226,24 +234,7 @@ def test_collapsed_sampler_matches_the_scalar_sweep_bitwise_on_many_valued_colum
     tables = _classroom_tables(k=3, n_events=60, seed=seed)
     assert max(np.unique(t.vectors[:, p]).size for t in tables for p in range(8)) > 2
     assert any(np.any(t.m == 0) for t in tables)
-    n_burnin, n_keep = 25, 10
-    samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=seed)
-    lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
-    ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
-    widths = set()
-    for it in range(n_burnin + n_keep):
-        lib.adapt = ref.adapt = it < n_burnin
-        lib.sweep()
-        oracle.collapsed_sweep(ref)
-        for name in ("betas", "mu", "sigma2", "widths"):
-            assert getattr(lib, name).tobytes() == getattr(ref, name).tobytes(), (it, name)
-        widths.update(ref.widths.ravel().tolist())
-        if it >= n_burnin:
-            draw = it - n_burnin
-            for name in ("betas", "mu", "sigma2"):
-                assert getattr(samples, name)[draw].tobytes() == getattr(ref, name).tobytes()
-            assert samples.logpost[draw] == ref.log_posterior(), draw
-    assert len(widths) > 1  # burn-in adapted some widths
+    assert_sampler_matches_the_scalar_sweep(tables, seed)
 
 
 def _overflow_table(top):

@@ -12,11 +12,13 @@ from hrem.simulate import (
 from hrem.stats import (
     Baserate,
     ContextIndicator,
+    ContextInteraction,
     EventCount,
     PShift,
     RecencySend,
     SeqState,
     StatisticSpec,
+    ToBroadcast,
 )
 
 import scalar_oracle as oracle
@@ -149,19 +151,66 @@ def test_context_switch_respected():
     assert late > 4 * early
 
 
+# Switches every 0.1 time units, about three mean gaps of the stateless design
+# below: a third of its intervals hold a switch and a few hold two, and the
+# repeated "loud" restarts the clock in the context it left.
+DENSE_TRACK = tuple((0.1 * n, "loud" if n % 3 else "quiet") for n in range(150))
+
+
+def stateless_design():
+    """(beta, spec, risk, cov): no column reads the state; broadcast and context switches."""
+    spec = StatisticSpec((Baserate(), ContextIndicator("loud"), ToBroadcast(prev=True),
+                          ContextInteraction(PShift("AB-BA"), "loud"), PShift("AB-XY")))
+    return (np.array([-0.5, 1.0, 0.8, 1.2, 0.6]), spec, build_risk_set(4, include_broadcast=True),
+            CovariateSet(context_track=DENSE_TRACK))
+
+
+def stateful_design():
+    """(beta, spec, risk, cov): a recency column reads the state; a track of five entries."""
+    track = ((0.0, "quiet"), (1.0, "loud"), (2.5, "quiet"), (3.0, "loud"), (6.0, "quiet"))
+    spec = StatisticSpec((Baserate(), ContextIndicator("loud"), PShift("AB-BA"), RecencySend()))
+    return (np.array([0.0, 1.5, 1.0, 0.5]), spec, build_risk_set(4, include_broadcast=True),
+            CovariateSet(context_track=track))
+
+
 def test_event_draw_keeps_the_stream_of_generator_choice():
     d = syn52(baserate=-1.0)
-    track = ((0.0, "quiet"), (1.0, "loud"), (2.5, "quiet"), (3.0, "loud"), (6.0, "quiet"))
-    designs = [(d.beta, d.spec, d.risk, d.cov, 300),
-               (np.array([0.0, 1.5, 1.0, 0.5]),
-                StatisticSpec((Baserate(), ContextIndicator("loud"), PShift("AB-BA"),
-                               RecencySend())),
-                build_risk_set(4, include_broadcast=True),
-                CovariateSet(context_track=track), 200)]
-    for beta, spec, risk, cov, n in designs:
+    designs = [((d.beta, d.spec, d.risk, d.cov), 300), (stateful_design(), 200),
+               (stateless_design(), 200)]
+    for (beta, spec, risk, cov), n in designs:
         for seed in (0, 5):
             hist = simulate_history(beta, spec, risk, cov, n_events=n, seed=seed)
             events, tau = oracle.simulate_by_choice(beta, spec, risk, cov, n,
                                                     np.random.default_rng(seed))
             assert hist.events == events and hist.tau == tau, seed
-    assert len({cov.context_at(t) for t, _, _ in hist.events}) == 2  # the last design switches
+        if cov.context_track:  # each design with a track switches between events
+            assert len({cov.context_at(t) for t, _, _ in hist.events}) == 2
+    assert any(e[2] == 4 for e in hist.events)  # the stateless design broadcasts
+
+
+def test_simulator_builds_one_matrix_per_key_unless_a_column_reads_the_state(monkeypatch):
+    calls = []
+    matrix = StatisticSpec.matrix
+
+    def counted(self, state, cov, risk, context):
+        calls.append((context, state.last_event))
+        return matrix(self, state, cov, risk, context)
+
+    monkeypatch.setattr(StatisticSpec, "matrix", counted)
+    d = syn52(baserate=-1.0)
+    hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=1000, seed=11)
+    # Every step's key is (context, previous event); the last event starts no step.
+    keys = {(None, None)} | {(None, e[1:]) for e in hist.events[:-1]}
+    assert sorted(calls, key=repr) == sorted(keys, key=repr) and len(calls) < 100
+    beta, spec, risk, cov = stateless_design()
+    calls.clear()
+    hist = simulate_history(beta, spec, risk, cov, n_events=200, seed=0)
+    restarts = sum(0.0 < s < hist.events[-1][0] for s, _ in cov.context_track)
+    assert restarts > 50 and len(calls) == len(set(calls)) < 50
+    # A column that reads the state: one matrix per step, that is per event
+    # and per restart at each switch before the last event.
+    beta, spec, risk, cov = stateful_design()
+    calls.clear()
+    hist = simulate_history(beta, spec, risk, cov, n_events=200, seed=0)
+    restarts = sum(0.0 < s < hist.events[-1][0] for s, _ in cov.context_track)
+    assert restarts > 0 and len(calls) == 200 + restarts

@@ -131,6 +131,10 @@ def test_update_state_rejects_out_of_order():
         with pytest.raises(ValueError, match="out-of-order"):
             s.apply((t, 1, 0))
         assert s.n_applied == 1 and s.counts[1, 0] == 0
+        # The walk rejects them too, for a spec with no column that reads the state.
+        history = EventHistory(events=((0.5, 0, 1), (t, 1, 0)), tau=1.0, n_actors=4)
+        with pytest.raises(ValueError, match="out-of-order"):
+            unique_stat_table(StatisticSpec((Baserate(), PShift("AB-BA"))), history, RISK, COV)
 
 
 def test_state_rebuild_equals_incremental():
@@ -460,13 +464,18 @@ def test_unique_table_matches_per_row_oracle_on_presets():
         assert same_bits(table.m, m)
 
 
-def block_design():
+def block_design(track="switches"):
     """Six actors plus broadcast, a spec of every walk-dependent kind, and 40 events.
 
-    The context track switches exactly at event 5's time (so that event is
-    scored in a context no piece of its interval has), inside the interval
-    before event 10, twice inside the interval before event 15, and in the
-    censored tail.
+    With `track` "switches", the context track switches exactly at event 5's
+    time (so that event is scored in a context no piece of its interval
+    has), inside the interval before event 10, twice inside the interval
+    before event 15, and in the censored tail.  With "repeats", consecutive
+    entries carry the same label: one starts exactly at event 4's time, which
+    the event's interval has as its context, so only a label change (at
+    event 7's time) gives an event a segment of its own; the interval before
+    event 12 holds four switches, two of them to the label it already has,
+    and the tail one more.
     """
     rng = np.random.default_rng(19)
     n = 6
@@ -478,9 +487,16 @@ def block_design():
         j = int(rng.choice([k for k in range(n + 1) if k != i]))
         events.append((t, i, j))
     times = [e[0] for e in events]
-    track = ((0.0, "a"), (times[5], "b"), ((times[8] + times[9]) / 2, "a"),
-             (times[13] + (times[14] - times[13]) / 3, "b"),
-             (times[13] + 2 * (times[14] - times[13]) / 3, "c"), (times[-1] + 0.5, "b"))
+    if track == "switches":
+        track = ((0.0, "a"), (times[5], "b"), ((times[8] + times[9]) / 2, "a"),
+                 (times[13] + (times[14] - times[13]) / 3, "b"),
+                 (times[13] + 2 * (times[14] - times[13]) / 3, "c"), (times[-1] + 0.5, "b"))
+    else:
+        gap = times[12] - times[11]
+        track = ((0.0, "a"), (times[4], "a"), (times[7], "b"),
+                 *((times[11] + f * gap, lab) for f, lab in ((0.2, "b"), (0.4, "c"), (0.6, "a"),
+                                                             (0.8, "a"))),
+                 (times[-1] + 0.5, "a"))
     cov = CovariateSet(actor_attrs={"teacher": {i: int(i == 0) for i in range(n)}},
                        context_track=track)
     history = EventHistory(events=tuple(events), n_actors=n, tau=times[-1] + 1.0)
@@ -526,27 +542,32 @@ def test_walk_blocks_match_the_scalar_oracle_for_every_segment_and_block_size(mo
                                                                                 start):
     import hrem.stats
 
-    spec, history, risk, cov = block_design()
-    want = oracle_segments(spec, history, risk, cov, start)
-    assert any(d == 0.0 for d, *_ in want) and want[0][2] == start  # event-only, first event
-    for size in walk_sizes(risk):
-        monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
-        blocks = list(hrem.stats.walk(spec, history, risk, cov, start=start))
-        per = max(1, size // len(risk))
-        assert all(len(b.dur) == per for b in blocks[:-1]) and len(blocks[-1].dur) <= per
-        got = [(d, c, ev, row, b.matrices()[k]) for b in blocks for k, (d, c, ev, row) in
-               enumerate(zip(b.dur.tolist(), b.contexts, b.event.tolist(), b.row.tolist()))]
-        assert len(got) == len(want), size
-        for n, (g, w) in enumerate(zip(got, want)):
-            assert g[:4] == w[:4], (size, n)
-            assert same_bits(g[4], w[4]), (size, n, g[:4])
+    for track in ("switches", "repeats"):
+        spec, history, risk, cov = block_design(track)
+        want = oracle_segments(spec, history, risk, cov, start)
+        assert any(d == 0.0 for d, *_ in want) and want[0][2] == start  # event-only, first event
+        if track == "repeats":
+            ends = {ev: n for n, (_, _, ev, _, _) in enumerate(want) if ev >= 0}
+            assert want[ends[4]][0] > 0 and want[ends[7]][0] == 0.0
+            assert ends[12] - ends[11] == 5  # the four switches cut the interval in five
+        for size in walk_sizes(risk):
+            monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
+            blocks = list(hrem.stats.walk(spec, history, risk, cov, start=start))
+            per = max(1, size // len(risk))
+            assert all(len(b.dur) == per for b in blocks[:-1]) and len(blocks[-1].dur) <= per
+            got = [(d, c, ev, row, b.matrices()[k]) for b in blocks for k, (d, c, ev, row) in
+                   enumerate(zip(b.dur.tolist(), b.contexts, b.event.tolist(), b.row.tolist()))]
+            assert len(got) == len(want), (track, size)
+            for n, (g, w) in enumerate(zip(got, want)):
+                assert g[:4] == w[:4], (track, size, n)
+                assert same_bits(g[4], w[4]), (track, size, n, g[:4])
 
 
 def test_tables_and_scores_are_the_same_for_any_walk_block(monkeypatch):
     import hrem.stats
     from hrem.likelihood import score_events
 
-    cases = [block_design()]
+    cases = [block_design("switches"), block_design("repeats")]
     hist, risk, cov = classroom_history(40, seed=5)
     cases.append((classroom_spec("E1"), hist, risk, cov))
     for spec, history, risk, cov in cases:
