@@ -20,7 +20,6 @@ __all__ = [
     "dic",
     "recall",
     "recall_at_z",
-    "empirical_baseline",
     "baseline_counts",
     "baseline_recall_at_z",
     "deviance_residuals",
@@ -97,25 +96,16 @@ def recall_at_z(params, history: EventHistory, spec: StatisticSpec, risk: RiskSe
     return recall(scores.higher, scores.ties, z, rng)
 
 
-def empirical_baseline(history: EventHistory, risk: RiskSet,
-                       n_train: int | None = None) -> np.ndarray:
-    """Training-segment event counts per risk-set dyad.
-
-    Used as a static ranking score: frequent dyads first, unseen dyads
-    tied at zero (so effectively last, in random order).
-    """
-    counts = np.zeros(len(risk))
-    limit = history.m if n_train is None else n_train
-    for (t, i, j) in history.events[:limit]:
-        counts[risk.index[(i, j)]] += 1
-    return counts
-
-
 def baseline_counts(history: EventHistory, risk: RiskSet, n_train: int):
     """(higher, ties) of each test event under the empirical baseline: how many
-    dyads have more, and as many, training events as its dyad (itself included)."""
-    counts = empirical_baseline(history, risk, n_train)
-    observed = counts[[risk.index[(i, j)] for (t, i, j) in history.events[n_train:]]]
+    dyads have more, and as many, training events as its dyad (itself included).
+
+    The baseline ranks dyads by their training-segment event counts, so
+    unseen dyads tie at zero.
+    """
+    rows = np.array([risk.index[(i, j)] for (t, i, j) in history.events], dtype=np.intp)
+    counts = np.bincount(rows[:n_train], minlength=len(risk))
+    observed = counts[rows[n_train:]]
     ordered = np.sort(counts)
     above = np.searchsorted(ordered, observed, side="right")
     return len(ordered) - above, above - np.searchsorted(ordered, observed, side="left")

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from hrem.stats import UniqueStatTable
 from hrem.likelihood import grad_loglik_full, hessian_loglik_full, loglik_full
@@ -93,7 +92,8 @@ def collapsed_prior_logpdf(beta_kp, mu_p: float, hyper: Hyperparams):
           * Gamma(alpha + 1/2) / ((beta_kp - mu_p)^2/2 + beta)^(alpha+1/2) ]
     """
     a, b = hyper.alpha_sigma, hyper.beta_sigma
-    const = -0.5 * math.log(2 * math.pi) + a * math.log(b) - gammaln(a) + gammaln(a + 0.5)
+    const = (-0.5 * math.log(2 * math.pi) + a * math.log(b)
+             - math.lgamma(a) + math.lgamma(a + 0.5))
     dev2 = (np.asarray(beta_kp, dtype=float) - mu_p) ** 2
     return const - (a + 0.5) * np.log(dev2 / 2.0 + b)
 
@@ -169,11 +169,11 @@ class PosteriorSamples:
     def beta_mean(self) -> np.ndarray:
         return self.betas.mean(axis=0)
 
-    def beta_interval(self, level: float = 0.95):
-        lo = (1 - level) / 2
+    def beta_interval(self):
+        """Equal-tailed 95% interval of each beta_kp: (lower, upper), each (K, P)."""
         return (
-            np.quantile(self.betas, lo, axis=0),
-            np.quantile(self.betas, 1 - lo, axis=0),
+            np.quantile(self.betas, 0.025, axis=0),
+            np.quantile(self.betas, 0.975, axis=0),
         )
 
     def compute_diagnostics(self):
@@ -454,10 +454,10 @@ def _newton_ascent(objective, newton_step, x, max_iters: int, tol: float, refit=
     return x, iters, gain
 
 
-def penalized_mle(table: UniqueStatTable, prior_sd: float = 10.0):
-    """Single-sequence fit with a weak N(0, prior_sd^2) ridge for identifiability."""
+def penalized_mle(table: UniqueStatTable):
+    """Single-sequence fit with a weak N(0, 10^2) ridge for identifiability."""
     p = table.vectors.shape[1]
-    var = prior_sd**2
+    var = 100.0
 
     def objective(b):
         return loglik_full(b, table) - 0.5 * float(np.sum(b**2 / var))
@@ -482,14 +482,14 @@ def _joint_gradient(betas, mu, sigma2, tables, hyper: Hyperparams):
 
 
 def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
-                 tol: float = 1e-8, sigma_floor: float = 1e-6):
+                 tol: float = 1e-8):
     """Posterior mode by joint Newton steps on (beta_1..beta_K, mu).
 
     Each iteration holds sigma^2 and takes one Newton step with step
     halving on the log posterior in (beta, mu), which is strictly concave
     there; sigma^2 then takes its closed-form block maximum, floored at
-    sigma_floor.  So every iteration ascends, and the loop stops once one
-    gains <= tol.  The Hessian is an arrowhead: blocks H_k - diag(1/sigma^2),
+    1e-6.  So every iteration ascends, and the loop stops once one gains
+    <= tol.  The Hessian is an arrowhead: blocks H_k - diag(1/sigma^2),
     a diag(1/sigma^2) border and the corner -diag(K/sigma^2 + 1/s^2).  Its
     Schur complement on mu solves the step in O(K P^3).
 
@@ -508,6 +508,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
         raise ValueError("need at least one sequence")
     p = tables[0].vectors.shape[1]
     sigma2 = np.full(p, hyper.beta_sigma / (hyper.alpha_sigma - 1))
+    floor = 1e-6
 
     def split(x):
         return x[:-p].reshape(k, p), x[-p:]
@@ -534,7 +535,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
         betas, mu = split(x)
         ss = np.sum((betas - mu) ** 2, axis=0)
         sigma2 = (hyper.beta_sigma + 0.5 * ss) / (hyper.alpha_sigma + k / 2.0 + 1.0)
-        sigma2 = np.maximum(sigma2, sigma_floor)
+        sigma2 = np.maximum(sigma2, floor)
         return objective(x)
 
     x, iters, gain = _newton_ascent(objective, newton_step, np.zeros((k + 1) * p),
@@ -546,7 +547,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
         msgs.append("MAP stopped at max_iters=%d with the log posterior still gaining %.3g > "
                     "tol=%g" % (max_iters, gain, tol))
     msgs += ["upper-level variance for effect %d collapsed to the floor; the posterior mode "
-             "is degenerate for this effect" % pp for pp in np.flatnonzero(sigma2 <= sigma_floor)]
+             "is degenerate for this effect" % pp for pp in np.flatnonzero(sigma2 <= floor)]
     for msg in msgs:
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     report = {"warnings": msgs, "iterations": iters, "converged": bool(gain <= tol),

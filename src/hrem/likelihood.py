@@ -112,7 +112,7 @@ def score_events(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
             w = e - top[:, None]
             np.exp(w, out=w)
             norm = w.sum(axis=1)
-            log_hazard[at] = [beta @ x for x in block.rows(hit, rows)]
+            log_hazard[at] = observed
             prob[at] = w[np.arange(len(hit)), rows] / norm
             log_prob[at] = observed - (top + np.log(norm))
             higher[at] = np.count_nonzero(e > observed[:, None], axis=1)

@@ -24,7 +24,6 @@ import numpy as np
 from hrem.events import CovariateSet, RiskSet, build_risk_set
 from hrem.stats import (
     Baserate,
-    ContextIndicator,
     ContextInteraction,
     DyadMatch,
     DyadValue,
@@ -89,10 +88,6 @@ _GROUPS = {
         ToBroadcast(attr="teacher", level=1),
         ToBroadcast(attr="teacher", level=1, prev=True),
     ),
-    4: (
-        ContextIndicator("groupwork"),
-        ContextIndicator("silent"),
-    ),
 }
 
 _LETTERS = {
@@ -125,26 +120,16 @@ def classroom_spec(code: str) -> StatisticSpec:
         ReceiverAttr("white", 1),
     ]
     for g in _LETTERS[letter]:
-        group = _GROUPS[g]
+        effects.extend(_GROUPS[g])
         if letter in "EFG":
-            effects.extend(group)
-            for base in group:
-                for ctx in ("groupwork", "silent"):
-                    effects.append(ContextInteraction(base, ctx))
-        else:
-            effects.extend(group)
+            effects.extend(ContextInteraction(base, ctx) for base in _GROUPS[g]
+                           for ctx in ("groupwork", "silent"))
     if number in (1, 2):
         effects.extend(_PSHIFTS)
     if number in (1, 3):
         effects.extend(_RECENCY)
     # groups can overlap (teacher-broadcast is in groups 1 and 3)
-    seen = set()
-    unique = []
-    for eff in effects:
-        if eff not in seen:
-            seen.add(eff)
-            unique.append(eff)
-    return StatisticSpec(tuple(unique))
+    return StatisticSpec(tuple(dict.fromkeys(effects)))
 
 
 def preset_names():

@@ -36,12 +36,10 @@ class SimulationExplosion(RuntimeError):
 
 
 def event_choice_probabilities(beta, spec: StatisticSpec, risk: RiskSet,
-                               cov: CovariateSet, state: SeqState,
-                               context=None) -> np.ndarray:
+                               cov: CovariateSet, state: SeqState) -> np.ndarray:
     """Probability of each risk-set dyad being the next event (choice view)."""
     beta = np.asarray(beta, dtype=float)
-    ctx = context if context is not None else state.current_context
-    eta = spec.matrix(state, cov, risk, context=ctx) @ beta
+    eta = spec.matrix(state, cov, risk) @ beta
     eta -= eta.max()
     w = np.exp(eta)
     return w / w.sum()
@@ -147,7 +145,7 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
 def simulate_hierarchical(mu, sigma, k_sequences: int, spec: StatisticSpec,
                           risk: RiskSet, cov: CovariateSet,
                           tau: float | None = None, n_events: int | None = None,
-                          seed: int | None = None, max_events: int | None = None):
+                          seed: int | None = None):
     """Draw beta_k ~ N(mu, diag(sigma^2)) and simulate each sequence.
 
     Each sequence owns an independent spawned RNG stream, so results are
@@ -166,7 +164,7 @@ def simulate_hierarchical(mu, sigma, k_sequences: int, spec: StatisticSpec,
         beta_k = mu + sigma * rng.standard_normal(mu.shape)
         hist = simulate_history(
             beta_k, spec, risk, cov, tau=tau, n_events=n_events, rng=rng,
-            max_events=max_events, sequence_id="seq%03d" % k,
+            sequence_id="seq%03d" % k,
         )
         out.append((hist, beta_k))
     return out

@@ -283,21 +283,11 @@ class DyadMatch(Effect):
     attr: str
 
     def column(self, segs, cov, risk):
-        n_actors = risk.n_actors
-        vals = cov.actor_values(self.attr, n_actors)
-        vi = vals[risk.senders]
-        out = np.zeros(len(risk))
-        real = (
-            risk.recipients < n_actors
-            if risk.broadcast_actor is not None
-            else np.ones(len(risk), dtype=bool)
-        )
-        out[real] = (vals[risk.recipients[real]] == vi[real]).astype(float)
-        if risk.broadcast_actor is not None:
-            freq = {v: np.mean(vals == v) for v in set(vals.tolist())}
-            bc = ~real
-            out[bc] = [freq[v] for v in vi[bc]]
-        return out
+        vals = cov.actor_values(self.attr, risk.n_actors)
+        match = (vals[:, None] == vals).astype(float)
+        if risk.broadcast_actor is not None:  # the broadcast recipient takes the room mean
+            match = np.column_stack([match, match.mean(axis=1)])
+        return match[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
@@ -435,30 +425,21 @@ class ToBroadcast(Effect):
     def __post_init__(self):
         object.__setattr__(self, "prev", bool(self.prev))
 
-    def _sender_ok(self, cov, i):
-        if self.attr is None:
-            return True
-        return cov.actor_attrs[self.attr][i] == self.level
-
     @property
     def endogenous(self) -> bool:
         return self.prev
 
     def column(self, segs, cov, risk):
         bc = risk.broadcast_actor
-        on = True
-        if self.prev and bc is not None:
-            # The segments that follow such a broadcast; -1 (no event yet) is never bc.
-            on = segs.prev[:, 1] == bc
-            on[on] = [self._sender_ok(cov, a) for a in segs.prev[on, 0].tolist()]
-            on = on[:, None]
-        if bc is None or not np.any(on):
+        if bc is None:
             return np.zeros(len(risk))
-        hit = risk.recipients == bc
-        if self.attr is not None:
-            ind = _actor_indicator(cov, self.attr, self.level, risk.n_actors).astype(bool)
-            hit = hit & ind[risk.senders]
-        return on & hit
+        sender_ok = (np.ones(risk.n_actors, dtype=bool) if self.attr is None else
+                     _actor_indicator(cov, self.attr, self.level, risk.n_actors).astype(bool))
+        hit = (risk.recipients == bc) & sender_ok[risk.senders]
+        if self.prev:
+            # The segments that follow such a broadcast; -1 (no event yet) is never bc.
+            hit = ((segs.prev[:, 1] == bc) & sender_ok[segs.prev[:, 0]])[:, None] & hit
+        return hit
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ class HierarchicalTarget(Target):
 
 
 def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
-                    step_size=1.0, seed: int | None = None, n_burnin: int = 0):
+                    step_size: float = 1.0, seed: int | None = None, n_burnin: int = 0):
     """Sample an unnormalized log density with parallel tempering.
 
     `logpost` is a :class:`Target` or a plain callable, scored whole.
@@ -197,7 +197,6 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
     rng = np.random.default_rng(seed)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
-    step_size = np.broadcast_to(np.asarray(step_size, dtype=float), (dim,))
     n_chains = len(ladder)
     states = target.replicas(x0, n_chains)
     if not np.isfinite(target.log_density(states[0])):
@@ -211,7 +210,7 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
         for j, temp in enumerate(ladder):
             rep = states[j]
             for d in range(dim):
-                value = rep.x[d] + step_size[d] * rng.standard_normal()
+                value = rep.x[d] + step_size * rng.standard_normal()
                 log_ratio = target.propose(rep, d, value)
                 if math.log(rng.random()) < log_ratio / temp:
                     target.accept(rep)

@@ -296,7 +296,7 @@ def test_criterion_06_parameter_recovery_and_pooling(k20_data):
 
     tables = [unique_stat_table(d.spec, h, d.risk, d.cov) for h, _ in pairs]
     samples = run_collapsed_sampler(tables, HYPER, n_burnin=500, n_keep=500, seed=601)
-    lo, hi = samples.beta_interval(0.95)
+    lo, hi = samples.beta_interval()
     covered = np.mean((truths >= lo) & (truths <= hi))
     assert covered >= 0.90, "coverage %.3f below 0.90" % covered
 
@@ -306,7 +306,7 @@ def test_criterion_06_parameter_recovery_and_pooling(k20_data):
     pooled = run_collapsed_sampler(short_tables, HYPER, n_burnin=500, n_keep=500, seed=602)
     hier_hat = pooled.beta_mean()
     mse_hier = np.mean([diagnostics.mse(truths[k], hier_hat[k]) for k in range(20)])
-    sep_hat = np.array([penalized_mle(t, prior_sd=10.0) for t in short_tables])
+    sep_hat = np.array([penalized_mle(t) for t in short_tables])
     mse_sep = np.mean([diagnostics.mse(truths[k], sep_hat[k]) for k in range(20)])
     assert mse_hier < mse_sep, "MSE hier %.3f not below separate %.3f" % (mse_hier, mse_sep)
     announce(

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,28 @@ def fit_config(tmp_path, out="fit", **over):
     if cfg["sampler"] != "map":  # MAP reads no sweep settings
         cfg = {"n_burnin": 30, "n_keep": 30, **cfg}
     return write_json(tmp_path / (out + ".json"), cfg)
+
+
+def test_hrem_runs_without_importing_scipy(tmp_path):
+    # A fresh interpreter imports every hrem module and simulates, then
+    # lists the scipy modules that got loaded: the runtime needs numpy alone.
+    cfg = write_json(tmp_path / "sim.json", {"seed": 1, "preset": "syn52", "k": 1,
+                                             "n_events": 20, "out_dir": str(tmp_path / "sim")})
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import hrem\n"
+        "for m in pkgutil.iter_modules(hrem.__path__):\n"
+        "    importlib.import_module('hrem.' + m.name)\n"
+        "assert hrem.cli.main(['simulate', '--config', %r]) == 0\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n" % cfg
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sim" / "events_000.csv").exists()
 
 
 def test_simulate_missing_seed_names_field(tmp_path, capsys):

@@ -111,17 +111,16 @@ def test_recall_accepts_draw_matrix():
 
 def test_empirical_baseline_ordering():
     risk = build_risk_set(3)
+    # training counts: (1,2) twice, (2,1) once, every other dyad never
     hist = EventHistory(
-        events=((0.1, 1, 2), (0.2, 1, 2), (0.3, 2, 1), (0.5, 0, 1)), tau=1.0, n_actors=3
+        events=((0.1, 1, 2), (0.2, 1, 2), (0.3, 2, 1), (0.5, 0, 1), (0.6, 1, 2), (0.7, 2, 1)),
+        tau=1.0, n_actors=3,
     )
-    counts = diagnostics.empirical_baseline(hist, risk, n_train=3)
-    assert counts[risk.index[(1, 2)]] == 2
-    assert counts[risk.index[(2, 1)]] == 1
-    assert counts[risk.index[(0, 1)]] == 0
-    # rank (1,2) before (2,1) before all others
-    order = np.argsort(-counts, kind="stable")
-    assert order[0] == risk.index[(1, 2)]
-    assert order[1] == risk.index[(2, 1)]
+    higher, ties = diagnostics.baseline_counts(hist, risk, n_train=3)
+    # test events (0,1), (1,2), (2,1): rank (1,2) before (2,1) before all others,
+    # which tie at zero
+    np.testing.assert_array_equal(higher, [2, 0, 1])
+    np.testing.assert_array_equal(ties, [4, 1, 1])
 
 
 def test_baseline_recall_full_risk_set():

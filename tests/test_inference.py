@@ -352,7 +352,7 @@ def test_map_matches_generic_optimizer():
     d = syn52(baserate=-1.0)
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=150, seed=15)
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
-    beta_hat = penalized_mle(table, prior_sd=10.0)
+    beta_hat = penalized_mle(table)
 
     def neg(b):
         return -(loglik_full(b, table) - 0.5 * np.sum(b**2) / 100.0)
@@ -368,8 +368,7 @@ def test_map_flags_collapsed_variance():
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
     with pytest.warns(RuntimeWarning, match="effect"):
         betas, mu, sigma2, report = map_estimate(
-            [table] * 4, hyper=Hyperparams(alpha_sigma=1.01, beta_sigma=1e-7),
-            sigma_floor=1e-6,
+            [table] * 4, hyper=Hyperparams(alpha_sigma=1.01, beta_sigma=1e-7)
         )
     assert report["warnings"]
 

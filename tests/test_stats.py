@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -230,11 +231,39 @@ def test_categorical_attribute_expands_to_every_level_but_the_reference():
         ContextInteraction(SenderAttr("g", "b"), "L"), ContextInteraction(SenderAttr("g", "c"), "L"))
 
 
+# Each classroom preset's P and the leading hex digits of the sha256 of its JSON.
+PRESET_PINS = {
+    "A1": (23, "22ef851d33bcf5e2"),
+    "A2": (21, "3a26dc82254a807f"),
+    "A3": (17, "388c98561248e0ce"),
+    "B1": (19, "e98b5762841380af"),
+    "B2": (17, "356a2c37051e4548"),
+    "B3": (13, "6e9b426c57c56c69"),
+    "C1": (18, "22ad0a97ac584823"),
+    "C2": (16, "ef03f1e674a2946f"),
+    "C3": (12, "fd457ef62422ddbf"),
+    "D1": (17, "cc73655ac6f42b27"),
+    "D2": (15, "130994b465221e56"),
+    "D3": (11, "354b48a65838b089"),
+    "E1": (27, "5d78a4f661103815"),
+    "E2": (25, "67387608552664d0"),
+    "E3": (21, "369aa0a98d4093fd"),
+    "F1": (24, "849ff570fa151fcb"),
+    "F2": (22, "05bd76ca41d30e60"),
+    "F3": (18, "3b15843b25f50251"),
+    "G1": (21, "365223bfb38ef473"),
+    "G2": (19, "1dc701ab97a00539"),
+    "G3": (15, "899786ce72b66009"),
+}
+
+
 def test_classroom_presets_build():
     for letter in "ABCDEFG":
         for number in "123":
             spec = classroom_spec(letter + number)
             assert spec.p >= 7
+            digest = hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
+            assert (spec.p, digest) == PRESET_PINS[letter + number], letter + number
     with pytest.raises(ValueError):
         classroom_spec("Z9")
 
