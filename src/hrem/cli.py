@@ -70,13 +70,11 @@ def _read_checked(path, sha256=None, entry=None):
 
 
 def _read_config(path):
+    """The JSON object in the config or manifest at `path`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError("config file not found: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise CliError("config is not valid JSON (%s): %s" % (path, exc))
+        doc = json.loads(_read_checked(path)[0].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CliError("%s is not a UTF-8 JSON document: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise CliError("%s does not hold a JSON object" % path)
     return doc
@@ -88,13 +86,26 @@ def _require(cfg, key, where="config"):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `text` to `path` in UTF-8 and return the sha256 of its bytes."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc))
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_json(path, doc):
-    _write(path, json.dumps(doc, indent=1, sort_keys=True))
-    return path
+    """Write `doc` to `path` as JSON; its manifest entry {file, sha256}."""
+    return {"file": path, "sha256": _write(path, json.dumps(doc, indent=1, sort_keys=True))}
+
+
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError("cannot make the directory %s: %s" % (path, exc))
 
 
 def _resolve_spec(values, cov, where):
@@ -248,7 +259,7 @@ def cmd_simulate(args):
     if (v["n_events"] is None) == (v["tau"] is None):
         raise CliError("%s: give exactly one of 'n_events' and 'tau'" % args.config)
     out_dir = v["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
 
     if mode == "design":
         cov = CovariateSet()
@@ -274,12 +285,11 @@ def cmd_simulate(args):
     sequences = []
     for idx, (hist, beta_k) in enumerate(pairs):
         fname = os.path.join(out_dir, "events_%03d.csv" % idx)
-        _write(fname, events_to_csv(hist))
         sequences.append({"file": fname, "tau": hist.tau, "n_events": hist.m,
-                          "sha256": _read_checked(fname)[1]})
-    cov_path = _write_json(os.path.join(out_dir, "covariates.json"),
-                           _covariates_document(cov, risk.n_actors))
-    truths_path = _write_json(os.path.join(out_dir, "truths.json"), {
+                          "sha256": _write(fname, events_to_csv(hist))})
+    covariates = _write_json(os.path.join(out_dir, "covariates.json"),
+                             _covariates_document(cov, risk.n_actors))
+    truths = _write_json(os.path.join(out_dir, "truths.json"), {
         "mu": mu.tolist(),
         "sigma": np.broadcast_to(sigma, mu.shape).tolist(),
         "beta_k": [b.tolist() for _, b in pairs],
@@ -292,10 +302,10 @@ def cmd_simulate(args):
         "n_actors": risk.n_actors,
         "broadcast": risk.broadcast_actor,
         "sequences": sequences,
-        "covariates": {"file": cov_path, "sha256": _read_checked(cov_path)[1]},
-        "truths": {"file": truths_path, "sha256": _read_checked(truths_path)[1]},
+        "covariates": covariates,
+        "truths": truths,
     }
-    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)["file"]
     print("wrote %d sequences to %s (manifest: %s)" % (len(sequences), out_dir, path))
     return 0
 
@@ -407,8 +417,8 @@ def _save_posterior(samples: PosteriorSamples, out_dir):
         indices = itertools.product(*map(range, arr.shape))
         rows = [row % (*idx, v) for idx, v in zip(indices, arr.ravel().tolist())]
         path = os.path.join(out_dir, name)
-        _write(path, header + "\n" + "\n".join(rows) + "\n")
-        paths[name] = {"file": path, "sha256": _read_checked(path)[1]}
+        text = header + "\n" + "\n".join(rows) + "\n"
+        paths[name] = {"file": path, "sha256": _write(path, text)}
     return paths
 
 
@@ -439,7 +449,7 @@ def cmd_fit(args):
     except ValueError as exc:
         raise CliError("bad hyper value in %s: %s" % (args.config, exc))
     out_dir = v["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
 
     where, doc = args.config, cfg
     if v["from_manifest"] is not None:
@@ -496,7 +506,7 @@ def cmd_fit(args):
         "posterior": paths,
         "dic": dic,
     }
-    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    path = _write_json(os.path.join(out_dir, "manifest.json"), manifest)["file"]
     if sampler == "map":
         status, failed = "converged=%s" % diag["converged"], not diag["converged"]
         why = "MAP stopped before converging"
@@ -577,7 +587,7 @@ def cmd_diagnose(args):
         raise CliError("--surprise-threshold=%d is below 1" % args.surprise_threshold)
     manifest, spec, risk, cov, histories, samples = _reload_fit(args.manifest)
     out_dir = args.out_dir or manifest["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     beta_hat = samples.beta_mean()
     rng = np.random.default_rng(manifest["seed"])
     # Actors are written by their labels in the event files, the broadcast recipient last.

@@ -197,13 +197,6 @@ class CovariateSet:
             raise KeyError("unknown actor attribute %r" % name)
         return np.array([attr[i] for i in range(n_actors)])
 
-    def dyad_value(self, name: str, i: int, j: int) -> float:
-        try:
-            attr = self.dyad_attrs[name]
-        except KeyError:
-            raise KeyError("unknown dyad attribute %r" % name)
-        return float(attr.get((i, j), 0.0))
-
     def relabel(self, labels) -> "CovariateSet":
         """The same covariates keyed by dense id, where `labels[i]` is the label of id i.
 

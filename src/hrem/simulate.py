@@ -6,7 +6,8 @@ draw proportional to the dyad hazards.  Context switches introduce extra
 changepoints: by memorylessness the clock simply restarts there.  When no
 column of the spec reads the walk state, a step's hazards depend only on
 its context label and the previous event, so each such pair builds its
-statistic matrix once per simulated sequence.
+statistic matrix once per simulated sequence, and the simulator folds no
+event into the state beyond its previous event.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
     For a spec with no column that reads the state, each step's total rate
     and event CDF are kept, keyed by (context label, previous event), once
     the step has passed the explosion check; a later step with the same key
-    reuses them, checks them again and draws from `rng` as before.  Any
-    other spec builds one statistic matrix per step.
+    reuses them, checks them again and draws from `rng` as before; the
+    state then holds only the previous event.  Any other spec folds each
+    event into the state and builds one statistic matrix per step.
     """
     if (tau is None) == (n_events is None):
         raise ValueError("specify exactly one of tau or n_events")
@@ -123,7 +125,10 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
             row = cdf.searchsorted(rng.random(), side="right")
             i, j = risk.dyads[row]
             events.append((t, i, j))
-            state.apply((t, i, j), cov)
+            if spec._stateful:
+                state.apply((t, i, j), cov)
+            else:
+                state.last_event = (i, j)
             if n_events is not None and len(events) >= n_events:
                 break
             if len(events) >= max_events:

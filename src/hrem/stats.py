@@ -64,12 +64,13 @@ class SeqState:
 
     Tracks the previous event, per-actor lists of distinct most-recent
     out/in-neighbors (most recent first), per-dyad event counts, and the
-    current exogenous context.  A recency column reads the inverse ranks of
-    its direction from an (n_nodes x n_nodes) array that is built from the
-    lists when a column first asks for it; from then on :meth:`apply`
-    rewrites only the rows whose lists the event changed, row i of the send
-    array and row j of the receive array.  Specs without a recency effect
-    never build either array.
+    current exogenous context.  `send_ranks` and `receive_ranks` are
+    (n_nodes x n_nodes) arrays whose [a, b] is 1/rank of b in a's list of
+    that direction, 0 when b is absent; the recency columns gather from
+    them.  :meth:`apply` rewrites the rows whose lists the event changed,
+    row i of the send array and row j of the receive array.  Only a
+    consumer whose spec has a column that reads the state folds events
+    into one.
     """
 
     __slots__ = (
@@ -78,12 +79,12 @@ class SeqState:
         "last_event",
         "send_recency",
         "receive_recency",
+        "send_ranks",
+        "receive_ranks",
         "counts",
         "current_context",
         "n_applied",
         "last_time",
-        "_send_ranks",
-        "_receive_ranks",
         "_rank_values",
     )
 
@@ -93,12 +94,13 @@ class SeqState:
         self.last_event = None
         self.send_recency = [[] for _ in range(self.n_nodes)]
         self.receive_recency = [[] for _ in range(self.n_nodes)]
+        self.send_ranks = np.zeros((self.n_nodes, self.n_nodes))
+        self.receive_ranks = np.zeros((self.n_nodes, self.n_nodes))
+        self._rank_values = 1.0 / np.arange(1, self.n_nodes + 1)
         self.counts = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
         self.current_context = cov.context_at(0.0) if cov is not None else None
         self.n_applied = 0
         self.last_time = 0.0
-        self._send_ranks = None
-        self._receive_ranks = None
 
     def apply(self, event, cov: CovariateSet | None = None):
         """Fold one event into the state, in place."""
@@ -106,49 +108,20 @@ class SeqState:
         if self.n_applied > 0 and t <= self.last_time:
             raise ValueError("out-of-order event at t=%g (last t=%g)" % (t, self.last_time))
         self.last_event = (i, j)
-        out = self.send_recency[i]
-        if j in out:
-            out.remove(j)
-        out.insert(0, j)
-        inc = self.receive_recency[j]
-        if i in inc:
-            inc.remove(i)
-        inc.insert(0, i)
-        if self._send_ranks is not None:
-            self._rank_row(self._send_ranks[i], out)
-        if self._receive_ranks is not None:
-            self._rank_row(self._receive_ranks[j], inc)
+        for lists, ranks, a, b in ((self.send_recency, self.send_ranks, i, j),
+                                   (self.receive_recency, self.receive_ranks, j, i)):
+            lst = lists[a]
+            if b in lst:
+                lst.remove(b)
+            lst.insert(0, b)
+            ranks[a] = 0.0
+            ranks[a, lst] = self._rank_values[:len(lst)]
         self.counts[i, j] += 1
         if cov is not None and cov.context_track:
             self.current_context = cov.context_at(t)
         self.n_applied += 1
         self.last_time = t
         return self
-
-    def _rank_row(self, row, lst):
-        """Overwrite `row` with the inverse ranks of the ids in `lst`, rank 1 first."""
-        row.fill(0.0)
-        row[lst] = self._rank_values[:len(lst)]
-
-    def _inverse_ranks(self, direction: str, size: int) -> np.ndarray:
-        """Array whose [a, b] is 1/rank of b in a's `direction` list, 0 when absent.
-
-        `direction` is "send" or "receive", and the array is at least
-        `size` x `size`.  It is built from the lists on the first request;
-        later requests return the same array, which :meth:`apply` keeps
-        current.
-        """
-        attr = "_send_ranks" if direction == "send" else "_receive_ranks"
-        ranks = getattr(self, attr)
-        if ranks is None or len(ranks) < size:
-            n = max(self.n_nodes, size)
-            self._rank_values = 1.0 / np.arange(1, n + 1)
-            ranks = np.zeros((n, n))
-            lists = self.send_recency if direction == "send" else self.receive_recency
-            for row, lst in zip(ranks, lists):
-                self._rank_row(row, lst)
-            setattr(self, attr, ranks)
-        return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +342,7 @@ class RecencySend(Effect):
     endogenous = reads_state = True
 
     def column(self, segs, cov, risk):
-        ranks = segs.state._inverse_ranks("send", len(risk.actor_masks) - 1)
-        return ranks[risk.senders, risk.recipients]
+        return segs.state.send_ranks[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
@@ -378,8 +350,7 @@ class RecencyReceive(Effect):
     endogenous = reads_state = True
 
     def column(self, segs, cov, risk):
-        ranks = segs.state._inverse_ranks("receive", len(risk.actor_masks) - 1)
-        return ranks[risk.senders, risk.recipients]
+        return segs.state.receive_ranks[risk.senders, risk.recipients]
 
 
 @dataclass(frozen=True)
@@ -664,9 +635,9 @@ class Block:
     The matrices are kept as parts: `codes[b]` is segment b's position in
     `stack`, the spec's (contexts, |R|, P) stack of exogenous columns, and
     `dyn[d]` is the (B, |R|) array of the d-th endogenous column, which is
-    column `columns[d]` of the matrices.  :meth:`matrices` assembles the
-    matrices of some segments, :meth:`rows` only some rows, and
-    :meth:`log_hazards` the matrices' products with beta.
+    column `columns[d]` of the matrices.  :meth:`matrices` assembles them
+    all, :meth:`rows` only some rows, and :meth:`log_hazards` the
+    matrices' products with beta.
     """
 
     __slots__ = ("stack", "codes", "columns", "dyn", "contexts", "dur", "event", "row")
@@ -681,22 +652,16 @@ class Block:
         self.event = event
         self.row = row
 
-    def matrices(self, segments=slice(None)) -> np.ndarray:
-        """The (n, |R|, P) statistic matrices of the `segments` (a slice) of the block."""
-        x = self.stack[self.codes[segments]]
+    def matrices(self) -> np.ndarray:
+        """The (B, |R|, P) statistic matrices of the block's segments."""
+        x = self.stack[self.codes]
         for d, p in enumerate(self.columns):
-            x[:, :, p] = self.dyn[d, segments]
+            x[:, :, p] = self.dyn[d]
         return x
 
     def log_hazards(self, beta) -> np.ndarray:
-        """(B, |R|) log hazards, each segment's own x @ beta.
-
-        The matrices are assembled at most max(1, _MATRIX_BLOCK // (|R| * P))
-        segments at a time.
-        """
-        step = max(1, _MATRIX_BLOCK // self.stack[0].size)
-        return np.concatenate([self.matrices(slice(lo, lo + step)) @ beta
-                               for lo in range(0, len(self.dur), step)])
+        """(B, |R|) log hazards, each segment's own x @ beta."""
+        return self.matrices() @ beta
 
     def rows(self, b, r) -> np.ndarray:
         """The statistic rows of dyads `r` in segments `b` (index arrays): (n, P)."""
@@ -711,8 +676,6 @@ class Block:
 # block's per-segment calls, few enough that the consumers' per-row
 # arrays keep peak memory flat.
 _WALK_BLOCK = 1 << 12
-# Floats of full statistic matrices assembled at once.
-_MATRIX_BLOCK = 1 << 16
 
 
 def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: CovariateSet,

@@ -4,11 +4,14 @@
 This module computes the same statistic for a single dyad straight from
 its definition, with no code shared with those columns, so the tests can
 check the statistic matrices, the unique-vector tables and the
-likelihoods against it.  Its later sections pin random streams the same
-way: the ranks' tie-break, the collapsed sweep and the simulator's event
-draw, each written out as the library first had it.
+likelihoods against it.  It keeps its own record of the past events
+(:class:`Past`), so a slip in how :class:`hrem.stats.SeqState` folds an
+event cannot pass as the reference.  Its later sections pin random
+streams the same way: the ranks' tie-break, the collapsed sweep and the
+simulator's event draw, each written out as the library first had it.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -32,12 +35,37 @@ from hrem.stats import (
 )
 
 
-def recency_rank(direction, state, i, j):
-    """Inverse rank of j in i's recency list; 0 when absent (rank infinity)."""
+class Past:
+    """What the statistics read of the events before time t.
+
+    `sent[i]` lists the distinct recipients of i's events, and
+    `received[i]` the distinct senders of the events to i, the latest
+    first; `counts[i, j]` is the number of events from i to j.
+    """
+
+    def __init__(self, n_actors, broadcast=None):
+        self.room = range(n_actors)  # the real actors
+        self.broadcast = broadcast
+        self.last_event = None
+        self.sent = collections.defaultdict(list)
+        self.received = collections.defaultdict(list)
+        self.counts = collections.Counter()
+
+    def apply(self, event):
+        _, i, j = event
+        self.last_event = (i, j)
+        self.sent[i] = [j] + [b for b in self.sent[i] if b != j]
+        self.received[j] = [i] + [a for a in self.received[j] if a != i]
+        self.counts[i, j] += 1
+        return self
+
+
+def recency_rank(direction, past, i, j):
+    """Inverse rank of j in i's recency list of `past`; 0 when absent (rank infinity)."""
     if direction == "send":
-        lst = state.send_recency[i]
+        lst = past.sent[i]
     elif direction == "receive":
-        lst = state.receive_recency[i]
+        lst = past.received[i]
     else:
         raise ValueError("direction must be 'send' or 'receive'")
     try:
@@ -63,90 +91,84 @@ def pshift_match(kind, a, b, i, j):
     raise ValueError(kind)
 
 
-def _room(state):
-    """Real actor ids: every node but the broadcast recipient."""
-    n = state.n_nodes - (1 if state.broadcast is not None else 0)
-    return range(n)
-
-
 def _level(v, level):
     return float(v == level) if level is not None else float(v)
 
 
-def _receiver(state, attrs, j, level):
+def _receiver(past, attrs, j, level):
     # The broadcast recipient takes the mean over the room of real actors.
-    if j == state.broadcast:
-        return float(np.mean([_level(attrs[a], level) for a in _room(state)]))
+    if j == past.broadcast:
+        return float(np.mean([_level(attrs[a], level) for a in past.room]))
     return _level(attrs[j], level)
 
 
-def value(eff, state, cov, i, j, context):
+def value(eff, past, cov, i, j, context):
     """Statistic of effect `eff` for the single dyad (i, j)."""
     if isinstance(eff, Baserate):
         return 1.0
     if isinstance(eff, SenderAttr):
         return _level(cov.actor_attrs[eff.attr][i], eff.level)
     if isinstance(eff, ReceiverAttr):
-        return _receiver(state, cov.actor_attrs[eff.attr], j, eff.level)
+        return _receiver(past, cov.actor_attrs[eff.attr], j, eff.level)
     if isinstance(eff, DyadMatch):
         attrs = cov.actor_attrs[eff.attr]
-        if j == state.broadcast:
-            return float(np.mean([attrs[a] == attrs[i] for a in _room(state)]))
+        if j == past.broadcast:
+            return float(np.mean([attrs[a] == attrs[i] for a in past.room]))
         return float(attrs[j] == attrs[i])
     if isinstance(eff, DyadValue):
-        return cov.dyad_value(eff.attr, i, j)
+        return float(cov.dyad_attrs[eff.attr].get((i, j), 0.0))
     if isinstance(eff, Mix):
         attrs = cov.actor_attrs[eff.attr]
-        return _level(attrs[i], eff.sender_level) * _receiver(state, attrs, j, eff.receiver_level)
+        return _level(attrs[i], eff.sender_level) * _receiver(past, attrs, j, eff.receiver_level)
     if isinstance(eff, PShift):
-        if state.last_event is None:
+        if past.last_event is None:
             return 0.0
-        return float(pshift_match(eff.kind, *state.last_event, i, j))
+        return float(pshift_match(eff.kind, *past.last_event, i, j))
     if isinstance(eff, RecencySend):
-        return recency_rank("send", state, i, j)
+        return recency_rank("send", past, i, j)
     if isinstance(eff, RecencyReceive):
-        return recency_rank("receive", state, i, j)
+        return recency_rank("receive", past, i, j)
     if isinstance(eff, ContextIndicator):
         return float(context == eff.label)
     if isinstance(eff, ContextInteraction):
-        return value(eff.base, state, cov, i, j, context) if context == eff.label else 0.0
+        return value(eff.base, past, cov, i, j, context) if context == eff.label else 0.0
     if isinstance(eff, ToBroadcast):
         def sender_ok(a):
             return eff.attr is None or cov.actor_attrs[eff.attr][a] == eff.level
 
-        bc = state.broadcast
+        bc = past.broadcast
         if bc is None or j != bc or not sender_ok(i):
             return 0.0
         if eff.prev:
-            if state.last_event is None:
+            if past.last_event is None:
                 return 0.0
-            a, b = state.last_event
+            a, b = past.last_event
             if b != bc or not sender_ok(a):
                 return 0.0
         return 1.0
     if isinstance(eff, EventCount):
-        c = state.counts[i, j]
+        c = past.counts[i, j]
         return float(c) ** eff.power if c else 0.0
     raise TypeError("no scalar form for %r" % (eff,))
 
 
-def vector(spec, state, cov, i, j, context):
-    return np.array([value(eff, state, cov, i, j, context) for eff in spec.effects])
+def vector(spec, past, cov, i, j, context):
+    return np.array([value(eff, past, cov, i, j, context) for eff in spec.effects])
 
 
 def _intervals(history, risk, cov):
-    """Yield (state, pieces, event) per interval between changepoints.
+    """Yield (past, pieces, event) per interval between changepoints.
 
     `pieces` are the (duration, context) parts of the interval and `event`
     is (i, j, context at the event), None for the censored tail.
     """
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+    past = Past(history.n_actors, broadcast=risk.broadcast_actor)
     prev_t = 0.0
     for (t, i, j) in history.events:
-        yield state, cov.context_segments(prev_t, t), (i, j, cov.context_at(t))
-        state.apply((t, i, j), cov)
+        yield past, cov.context_segments(prev_t, t), (i, j, cov.context_at(t))
+        past.apply((t, i, j))
         prev_t = t
-    yield state, cov.context_segments(prev_t, history.tau), None
+    yield past, cov.context_segments(prev_t, history.tau), None
 
 
 def table(spec, history, risk, cov):
@@ -166,12 +188,12 @@ def table(spec, history, risk, cov):
             m.append(0.0)
         return r
 
-    for state, pieces, event in _intervals(history, risk, cov):
+    for past, pieces, event in _intervals(history, risk, cov):
         for dur, ctx in pieces:
             for i, j in risk.dyads:
-                m[slot(vector(spec, state, cov, i, j, ctx))] += dur
+                m[slot(vector(spec, past, cov, i, j, ctx))] += dur
         if event is not None:
-            q[slot(vector(spec, state, cov, *event))] += 1
+            q[slot(vector(spec, past, cov, *event))] += 1
     vectors = np.array(vectors) if vectors else np.zeros((0, spec.p))
     return vectors, np.array(q, dtype=np.int64), np.array(m, dtype=float)
 
@@ -180,12 +202,12 @@ def loglik(beta, history, spec, risk, cov):
     """Full-time log-likelihood from per-dyad scalar hazards, O(M * P * N^2)."""
     beta = np.asarray(beta, dtype=float)
     total = 0.0
-    for state, pieces, event in _intervals(history, risk, cov):
+    for past, pieces, event in _intervals(history, risk, cov):
         for dur, ctx in pieces:
-            total -= dur * sum(np.exp(beta @ vector(spec, state, cov, i, j, ctx))
+            total -= dur * sum(np.exp(beta @ vector(spec, past, cov, i, j, ctx))
                                for i, j in risk.dyads)
         if event is not None:
-            total += float(beta @ vector(spec, state, cov, *event))
+            total += float(beta @ vector(spec, past, cov, *event))
     return float(total)
 
 

@@ -422,8 +422,17 @@ def test_n_train_outside_the_events_exits_one_naming_the_sequence(sim_dir, capsy
     assert "n_train=0" in capsys.readouterr().err
 
 
-def test_predict_nonexistent_manifest(tmp_path):
-    assert main(["predict", "--manifest", str(tmp_path / "no.json"), "--z", "5"]) == 1
+def unreadable_inputs(tmp_path):
+    """A missing file, a directory and a file whose bytes are not UTF-8."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    return [str(tmp_path / "no.json"), str(tmp_path), str(bad)]
+
+
+def test_predict_nonexistent_manifest(tmp_path, capsys):
+    for path in unreadable_inputs(tmp_path):
+        assert main(["predict", "--manifest", path, "--z", "5"]) == 1
+        assert path in capsys.readouterr().err
 
 
 def test_predict_empty_test_segment_marked_absent(sim_dir):
@@ -541,8 +550,31 @@ def test_recall_and_surprise_csvs_pin_the_per_event_scalar_tie_break(sim_dir):
     assert open(sim_dir / "fit" / "surprise.csv").read() == "\n".join(surprise) + "\n"
 
 
-def test_diagnose_nonexistent_manifest(tmp_path):
-    assert main(["diagnose", "--manifest", str(tmp_path / "no.json")]) == 1
+def test_diagnose_nonexistent_manifest(tmp_path, capsys):
+    for path in unreadable_inputs(tmp_path):
+        assert main(["diagnose", "--manifest", path]) == 1
+        assert path in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_one_naming_the_path(sim_dir, capsys):
+    main(["fit", "--config", fit_config(sim_dir), "--allow-nonconverged"])
+    manifest = str(sim_dir / "fit" / "manifest.json")
+    plain = sim_dir / "plain.txt"
+    plain.write_text("")
+    nodir = sim_dir / "nodir"
+    sim = write_json(sim_dir / "under_a_file.json", {"seed": 1, "preset": "syn52", "n_events": 5,
+                                                     "out_dir": str(plain / "sim")})
+    cases = [
+        (["predict", "--manifest", manifest, "--z", "5", "--out", str(nodir / "r.csv")],
+         nodir / "r.csv"),
+        (["select", manifest, manifest, "--out", str(nodir / "s.csv")], nodir / "s.csv"),
+        (["simulate", "--config", sim], plain / "sim"),
+        (["diagnose", "--manifest", manifest, "--out-dir", str(plain)], plain),
+    ]
+    capsys.readouterr()
+    for argv, path in cases:
+        assert main(argv) == 1, argv
+        assert str(path) in capsys.readouterr().err, argv
 
 
 def test_select_needs_two_manifests(sim_dir, capsys):

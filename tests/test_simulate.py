@@ -189,28 +189,38 @@ def test_event_draw_keeps_the_stream_of_generator_choice():
 
 
 def test_simulator_builds_one_matrix_per_key_unless_a_column_reads_the_state(monkeypatch):
-    calls = []
-    matrix = StatisticSpec.matrix
+    calls, applied = [], []
+    matrix, apply = StatisticSpec.matrix, SeqState.apply
 
     def counted(self, state, cov, risk, context):
         calls.append((context, state.last_event))
         return matrix(self, state, cov, risk, context)
 
+    def folded(self, event, cov=None):
+        applied.append(event)
+        return apply(self, event, cov)
+
     monkeypatch.setattr(StatisticSpec, "matrix", counted)
+    monkeypatch.setattr(SeqState, "apply", folded)
     d = syn52(baserate=-1.0)
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=1000, seed=11)
     # Every step's key is (context, previous event); the last event starts no step.
     keys = {(None, None)} | {(None, e[1:]) for e in hist.events[:-1]}
     assert sorted(calls, key=repr) == sorted(keys, key=repr) and len(calls) < 100
+    # No column reads the state, so no event is folded into it.
+    assert applied == []
     beta, spec, risk, cov = stateless_design()
     calls.clear()
     hist = simulate_history(beta, spec, risk, cov, n_events=200, seed=0)
     restarts = sum(0.0 < s < hist.events[-1][0] for s, _ in cov.context_track)
     assert restarts > 50 and len(calls) == len(set(calls)) < 50
+    assert applied == []
     # A column that reads the state: one matrix per step, that is per event
-    # and per restart at each switch before the last event.
+    # and per restart at each switch before the last event, and every event
+    # folded into the state.
     beta, spec, risk, cov = stateful_design()
     calls.clear()
     hist = simulate_history(beta, spec, risk, cov, n_events=200, seed=0)
     restarts = sum(0.0 < s < hist.events[-1][0] for s, _ in cov.context_track)
     assert restarts > 0 and len(calls) == 200 + restarts
+    assert applied == list(hist.events)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 
 import numpy as np
@@ -98,8 +97,16 @@ def test_pshift_label_kinds():
     assert pshift_label(None, (0.2, 0, 1)) is None
 
 
+def past_after(events, n_actors=4, broadcast=None):
+    """The oracle's record of `events`, kept apart from SeqState."""
+    past = oracle.Past(n_actors, broadcast=broadcast)
+    for ev in events:
+        past.apply(ev)
+    return past
+
+
 def test_recency_rank_values():
-    s = state_after([(0.1, 0, 1), (0.2, 0, 2), (0.3, 0, 3)])
+    s = past_after([(0.1, 0, 1), (0.2, 0, 2), (0.3, 0, 3)])
     assert oracle.recency_rank("send", s, 0, 3) == 1.0
     assert oracle.recency_rank("send", s, 0, 2) == 0.5
     assert oracle.recency_rank("send", s, 0, 1) == pytest.approx(1 / 3)
@@ -139,9 +146,9 @@ def test_update_state_rejects_out_of_order():
 
 
 def test_state_rebuild_equals_incremental():
-    # Five actors and the broadcast recipient 5.  `inc` has its inverse ranks
-    # from the start; `late` is asked for them first after event 15, as a
-    # walk from a later start does, and keeps them from then on.
+    # Five actors and the broadcast recipient 5.  `inc` folds the events one
+    # at a time; a state rebuilt from scratch after each event must agree
+    # with it, and its rank arrays with the oracle's recency lists.
     rng = np.random.default_rng(7)
     nodes = 6
     for _ in range(10):
@@ -153,25 +160,19 @@ def test_state_rebuild_equals_incremental():
             j = int(rng.choice([k for k in range(nodes) if k != i]))
             events.append((t, i, j))
         inc = SeqState(5, broadcast=5)
-        late = SeqState(5, broadcast=5)
-        held = {d: inc._inverse_ranks(d, nodes) for d in ("send", "receive")}
         for m, ev in enumerate(events, start=1):
             inc.apply(ev)
-            late.apply(ev)
             scratch = state_after(events[:m], n_actors=5, broadcast=5)
             assert inc.last_event == scratch.last_event
             assert inc.send_recency == scratch.send_recency
             assert inc.receive_recency == scratch.receive_recency
             assert np.array_equal(inc.counts, scratch.counts)
             assert inc.counts.sum() == m
-            states = [inc] + [late] * (m >= 15)
-            for state, d in itertools.product(states, ("send", "receive")):
-                ranks = state._inverse_ranks(d, nodes)
-                want = [[oracle.recency_rank(d, scratch, a, b) for b in range(nodes)]
+            past = past_after(events[:m], n_actors=5, broadcast=5)
+            for d, ranks in (("send", inc.send_ranks), ("receive", inc.receive_ranks)):
+                want = [[oracle.recency_rank(d, past, a, b) for b in range(nodes)]
                         for a in range(nodes)]
-                assert ranks.tolist() == want, (d, m, state is late)
-            for d in ("send", "receive"):
-                assert inc._inverse_ranks(d, nodes) is held[d]  # updated in place
+                assert ranks.tolist() == want, (d, m)
 
 
 def test_spec_requires_nonempty_unique():
@@ -340,11 +341,12 @@ def test_unique_table_keeps_zero_and_minus_zero_rows_across_a_context_switch():
 
 def test_recency_receive_column_matches_values():
     risk = build_risk_set(4)
-    s = state_after([(0.1, 0, 1), (0.3, 2, 1), (0.5, 3, 1)])
+    events = [(0.1, 0, 1), (0.3, 2, 1), (0.5, 3, 1)]
     spec = StatisticSpec((RecencyReceive(),))
-    col = spec.matrix(s, COV, risk)[:, 0]
+    col = spec.matrix(state_after(events), COV, risk)[:, 0]
+    past = past_after(events)
     for r, (i, j) in enumerate(risk.dyads):
-        assert col[r] == oracle.recency_rank("receive", s, i, j)
+        assert col[r] == oracle.recency_rank("receive", past, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +470,17 @@ def test_matrix_rows_equal_vectors_in_every_context():
     for code in ("E1", "A1", "G3", "F2"):
         spec = classroom_spec(code)
         state = SeqState(6, broadcast=risk.broadcast_actor, cov=cov)
+        past = oracle.Past(6, broadcast=risk.broadcast_actor)
         for event in hist.events:
             for ctx in ("lecture", "groupwork", "silent"):
                 mat = spec.matrix(state, cov, risk, context=ctx)
-                rows = np.array([oracle.vector(spec, state, cov, i, j, ctx)
+                rows = np.array([oracle.vector(spec, past, cov, i, j, ctx)
                                  for i, j in risk.dyads])
                 assert same_bits(mat, rows), (code, ctx, state.n_applied)
                 i, j = risk.dyads[-1]
                 assert same_bits(spec.vector(state, cov, risk, i, j, context=ctx), mat[-1])
             state.apply(event, cov)
+            past.apply(event)
 
 
 def test_unique_table_matches_per_row_oracle_on_presets():
@@ -605,7 +609,6 @@ def test_tables_and_scores_are_the_same_for_any_walk_block(monkeypatch):
         scores = {}
         for size in walk_sizes(risk):
             monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
-            monkeypatch.setattr(hrem.stats, "_MATRIX_BLOCK", size * spec.p)
             table = unique_stat_table(spec, history, risk, cov)
             assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q), size
             assert same_bits(table.m, m), size
