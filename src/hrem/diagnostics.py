@@ -103,7 +103,7 @@ def baseline_counts(history: EventHistory, risk: RiskSet, n_train: int):
     The baseline ranks dyads by their training-segment event counts, so
     unseen dyads tie at zero.
     """
-    rows = np.array([risk.index[(i, j)] for (t, i, j) in history.events], dtype=np.intp)
+    rows = risk.rows(*history.array[:, 1:].T)
     counts = np.bincount(rows[:n_train], minlength=len(risk))
     observed = counts[rows[n_train:]]
     ordered = np.sort(counts)

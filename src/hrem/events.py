@@ -53,7 +53,7 @@ class EventHistory:
     actor_labels: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(tuple(e) for e in self.events))
+        object.__setattr__(self, "events", tuple(map(tuple, self.events)))
 
     @property
     def m(self) -> int:
@@ -61,7 +61,13 @@ class EventHistory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([e[0] for e in self.events], dtype=float)
+        return self.array[:, 0].copy()
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The events as an (m, 3) float array of times, senders and recipients."""
+        flat = itertools.chain.from_iterable(self.events)
+        return np.fromiter(flat, dtype=float, count=3 * self.m).reshape(self.m, 3)
 
     def truncate(self, n_events: int) -> "EventHistory":
         """First `n_events` events with the window shortened accordingly.
@@ -101,11 +107,6 @@ class RiskSet:
         return len(self.dyads)
 
     @functools.cached_property
-    def index(self) -> dict:
-        """dyad -> row position."""
-        return {d: r for r, d in enumerate(self.dyads)}
-
-    @functools.cached_property
     def senders(self) -> np.ndarray:
         return np.array([d[0] for d in self.dyads], dtype=int)
 
@@ -119,13 +120,35 @@ class RiskSet:
         return int(self.senders.max()) + 1
 
     @functools.cached_property
+    def n_nodes(self) -> int:
+        """Number of actor ids: 0 up to the largest in a dyad, the broadcast recipient included."""
+        return int(max(self.senders.max(initial=-1), self.recipients.max(initial=-1))) + 1
+
+    @functools.cached_property
+    def row_index(self) -> np.ndarray:
+        """(nodes, nodes) intp array: [i, j] is dyad (i, j)'s row position, -1 off the risk set."""
+        grid = np.full((self.n_nodes, self.n_nodes), -1, dtype=np.intp)
+        grid[self.senders, self.recipients] = np.arange(len(self.dyads))
+        return grid
+
+    def rows(self, senders, recipients) -> np.ndarray:
+        """The row position of each pair (senders[n], recipients[n]), -1 for one off the risk set.
+
+        An id that names no node (negative, too large or not whole) puts its
+        pair off the set.
+        """
+        ids = np.array([senders, recipients], dtype=float).reshape(2, -1)
+        on = ((ids >= 0) & (ids < self.n_nodes) & (ids == np.floor(ids))).all(axis=0)
+        i, j = np.where(on, ids, 0).astype(np.intp)
+        return np.where(on, self.row_index[i, j], -1)
+
+    @functools.cached_property
     def actor_masks(self) -> np.ndarray:
         """(nodes + 1, 2, |R|) booleans: [a, 0] is senders == a, [a, 1] recipients == a.
 
-        The nodes are the ids up to the largest one; the last row, -1, stands
-        for no actor and is all False.
+        The last row, -1, stands for no actor and is all False.
         """
-        nodes = np.arange(max(self.senders.max(), self.recipients.max()) + 2)[:, None]
+        nodes = np.arange(self.n_nodes + 1)[:, None]
         nodes[-1] = -1
         return np.stack([self.senders == nodes, self.recipients == nodes], axis=1)
 
@@ -215,7 +238,7 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
     """Check all structural invariants; return one message per violation.
 
     Violations are data, not exceptions: an empty list means the inputs
-    are consistent.
+    are consistent.  The checks of the events compare whole arrays.
     """
     report = []
     window = history.tau > 0  # without a window, one message says so, not one per event
@@ -223,24 +246,28 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
         report.append("tau must be positive, got %r" % history.tau)
     if history.n_actors < 1:
         report.append("n_actors must be positive, got %r" % history.n_actors)
-    prev_t = 0.0
-    for m, (t, i, j) in enumerate(history.events):
-        if t <= prev_t:
-            report.append("event %d: times not strictly increasing (%g after %g)" % (m, t, prev_t))
-        prev_t = t
-        if window and t >= history.tau:
-            report.append("event %d: time %g outside observation window [0, %g)"
-                          % (m, t, history.tau))
-        if (i, j) not in risk.index:
-            report.append("event %d: dyad (%d, %d) not in risk set" % (m, i, j))
-        if i == j:
-            report.append("event %d: reflexive event (%d, %d)" % (m, i, j))
-        if risk.broadcast_actor is not None and i == risk.broadcast_actor:
-            report.append("event %d: broadcast actor %d cannot send" % (m, i))
+    ev, bc = history.events, risk.broadcast_actor
+    t, i, j = history.array.T
+    earlier = np.append(0.0, t[:-1])
+    checks = [  # (flags over the events, the message of the event at an index)
+        (np.isnan(t), lambda m: "event %d: time %g is not a number" % (m, ev[m][0])),
+        (t <= earlier, lambda m: "event %d: times not strictly increasing (%g after %g)"
+         % (m, ev[m][0], earlier[m])),
+        (window & (t >= history.tau), lambda m: "event %d: time %g outside observation window"
+         " [0, %g)" % (m, ev[m][0], history.tau)),
+        (risk.rows(i, j) < 0, lambda m: "event %d: dyad (%d, %d) not in risk set"
+         % (m, *ev[m][1:])),
+        (i == j, lambda m: "event %d: reflexive event (%d, %d)" % (m, *ev[m][1:])),
+        (bc is not None and i == bc, lambda m: "event %d: broadcast actor %d cannot send"
+         % (m, ev[m][1])),
+    ]
+    # Event by event, and in the order of the checks within one.
+    hits = sorted((m, k) for k, (flags, _) in enumerate(checks) for m in np.flatnonzero(flags))
+    report += [checks[k][1](m) for m, k in hits]
     for (i, j) in risk.dyads:
         if i == j:
             report.append("risk set contains reflexive pair (%d, %d)" % (i, j))
-        if risk.broadcast_actor is not None and i == risk.broadcast_actor:
+        if bc is not None and i == bc:
             report.append("risk set has broadcast actor %d as sender" % i)
     if cov is not None:
         report += validate_track(history, cov)
@@ -262,29 +289,60 @@ def validate_track(history: EventHistory, cov: CovariateSet) -> list:
             report.append("context %d starts at %g, not after context %d at %g"
                           % (n, starts[n], n - 1, starts[n - 1]))
             break
-    for m, (t, _, _) in enumerate(history.events):
-        if cov.context_at(t) is None:
-            report.append("event %d: time %g not covered by context track" % (m, t))
+    # An event before the first start has no context (CovariateSet.context_at).
+    for m in np.flatnonzero(history.array[:, 0] < starts[0]).tolist():
+        report.append("event %d: time %g not covered by context track" % (m, history.events[m][0]))
     return report
 
 
-def _parse_events_csv(text: str):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+def _tokens(text: str) -> tuple:
+    """(header, widths, fields): the first row, the later rows' lengths, and all their fields.
+
+    The csv module cuts the text into rows.  An empty later row holds one
+    empty field.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    body = [row or [""] for row in rows[1:]]
+    return (rows[0] if rows else None, np.fromiter(map(len, body), np.intp, len(body)),
+            list(itertools.chain.from_iterable(body)))
+
+
+def _parse_events_csv(text: str) -> tuple:
+    """(times, senders, recipients) of an event CSV: a float array and two lists of label strings.
+
+    Blank rows are skipped.  The first row that is short or has a bad time
+    raises, naming its line.
+    """
+    header, widths, fields = _tokens(text)
     if header is None or [h.strip() for h in header[:3]] != ["t", "sender", "recipient"]:
         raise ValidationError("expected CSV header 't,sender,recipient', got %r" % header)
-    events = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 3:
-            raise ValidationError("line %d: expected 3 fields, got %d" % (lineno, len(row)))
-        try:
-            t = float(row[0])
-        except ValueError:
-            raise ValidationError("line %d: bad time %r" % (lineno, row[0]))
-        events.append((t, _label(row[1].strip()), _label(row[2].strip())))
-    return events
+    first = np.cumsum(widths) - widths  # each row's first field
+    raw = list(map(fields.__getitem__, first.tolist()))
+    rows = np.arange(len(widths))  # the rows that are not blank
+    try:
+        times, bad = np.fromiter(map(float, raw), float, len(raw)), len(raw)
+    except ValueError:  # a blank row or a bad time: drop the blank rows, find the bad time
+        filled = np.append(0, np.fromiter(map(bool, map(str.strip, fields)), int).cumsum())
+        rows = np.flatnonzero(filled[first + widths] > filled[first])
+        first, raw = first[rows], [raw[r] for r in rows.tolist()]
+        bad = next((k for k, x in enumerate(raw) if not _is_float(x)), len(raw))
+        times = np.fromiter(map(float, raw[:bad]), float, bad)
+    short = np.flatnonzero(widths[rows] < 3)
+    if len(short) and short[0] <= bad:
+        raise ValidationError("line %d: expected 3 fields, got %d"
+                              % (rows[short[0]] + 2, widths[rows[short[0]]]))
+    if bad < len(raw):
+        raise ValidationError("line %d: bad time %r" % (rows[bad] + 2, raw[bad]))
+    return tuple([times] + [list(map(str.strip, map(fields.__getitem__, (first + k).tolist())))
+                            for k in (1, 2)])
+
+
+def _is_float(x: str) -> bool:
+    try:
+        float(x)
+    except ValueError:
+        return False
+    return True
 
 
 def _label(x):
@@ -323,12 +381,13 @@ def load_history(
     """
     if format != "csv":
         raise ValueError("unknown format %r" % format)
-    raw = _parse_events_csv(_read_text(source))
+    times, senders, recipients = _parse_events_csv(_read_text(source))
     if tau is None:
         raise ValidationError("tau is required and was not provided")
 
     broadcast_label = _label(broadcast_label)
-    labels = {lab for _, i, j in raw for lab in (i, j)} - {broadcast_label}
+    read = {x: _label(x) for x in {*senders, *recipients}}  # each distinct string once
+    labels = set(read.values()) - {broadcast_label}
     if n_actors is not None:
         # Pad with unused integer labels so silent actors stay in the risk set.
         pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
@@ -340,17 +399,16 @@ def load_history(
     mapping = {lab: i for i, lab in enumerate(labels)}
     if broadcast_label is not None:
         mapping[broadcast_label] = len(labels)
-
-    events = [(t, mapping[i], mapping[j]) for t, i, j in raw]
-    n_real = len(labels)
+    ids = {x: mapping[lab] for x, lab in read.items()}
     history = EventHistory(
-        events=tuple(events),
+        events=tuple(zip(times.tolist(), map(ids.__getitem__, senders),
+                         map(ids.__getitem__, recipients))),
         tau=float(tau),
-        n_actors=n_real,
+        n_actors=len(labels),
         sequence_id=sequence_id,
         actor_labels=labels,
     )
-    risk = build_risk_set(n_real, include_broadcast=broadcast_label is not None)
+    risk = build_risk_set(len(labels), include_broadcast=broadcast_label is not None)
     report = validate(history, risk)
     if report:
         raise ValidationError("; ".join(report))

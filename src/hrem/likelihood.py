@@ -3,11 +3,10 @@
 The hazard of dyad (i, j) is log-linear in its statistic vector and
 piecewise constant between changepoints (events and context switches).
 `loglik_full` evaluates the cached form over unique statistic vectors;
-`score_events` walks the statistic matrices of every changepoint instead,
-a block of segments at a time, and scores each event for the likelihood
-and the diagnostics;
-`loglik_naive` sums its scores, which checks the cache's deduplication
-and exposure sums.
+`score_events` walks the statistic matrices of the changepoint segments
+instead, one per distinct key of the walk, and scores each event for the
+likelihood and the diagnostics; `loglik_naive` sums its scores, which
+checks the cache's deduplication and exposure sums.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrem.events import CovariateSet, EventHistory, RiskSet
-from hrem.stats import SeqState, StatisticSpec, UniqueStatTable, walk
+from hrem.stats import SeqState, StatisticSpec, UniqueStatTable, _every, walk
 
 __all__ = [
     "loglik_full",
@@ -86,38 +85,43 @@ def score_events(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,
                  risk: RiskSet, cov: CovariateSet, start: int = 0) -> EventScores:
     """Score the events from index `start` on, and the tail, in one walk.
 
-    Each block of the walk gives every segment's x @ beta (each matrix's
-    own product) and total hazard in a few array operations, and scores
-    its events together; an event's exposure sums its interval's pieces in
-    order.  Events before `start` only advance the state.
+    Each key of the walk (:class:`hrem.stats.Walk`) gets its log hazards
+    x @ beta, its total hazard and the normaliser of its choice
+    probabilities once, from its block's matrices; each event gathers its
+    key's.  An event's exposure sums its interval's pieces in order.
+    Events before `start` only advance the state.
     """
     beta = np.asarray(beta, dtype=float)
+    w = walk(spec, history, risk, cov, start=start)
     n = history.m - start
-    log_hazard, exposure, prob, log_prob = (np.empty(n) for _ in range(4))
+    log_hazard = np.empty(n)
     higher, ties = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    parts = []  # exposures of the pieces of the current interval
+    eta = np.empty((w.n_slots, len(risk)))  # each key's log hazards (Walk.n_slots)
+    keyed = np.empty((3, w.n_slots))  # each key's total hazard, top log hazard and normaliser
+    seg = np.empty((3, len(w.dur)))  # those of each segment's key
+    ends = w.event >= 0
     with np.errstate(over="ignore"):
-        for block in walk(spec, history, risk, cov, start=start):
-            eta = block.log_hazards(beta)  # (B, |R|)
-            totals = np.exp(eta).sum(axis=1)
-            for dur, total, m in zip(block.dur.tolist(), totals.tolist(), block.event.tolist()):
-                if dur > 0:
-                    parts.append(dur * total)
-                if m >= 0:
-                    exposure[m - start] = sum(parts)
-                    parts.clear()
-            hit = (block.event >= 0).nonzero()[0]
-            at, rows, e = block.event[hit] - start, block.row[hit], eta[hit]
-            top, observed = e.max(axis=1), e[np.arange(len(hit)), rows]
-            w = e - top[:, None]
-            np.exp(w, out=w)
-            norm = w.sum(axis=1)
-            log_hazard[at] = observed
-            prob[at] = w[np.arange(len(hit)), rows] / norm
-            log_prob[at] = observed - (top + np.log(norm))
-            higher[at] = np.count_nonzero(e > observed[:, None], axis=1)
-            ties[at] = np.count_nonzero(e == observed[:, None], axis=1)
-    return EventScores(log_hazard, exposure, prob, log_prob, higher, ties, sum(parts))
+        for block, ready in w.blocks():
+            e = eta[block.slots] = block.log_hazards(beta)  # (B, |R|)
+            keyed[0, block.slots] = np.exp(e).sum(axis=1)
+            keyed[1, block.slots] = e.max(axis=1)
+            e = e - keyed[1, block.slots][:, None]
+            np.exp(e, out=e)
+            keyed[2, block.slots] = e.sum(axis=1)
+            for part, slots in ready:
+                seg[:, part] = keyed[:, slots]
+                hit = _every(ends[part])
+                at, x = w.event[part][hit] - start, eta[slots][hit]
+                observed = log_hazard[at] = x[np.arange(len(at)), w.row[part][hit]]
+                higher[at] = np.count_nonzero(x > observed[:, None], axis=1)
+                ties[at] = np.count_nonzero(x == observed[:, None], axis=1)
+        exposed = w.dur > 0
+        parts = np.zeros(n + 1)  # the exposure of each event's interval, then of the tail
+        np.add.at(parts, w.interval[exposed] - start, w.dur[exposed] * seg[0, exposed])
+        top, norm = seg[1, ends], seg[2, ends]
+        prob = np.exp(log_hazard - top) / norm
+        log_prob = log_hazard - (top + np.log(norm))
+    return EventScores(log_hazard, parts[:-1], prob, log_prob, higher, ties, float(parts[-1]))
 
 
 def loglik_naive(beta: np.ndarray, history: EventHistory, spec: StatisticSpec,

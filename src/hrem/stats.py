@@ -7,16 +7,20 @@ contexts), first-order endogenous (participation shifts, recency ranks,
 event counts), and interactions between the two.  A sequence's evolving
 endogenous information lives in :class:`SeqState`.
 
-:func:`walk` steps through a history's hazard changepoints for every
-consumer of the statistics and yields their matrices a :class:`Block` of
-consecutive segments at a time.  Each effect computes its column for a
-whole block in one call (:class:`Segments`): the exogenous columns once per
-context label, the participation shifts and the other columns of the
-previous event from array operations over the block, and only the columns
-that read the state (recency ranks, counts) once per segment as the walk
-passes it.  So a block costs a few array operations per effect, where a
-matrix per changepoint cost several Python-level calls per effect.
-:meth:`StatisticSpec.matrix` runs the same columns on one state.
+:func:`walk` lays out a history's hazard changepoint segments for every
+consumer of the statistics and gives each segment a key, what its matrix
+depends on: its context label and previous event when no column reads the
+walk state and the keys stay few enough to keep a row of each, the segment
+itself otherwise.  Its :class:`Walk` yields the
+matrices of the distinct keys a :class:`Block` at a time.  Each effect
+computes its column for a whole block in one call (:class:`Segments`): the
+exogenous columns once per context label, the participation shifts and
+the other columns of the previous event from array operations over the
+block, and only the columns that read the state (recency ranks, counts)
+once per segment as the walk passes it.  So a block costs a few array
+operations per effect, and a syn52 history of 1000 events needs at most
+91 matrices.  :meth:`StatisticSpec.matrix` runs the same columns on one
+state.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "UniqueStatTable",
     "Block",
     "Segments",
+    "Walk",
     "walk",
     "unique_stat_table",
     "pshift_label",
@@ -487,7 +492,10 @@ class StatisticSpec:
     def vector(self, state: SeqState, cov: CovariateSet, risk: RiskSet, i: int, j: int,
                context=_UNSET) -> np.ndarray:
         """Statistic vector of dyad (i, j): its row of :meth:`matrix`."""
-        return self.matrix(state, cov, risk, context)[risk.index[(i, j)]]
+        row = int(risk.rows(i, j)[0])
+        if row < 0:
+            raise KeyError((i, j))
+        return self.matrix(state, cov, risk, context)[row]
 
     def matrix(self, state: SeqState, cov: CovariateSet, risk: RiskSet,
                context=_UNSET) -> np.ndarray:
@@ -497,6 +505,9 @@ class StatisticSpec:
         state's), from the exogenous block and the effect columns that
         :func:`walk` uses.
         """
+        if state.n_nodes < risk.n_nodes:
+            raise ValueError("the state has %d nodes, fewer than the %d of the risk set"
+                             % (state.n_nodes, risk.n_nodes))
         if context is _UNSET:
             context = state.current_context
         segs = Segments([context], np.array([state.last_event or (-1, -1)]), state)
@@ -532,8 +543,7 @@ class StatisticSpec:
         cache[3] = np.concatenate([cache[3], block])
         return cache[3], [codes[c] for c in contexts]
 
-    def _block(self, segs: Segments, cov: CovariateSet, risk: RiskSet, dyn, dur, event,
-               row) -> "Block":
+    def _block(self, segs: Segments, cov: CovariateSet, risk: RiskSet, dyn) -> "Block":
         """The :class:`Block` of `segs`, whose columns that read the state are in `dyn`.
 
         Every other endogenous column is computed here for all the segments
@@ -542,7 +552,7 @@ class StatisticSpec:
         for d, eff in self._arrayed:
             dyn[d] = eff.column(segs, cov, risk)
         stack, codes = self._stack(cov, risk, segs.contexts)
-        return Block(stack, np.array(codes), self._dynamic, dyn, segs.contexts, dur, event, row)
+        return Block(stack, np.array(codes), self._dynamic, dyn, segs.contexts)
 
     def to_json(self) -> str:
         return json.dumps([eff.to_json() for eff in self.effects], indent=1)
@@ -602,11 +612,12 @@ class UniqueStatTable:
     O(P * |U|) instead of O(M * P * N^2).  A collapsed slice evaluation
     costs O(V_p), the number of distinct values in column p, after one
     O(|U|) pass per update (:meth:`hrem.inference.CollapsedGibbs.sweep`).
-    :func:`unique_stat_table` builds it a block of the walk at a time: it
-    compares the endogenous columns of consecutive segments in one array
-    operation per block and hashes only the rows that changed, so a build
-    costs O(S * |R| * D) array work for S segments and D endogenous effects,
-    plus one dict lookup of P floats per changed row.
+    :func:`unique_stat_table` builds it a block of the walk's keys at a
+    time: it compares the endogenous columns of consecutive keys in one
+    array operation per block and hashes only the rows that changed, so a
+    build costs O(K * |R| * D) array work for K keys and D endogenous
+    effects, plus one dict lookup of P floats per changed row, and
+    O(S * |R|) to gather and add the exposures of S segments.
     """
 
     vectors: np.ndarray  # (|U|, P)
@@ -623,87 +634,147 @@ class UniqueStatTable:
 
 
 class Block:
-    """Statistic matrices of consecutive changepoint segments of one :func:`walk`.
+    """Statistic matrices of consecutive keys of one :class:`Walk`.
 
-    `dur[b]` is the duration of segment b and `contexts[b]` its context
-    label.  `event[b]` is the index of the event that ends the segment and
-    `row[b]` that event's risk-set row, both -1 for a segment that ends at a
-    context switch or at tau.  A segment of zero duration holds only its
-    event: the context switched at the event's own time, so no piece of the
-    interval has the event's context, and the segment has no exposure.
-
-    The matrices are kept as parts: `codes[b]` is segment b's position in
+    The matrices are kept as parts: `codes[b]` is key b's position in
     `stack`, the spec's (contexts, |R|, P) stack of exogenous columns, and
     `dyn[d]` is the (B, |R|) array of the d-th endogenous column, which is
-    column `columns[d]` of the matrices.  :meth:`matrices` assembles them
-    all, :meth:`rows` only some rows, and :meth:`log_hazards` the
-    matrices' products with beta.
+    column `columns[d]` of the matrices.  `contexts[b]` is key b's context
+    label.  The walk sets `keys`, the slice of the block's positions in its
+    order of keys, and `slots`, that of their rows in a consumer's per-key
+    arrays (:class:`Walk`).
+    :meth:`matrices` assembles the matrices, :meth:`rows` only some rows,
+    and :meth:`log_hazards` the matrices' products with beta.
     """
 
-    __slots__ = ("stack", "codes", "columns", "dyn", "contexts", "dur", "event", "row")
+    __slots__ = ("stack", "codes", "columns", "dyn", "contexts", "keys", "slots")
 
-    def __init__(self, stack, codes, columns, dyn, contexts, dur, event, row):
+    def __init__(self, stack, codes, columns, dyn, contexts):
         self.stack = stack
         self.codes = codes
         self.columns = columns
         self.dyn = dyn
         self.contexts = contexts
-        self.dur = dur
-        self.event = event
-        self.row = row
 
     def matrices(self) -> np.ndarray:
-        """The (B, |R|, P) statistic matrices of the block's segments."""
+        """The (B, |R|, P) statistic matrices of the block's keys."""
         x = self.stack[self.codes]
         for d, p in enumerate(self.columns):
             x[:, :, p] = self.dyn[d]
         return x
 
     def log_hazards(self, beta) -> np.ndarray:
-        """(B, |R|) log hazards, each segment's own x @ beta."""
+        """(B, |R|) log hazards, each key's own x @ beta."""
         return self.matrices() @ beta
 
     def rows(self, b, r) -> np.ndarray:
-        """The statistic rows of dyads `r` in segments `b` (index arrays): (n, P)."""
+        """The statistic rows of dyads `r` in keys `b` (index arrays): (n, P)."""
         out = self.stack[self.codes[b], r]
         if self.columns:
             out[:, list(self.columns)] = self.dyn[:, b, r].T
         return out
 
 
+class Walk:
+    """The changepoint segments of one history and the keys of their statistic matrices.
+
+    Per segment s: `dur[s]` and `contexts[s]`; `interval[s]`, the index of
+    the event that ends its interval (M for the censored tail); `event[s]`
+    and `row[s]`, the event that ends the segment and its risk-set row, -1
+    for a segment that ends at a context switch or at tau.  A segment of
+    zero duration holds only its event (the context switched at the event's
+    own time) and has no exposure.
+
+    Segments with one key share one matrix.  For a spec with no column that
+    reads the state, a key is a (context label, previous event) pair, and
+    each event-only segment a key of its own, as long as the keys' rows fit
+    in _KEY_BUDGET risk-set rows; otherwise, and for any other spec, each
+    segment is its own key.  `key[s]` numbers the keys in order of first
+    occurrence and `first[k]` is key k's first segment.  A consumer keeps
+    what it derives from key k in row ``k % n_slots`` of an array of
+    `n_slots` rows: one per key when keys repeat, one block's otherwise,
+    so those arrays hold at most _KEY_BUDGET risk-set rows, or one block's.
+    """
+
+    __slots__ = ("dur", "contexts", "interval", "event", "row", "key", "first", "n_slots",
+                 "_by_key", "_args")
+
+    def blocks(self):
+        """Yield (block, ready): the matrices of the keys in order, a :class:`Block` of
+        B = max(1, _WALK_BLOCK // |R|) keys at a time, and the segments that they complete.
+
+        `ready` holds those segments as (part, slots) pairs: a slice of at
+        most B segments, and the rows of their keys in a consumer's per-key
+        arrays, a slice when each segment is its own key.  Each effect's
+        column is computed for the whole block in one call from the keys'
+        contexts and previous events, except the columns that read the
+        state, which one pass that advances the state computes key by key.
+        So a block costs O(B * |R| * D) memory for D endogenous effects.
+        """
+        spec, history, risk, cov = self._args
+        contexts, prev, interval = self._by_key  # of each key's first segment
+        state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+        size = max(1, _WALK_BLOCK // len(risk))
+        own = len(self.first) == len(self.dur)  # each segment is its own key
+        done = 0
+        for at in range(0, len(self.first), size):
+            keys = slice(at, min(at + size, len(self.first)))
+            dyn = np.empty((len(spec._dynamic), keys.stop - at, len(risk)))
+            for b, m in enumerate(interval[keys].tolist() if spec._stateful else ()):
+                while state.n_applied < m:
+                    state.apply(history.events[state.n_applied], cov)
+                one = Segments([contexts[at + b]], state=state)
+                for d, eff in spec._stateful:
+                    dyn[d, b] = eff.column(one, cov, risk)
+            block = spec._block(Segments(contexts[keys], prev[keys]), cov, risk, dyn)
+            block.keys = keys
+            block.slots = slice(at % self.n_slots, at % self.n_slots + keys.stop - at)
+            end = self.first[at + size] if at + size < len(self.first) else len(self.dur)
+            ready = []
+            for a in range(done, end, size):
+                part = slice(a, min(a + size, end))
+                # Segments that are their own keys sit in the slots in order.
+                ready.append((part, slice(a % self.n_slots, a % self.n_slots + part.stop - a)
+                              if own else self.key[part]))
+            yield block, ready
+            done = end
+
+
 # Risk-set rows in one block of the walk, max(1, _WALK_BLOCK // |R|)
-# segments: enough for a few array operations per effect to replace a
-# block's per-segment calls, few enough that the consumers' per-row
-# arrays keep peak memory flat.
+# keys: enough for a few array operations per effect to replace a
+# block's per-key calls, few enough that the consumers' per-row arrays
+# keep peak memory flat.
 _WALK_BLOCK = 1 << 12
+
+# Risk-set rows that the consumers of a walk whose keys repeat may keep, one
+# per row of every key (2 MB per float array): past it, each segment is its
+# own key and they keep a block's rows.
+_KEY_BUDGET = 1 << 18
 
 
 def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: CovariateSet,
-         start: int = 0):
-    """Yield the segments of a history's hazard intervals in order, a :class:`Block` at a time.
+         start: int = 0) -> Walk:
+    """The :class:`Walk` of a history's hazard intervals, from interval `start` on.
 
     The interval before event m (from event m-1, or 0) splits into pieces
     at context switches; the last piece ends in the event, and the censored
     tail (from the last event to tau) ends in none.  When the event's
     context label differs from its last piece's (a switch at the event's
     own time), the event gets a segment of its own.  Events before `start`
-    only advance the state.  Every segment's duration, context, previous
-    event, event and row come from array operations over the whole history:
-    a bisection of the track's starts finds the pieces and the contexts.
-    A block holds B = max(1, _WALK_BLOCK // |R|) segments.  Its exogenous
-    columns are codes into the spec's per-context stack; each of its D
-    endogenous columns is computed for the whole block in one call from
-    the segments' previous events and contexts, except the columns that
-    read the state, for which one pass advances the state and computes
-    them once per segment.  So a block costs O(B * |R| * D) memory and a
-    few array operations per effect, and its full matrices are assembled
-    only when a consumer asks for them.
+    only advance the state.  All of it comes from array operations over the
+    whole history: a bisection of the track's starts finds the pieces and
+    the contexts, and one sort the keys.
     """
-    ev = np.array(history.events, dtype=float).reshape(history.m, 3)
-    times = ev[:, 0]
-    late = (times[1:] <= times[:-1]).nonzero()[0]
+    times, senders, recipients = history.array.T
+    earlier = np.append(-np.inf, times)[:-1]
+    late = np.flatnonzero(~(times > earlier))
     if len(late):
-        raise ValueError("out-of-order event at t=%g (last t=%g)" % tuple(times[late[0] + [1, 0]]))
+        raise ValueError("out-of-order event at t=%g (last t=%g)"
+                         % (times[late[0]], earlier[late[0]]))
+    rows = risk.rows(senders[start:], recipients[start:])
+    if (rows < 0).any():
+        m = start + int(np.argmin(rows))
+        raise ValueError("event %d: dyad (%d, %d) not in risk set" % (m, *history.events[m][1:]))
     # Interval m runs from event m-1 (or 0) to event m, or to tau for m = M.
     ivl = np.arange(start, history.m + 1)
     t0, t1 = np.append(0.0, times)[ivl], np.append(times, history.tau)[ivl]
@@ -724,24 +795,34 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
     lab = starts.searchsorted(a, "right") - 1
     keep = ~own | (k == 0) | (codes[lab] != codes[np.append(-1, lab[:-1])])
     seg, dur, lab = ivl[seg[keep]], (b - a)[keep], lab[keep]  # seg: each segment's interval
-    event = np.where(np.append(seg[1:] != seg[:-1], True) & (seg < history.m), seg, -1)
-    rows = np.array([risk.index[e[1:]] for e in history.events[start:]] + [-1], dtype=np.intp)
-    row = rows[np.where(event >= 0, event - start, -1)]
-    prev = np.concatenate([[(-1, -1)], ev[:, 1:]]).astype(np.intp)[seg]
-    contexts = [labels[x] for x in lab.tolist()]
-    state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
-    size = max(1, _WALK_BLOCK // len(risk))
-    for at in range(0, len(dur), size):
-        part = slice(at, at + size)
-        dyn = np.empty((len(spec._dynamic), len(dur[part]), len(risk)))
-        for s, m in enumerate(seg[part].tolist() if spec._stateful else ()):
-            while state.n_applied < m:
-                state.apply(history.events[state.n_applied], cov)
-            segs = Segments([contexts[at + s]], state=state)
-            for d, eff in spec._stateful:
-                dyn[d, s] = eff.column(segs, cov, risk)
-        yield spec._block(Segments(contexts[part], prev[part]), cov, risk, dyn, dur[part],
-                          event[part], row[part])
+    w = Walk()
+    w.dur, w.contexts, w.interval = dur, [labels[x] for x in lab.tolist()], seg
+    w.event = np.where(np.append(seg[1:] != seg[:-1], True) & (seg < history.m), seg, -1)
+    w.row = np.append(rows, -1)[np.where(w.event >= 0, w.event - start, -1)]
+    prev = np.concatenate([[(-1, -1)], history.array[:, 1:].astype(np.intp)])[seg]
+    w._args = (spec, history, risk, cov)
+    w.key = w.first = np.arange(len(dur))
+    w.n_slots = max(1, _WALK_BLOCK // len(risk))
+    w._by_key = (w.contexts, prev, seg)
+    if spec._stateful:
+        return w
+    # (context, previous sender, previous recipient) as one integer, and
+    # each event-only segment a negative key of its own.
+    n = risk.n_nodes + 1
+    whole = (codes[lab] * n + prev[:, 0] + 1) * n + prev[:, 1] + 1
+    _, at, inverse = np.unique(np.where(dur > 0, whole, -1 - np.arange(len(dur))),
+                               return_index=True, return_inverse=True)
+    if len(at) * len(risk) > _KEY_BUDGET:
+        return w
+    w.key, w.first = np.argsort(np.argsort(at))[inverse], np.sort(at)
+    w.n_slots = max(1, len(at))
+    w._by_key = ([w.contexts[s] for s in w.first.tolist()], prev[w.first], seg[w.first])
+    return w
+
+
+def _every(mask):
+    """`mask` as an index: a slice, which indexes with a view, when it holds only True."""
+    return slice(None) if mask.all() else mask
 
 
 def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
@@ -752,30 +833,38 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
     hazard changepoints between events.  A row is keyed by its bytes, so
     deduplication is exact bitwise equality of the float64 vectors; rows
     keep their order of first occurrence, and each exposure is summed in
-    event order.  An event changes only some rows of the matrix, so each
-    block of the walk compares every segment's endogenous columns bitwise
-    with the previous segment's in one operation, and its exogenous columns
-    only across a context switch, and looks up only the rows that differ;
-    the others keep their ids.  The block's exposures are then added in one
-    ``np.add.at``, in the order a segment-by-segment build adds them.
+    event order.  The walk builds one matrix per key (:class:`Walk`).  An
+    exposed key's matrix differs from the previous exposed key's only in
+    some rows, so each block compares every key's endogenous columns
+    bitwise with the previous key's in one operation, and its exogenous
+    columns only across a context switch, and looks up only the rows that
+    differ; the others keep their ids.  An event-only key looks up only its
+    event's row.  Keys come in order of first occurrence, and an exposed
+    key is first met in an exposed segment, so the lookups meet the rows in
+    the order the segments do.  Each segment then gathers its row ids from
+    its key, and the exposures are added in segment order, as a
+    segment-by-segment build adds them.
     """
+    w = walk(spec, history, risk, cov)
     row_key = np.dtype((np.void, 8 * spec.p))
     ids = defaultdict(itertools.count().__next__)  # row bytes -> id, in order of first occurrence
     n_rows = len(risk)
+    exposed, hit = w.dur > 0, w.event >= 0
+    key_open = exposed[w.first]
+    key_ids = np.empty((w.n_slots, n_rows), dtype=np.intp)  # each key's row ids (Walk.n_slots)
     m = np.zeros(0)
     observed = []
-    prev = None  # (context, exogenous rows, endogenous columns, row ids) of the last exposed segment
-    for block in walk(spec, history, risk, cov):
-        exposed = block.dur > 0
-        # The exposed segments, as a view unless an event-only segment sits among them.
-        sel = slice(None) if exposed.all() else exposed.nonzero()[0]
-        at = np.arange(len(block.dur))[sel]
+    prev = None  # (context, exogenous rows, endogenous columns, row ids) of the last exposed key
+    for block, ready in w.blocks():
+        opened = key_open[block.keys]
+        sel = _every(opened)  # the exposed keys
+        pos = np.arange(len(opened))[sel]
         # Compared as uint64, which keeps 0.0 and -0.0 apart.
         codes, dyn = block.codes[sel], block.dyn[:, sel].view(np.uint64)
         static = block.stack.view(np.uint64)
-        look = np.zeros((len(block.dur), n_rows), dtype=bool)
+        look = np.zeros((len(opened), n_rows), dtype=bool)
         if len(codes):
-            # Segments in one context share their exogenous rows; across a
+            # Keys in one context share their exogenous rows; across a
             # switch, the rows whose exogenous columns differ change too.
             changed = np.empty((len(codes), n_rows), dtype=bool)
             changed[1:] = (dyn[:, 1:] != dyn[:, :-1]).any(axis=0)
@@ -785,30 +874,34 @@ def unique_stat_table(spec: StatisticSpec, history: EventHistory, risk: RiskSet,
                 changed[0] = True
             else:
                 changed[0] = (dyn[:, 0] != prev[2]).any(axis=0)
-                if block.contexts[at[0]] != prev[0]:
+                if block.contexts[pos[0]] != prev[0]:
                     changed[0] |= (static[codes[0]] != prev[1]).any(axis=1)
             look[sel] = changed
-        only = (~exposed).nonzero()[0]
-        look[only, block.row[only]] = True
-        # Lookups in segment order, then row order: the order of first occurrence.
+        if not opened.all():
+            only = (~opened).nonzero()[0]
+            look[only, w.row[w.first[block.keys][only]]] = True
+        # Lookups in key order, then row order: the order of first occurrence.
         block_ids = np.empty(look.shape, dtype=np.intp)
         block_ids[look] = np.fromiter(
             map(ids.__getitem__, block.rows(*look.nonzero()).view(row_key).ravel().tolist()),
             dtype=np.intp)
         if len(codes):
-            # A row that did not change keeps the id of the last segment that looked it up.
+            # A row that did not change keeps the id of the last key that looked it up.
             last = np.where(changed, np.arange(1, len(codes) + 1)[:, None], 0)
             np.maximum.accumulate(last, axis=0, out=last)
             prev_ids = np.zeros(n_rows, dtype=np.intp) if prev is None else prev[3]
-            seg_ids = np.concatenate([prev_ids[None], block_ids[sel]])[last, np.arange(n_rows)]
-            block_ids[sel] = seg_ids
-            m = np.concatenate([m, np.zeros(len(ids) - len(m))])
-            np.add.at(m, seg_ids.ravel(), np.repeat(block.dur[sel], n_rows))
-            prev = (block.contexts[at[-1]], static[codes[-1]], dyn[:, -1].copy(), seg_ids[-1])
-        hit = (block.event >= 0).nonzero()[0]
-        observed.extend(block_ids[hit, block.row[hit]].tolist())
+            carried = np.concatenate([prev_ids[None], block_ids[sel]])
+            block_ids[sel] = carried[last, np.arange(n_rows)]
+            prev = (block.contexts[pos[-1]], static[codes[-1]], dyn[:, -1].copy(),
+                    block_ids[pos[-1]])
+        key_ids[block.slots] = block_ids
+        # The segments now complete gather their keys' ids: exposures in segment order.
+        m = np.concatenate([m, np.zeros(len(ids) - len(m))])
+        for part, slots in ready:
+            seg_ids, on, ends = key_ids[slots], _every(exposed[part]), hit[part]
+            np.add.at(m, seg_ids[on].ravel(), np.repeat(w.dur[part][on], n_rows))
+            observed.extend(seg_ids[ends, w.row[part][ends]].tolist())
     n = len(ids)
-    m = np.concatenate([m, np.zeros(n - len(m))])  # the last rows may be unexposed
     vectors = np.frombuffer(b"".join(ids), dtype=float).reshape(n, spec.p)
     q = np.bincount(np.array(observed, dtype=np.intp), minlength=n).astype(np.int64)
     return UniqueStatTable(vectors=vectors, q=q, m=m)

@@ -3,19 +3,24 @@
 `hrem.stats` computes each effect as a whole column over the risk set.
 This module computes the same statistic for a single dyad straight from
 its definition, with no code shared with those columns, so the tests can
-check the statistic matrices, the unique-vector tables and the
-likelihoods against it.  It keeps its own record of the past events
-(:class:`Past`), so a slip in how :class:`hrem.stats.SeqState` folds an
-event cannot pass as the reference.  Its later sections pin random
-streams the same way: the ranks' tie-break, the collapsed sweep and the
-simulator's event draw, each written out as the library first had it.
+check the statistic matrices, the unique-vector tables, the per-event
+scores and the likelihoods against it.  It keeps its own record of the
+past events (:class:`Past`), so a slip in how :class:`hrem.stats.SeqState`
+folds an event cannot pass as the reference.  Its later sections pin
+random streams the same way: the ranks' tie-break, the collapsed sweep and
+the simulator's event draw, each written out as the library first had it.
+The last section reads an event CSV row by row with the csv module: the
+reference for the array reader of :func:`hrem.events.load_history`.
 """
 
 import collections
+import csv
+import io
 import math
 
 import numpy as np
 
+from hrem.events import EventHistory, ValidationError, build_risk_set
 from hrem.inference import gibbs_mu, gibbs_sigma
 from hrem.stats import (
     Baserate,
@@ -171,6 +176,64 @@ def _intervals(history, risk, cov):
     yield past, cov.context_segments(prev_t, history.tau), None
 
 
+def segments(spec, history, risk, cov, start=0):
+    """(duration, context, event, row, matrix) of every segment, from interval `start` on.
+
+    An interval's pieces are its segments; the last ends in the event,
+    unless the event's context differs from the last piece's (a switch at
+    the event's own time), which gives the event a segment of zero duration.
+    """
+    out = []
+    for m, (past, pieces, event) in enumerate(_intervals(history, risk, cov)):
+        if m < start:
+            continue
+        segs = [(d, c, -1, -1) for d, c in pieces]
+        if event is not None:
+            i, j, ctx = event
+            if segs and segs[-1][1] == ctx:
+                segs[-1] = (segs[-1][0], ctx, m, risk.dyads.index((i, j)))
+            else:
+                segs.append((0.0, ctx, m, risk.dyads.index((i, j))))
+        for d, c, ev, row in segs:
+            x = np.array([vector(spec, past, cov, i, j, c) for i, j in risk.dyads])
+            out.append((d, c, ev, row, x))
+    return out
+
+
+def scores(beta, history, spec, risk, cov, start=0):
+    """The fields of score_events' EventScores, one segment at a time, as a dict.
+
+    Each segment's log hazards are its matrix's x @ beta; an exposed
+    segment adds duration times total hazard to its interval's exposure,
+    and a segment that ends in an event scores the event on its own row.
+    """
+    beta = np.asarray(beta, dtype=float)
+    fields = ("log_hazard", "exposure", "prob", "log_prob", "higher", "ties")
+    out = {name: [] for name in fields}
+    parts = []
+    for dur, _, event, row, x in segments(spec, history, risk, cov, start):
+        eta = x @ beta
+        with np.errstate(over="ignore"):
+            if dur > 0:
+                parts.append(dur * np.exp(eta).sum())
+        if event < 0:
+            continue
+        top = eta.max()
+        w = np.exp(eta - top)
+        norm = w.sum()
+        out["log_hazard"].append(eta[row])
+        out["exposure"].append(sum(parts))
+        out["prob"].append(w[row] / norm)
+        out["log_prob"].append(eta[row] - (top + np.log(norm)))
+        out["higher"].append(np.count_nonzero(eta > eta[row]))
+        out["ties"].append(np.count_nonzero(eta == eta[row]))
+        parts = []
+    out = {name: np.array(out[name], dtype=np.int64 if name in ("higher", "ties") else float)
+           for name in fields}
+    out["tail_exposure"] = sum(parts)
+    return out
+
+
 def table(spec, history, risk, cov):
     """Per-row table build: every row from `vector`, deduplicated by its bytes.
 
@@ -225,7 +288,7 @@ def event_log_hazards(beta, history, spec, risk, cov, start=0):
     for m, (t, i, j) in enumerate(history.events):
         if m >= start:
             x = spec.matrix(state, cov, risk, context=cov.context_at(t))
-            out.append((x @ beta, risk.index[(i, j)]))
+            out.append((x @ beta, risk.dyads.index((i, j))))
         state.apply((t, i, j), cov)
     return out
 
@@ -247,8 +310,8 @@ def baseline_scored(history, risk, n_train):
     """(training counts, observed row) for each test event of the frequency baseline."""
     counts = np.zeros(len(risk))
     for (t, i, j) in history.events[:n_train]:
-        counts[risk.index[(i, j)]] += 1
-    return [(counts, risk.index[(i, j)]) for (t, i, j) in history.events[n_train:]]
+        counts[risk.dyads.index((i, j))] += 1
+    return [(counts, risk.dyads.index((i, j))) for (t, i, j) in history.events[n_train:]]
 
 
 def surprise(ranks, history, threshold):
@@ -355,3 +418,84 @@ def simulate_by_choice(beta, spec, risk, cov, n_events, rng):
         events.append((t, i, j))
         state.apply((t, i, j), cov)
     return tuple(events), t + t / len(events)
+
+
+# The event CSV, one row at a time: the reference for load_history's reader
+# and for validate, written out as the library first had them.
+
+
+def label(x):
+    """An actor label as read from a file: integer-looking strings become integers."""
+    try:
+        return int(x) if isinstance(x, str) else x
+    except ValueError:
+        return x
+
+
+def read_history(text, tau, n_actors=None, broadcast_label=None):
+    """The EventHistory of an event CSV; raises ValidationError as load_history does."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:3]] != ["t", "sender", "recipient"]:
+        raise ValidationError("expected CSV header 't,sender,recipient', got %r" % header)
+    raw = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 3:
+            raise ValidationError("line %d: expected 3 fields, got %d" % (lineno, len(row)))
+        try:
+            t = float(row[0])
+        except ValueError:
+            raise ValidationError("line %d: bad time %r" % (lineno, row[0]))
+        raw.append((t, label(row[1].strip()), label(row[2].strip())))
+    broadcast_label = label(broadcast_label)
+    labels = {lab for _, i, j in raw for lab in (i, j)} - {broadcast_label}
+    if n_actors is not None:
+        pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
+        while len(labels) < n_actors:
+            labels.add(next(pool))
+    labels = tuple(sorted(labels, key=lambda lab: (isinstance(lab, str), lab)))
+    mapping = {lab: i for i, lab in enumerate(labels)}
+    if broadcast_label is not None:
+        mapping[broadcast_label] = len(labels)
+    history = EventHistory(events=tuple((t, mapping[i], mapping[j]) for t, i, j in raw),
+                           tau=float(tau), n_actors=len(labels), actor_labels=labels)
+    report = validate(history, build_risk_set(len(labels),
+                                              include_broadcast=broadcast_label is not None))
+    if report:
+        raise ValidationError("; ".join(report))
+    return history
+
+
+def validate(history, risk):
+    """validate's report without a covariate set: one loop over the events, one over the dyads."""
+    report = []
+    window = history.tau > 0
+    if not window:
+        report.append("tau must be positive, got %r" % history.tau)
+    if history.n_actors < 1:
+        report.append("n_actors must be positive, got %r" % history.n_actors)
+    dyads = set(risk.dyads)
+    prev_t = 0.0
+    for m, (t, i, j) in enumerate(history.events):
+        if t != t:
+            report.append("event %d: time %g is not a number" % (m, t))
+        if t <= prev_t:
+            report.append("event %d: times not strictly increasing (%g after %g)" % (m, t, prev_t))
+        prev_t = t
+        if window and t >= history.tau:
+            report.append("event %d: time %g outside observation window [0, %g)"
+                          % (m, t, history.tau))
+        if (i, j) not in dyads:
+            report.append("event %d: dyad (%d, %d) not in risk set" % (m, i, j))
+        if i == j:
+            report.append("event %d: reflexive event (%d, %d)" % (m, i, j))
+        if risk.broadcast_actor is not None and i == risk.broadcast_actor:
+            report.append("event %d: broadcast actor %d cannot send" % (m, i))
+    for (i, j) in risk.dyads:
+        if i == j:
+            report.append("risk set contains reflexive pair (%d, %d)" % (i, j))
+        if risk.broadcast_actor is not None and i == risk.broadcast_actor:
+            report.append("risk set has broadcast actor %d as sender" % i)
+    return report

@@ -187,7 +187,7 @@ def test_criterion_04_simulator_fidelity():
     for _ in range(10000):
         h = simulate_history(beta, spec4, risk4, cov, n_events=1,
                              seed=int(rng.integers(1 << 30)))
-        counts[risk4.index[h.events[0][1:]]] += 1
+        counts[risk4.row_index[h.events[0][1:]]] += 1
     chi = stats.chisquare(counts, probs * counts.sum())
     assert chi.pvalue > 0.01, "chi-square p=%.4f" % chi.pvalue
     announce(4, "KS p=%.3f on 10^4 gaps, chi-square p=%.3f on 10^4 choices"
@@ -239,7 +239,7 @@ def test_criterion_05_reciprocation_inflation():
     dyads, first, trans = _syn52_chain()
 
     # the hand-built chain is the preset's design, row for row
-    cols = [d.risk.index[x] for x in dyads]
+    cols = d.risk.rows(*np.array(dyads).T)
     state = SeqState(d.n_actors)
     probs = event_choice_probabilities(d.beta, d.spec, d.risk, d.cov, state)
     np.testing.assert_allclose(probs[cols], first, rtol=0, atol=1e-12)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from hrem.events import (
     CovariateSet,
     EventHistory,
+    RiskSet,
     ValidationError,
     build_risk_set,
     _covariates_document,
@@ -212,3 +214,107 @@ def test_n_actors_padding_keeps_silent_actors():
     csv = "t,sender,recipient\n0.5,0,1\n"
     hist, _ = load_history(io.StringIO(csv), "csv", tau=1.0, n_actors=5)
     assert hist.n_actors == 5
+
+
+# ---------------------------------------------------------------------------
+# The array reader and validate against the row-by-row reference
+
+
+def read(reader, text, **kw):
+    """("ok", history) or (exception class, message) of reading `text` with `reader`."""
+    try:
+        return "ok", reader(text, **kw)
+    except Exception as exc:  # the same class and text on both sides
+        return type(exc), str(exc)
+
+
+HEADER = "t,sender,recipient\n"
+READER_CASES = [
+    HEADER + "0.5,0,1\n1.0,1,2\n1.5,2,0\n",
+    HEADER + "0.5,ann,bob\n0.7,bob,cy\n0.9,cy,ann\n",  # string labels
+    HEADER + "".join("%g,%d,%d\n" % (0.1 * (k + 1), k, (k + 3) % 12) for k in range(12)),
+    HEADER + "0.5,0,all\n0.6,1,0\n0.7,1,all",  # a broadcast label, no final line end
+    HEADER + "0.5,0,1\n\n   \n , ,\n1.0,1,0\n\n\n",  # blank and whitespace-only lines
+    HEADER.replace("\n", "\r\n") + "0.5,0,1\r\n\r\n1.0,1,2\r\n",  # CRLF endings
+    HEADER + '0.5,"a, b",c\n0.75,c,"a, b"\n',  # a quoted label holding a comma
+    HEADER + '0.5,"0",1\n1.0,1,0\n',  # a quoted integer label
+    HEADER + "0.5,0,1,x,y\n1.0,1,0,\n",  # extra columns
+    " t , sender , recipient ,extra\n 0.5 , 1 , 2 \n",  # padded fields
+    HEADER + "0.5,0,1\n0.7,1\n",  # a short row
+    HEADER + "0.5,0,1\n0.7,1\nnope,1,2\n",  # a short row before a bad time
+    HEADER + "0.5,0,1\nnope,1,2\n0.7,1\n",  # a bad time before a short row
+    HEADER + "0.5,0,1\n\n,1,2\n",  # an empty time
+    HEADER + "0.1_5,0,1\n 2e-1 ,1,0\n",  # times that float() reads
+    "a,b,c\n1,0,1\n",  # a bad header
+    "", "\n", HEADER, "t,sender\n0.5,0\n",  # no header, an empty one, no events
+    HEADER + "0.5,0,1\r0.6,1,0\n",  # a carriage return inside a line
+    HEADER + "0.5,0,1\nnan,1,2\n1.5,2,0\n",  # a NaN time
+    HEADER + "0.5,0,1\n0.5,1,2\n0.25,2,0\n2.5,0,2\n",  # tied and late times, one past tau
+    HEADER + "0.5,0,0\n0.7,all,1\n",  # a reflexive event, a broadcast sender
+    HEADER + "0.5,1,01\n0.7,0,1\n",  # two strings of one integer label
+]
+
+
+@pytest.mark.parametrize("text", READER_CASES)
+def test_array_reader_reads_what_the_row_by_row_reader_reads(text):
+    for kw in ({}, {"broadcast_label": "all"}, {"n_actors": 6}):
+        want = read(oracle.read_history, text, tau=2.0, **kw)
+        got = read(lambda x, **k: load_history(io.StringIO(x), "csv", **k)[0], text,
+                   tau=2.0, sequence_id="seq", **kw)
+        assert got == want, (text, kw)
+        if got[0] == "ok":
+            assert all(type(t) is float and type(i) is int and type(j) is int
+                       for t, i, j in got[1].events)
+            assert np.array_equal(got[1].array, np.array(got[1].events, dtype=float).reshape(-1, 3))
+
+
+def test_a_nan_time_fails_validation_and_the_walk():
+    from hrem.stats import Baserate, StatisticSpec, unique_stat_table
+
+    text = "t,sender,recipient\n0.5,0,1\nnan,1,2\n1.5,2,0\n"
+    with pytest.raises(ValidationError) as exc:
+        load_history(io.StringIO(text), "csv", tau=3.0)
+    assert str(exc.value) == "event 1: time nan is not a number"
+    spec, risk = StatisticSpec((Baserate(),)), build_risk_set(3)
+    for at in (0, 1, 2):  # a hand-built history with a NaN time anywhere
+        events = [(0.5, 0, 1), (1.0, 1, 2), (1.5, 2, 0)]
+        events[at] = (math.nan, *events[at][1:])
+        hist = EventHistory(events=tuple(events), tau=3.0, n_actors=3)
+        assert validate(hist, risk) == ["event %d: time nan is not a number" % at]
+        with pytest.raises(ValueError, match="out-of-order event at t=nan"):
+            unique_stat_table(spec, hist, risk, CovariateSet())
+
+
+def test_validate_reports_what_one_loop_over_the_events_reports():
+    risk = build_risk_set(3, include_broadcast=True)
+    bad_risk = RiskSet(dyads=((0, 1), (2, 2), (3, 0), (1, 0)), broadcast_actor=3)
+    histories = [
+        ((0.3, 0, 1), (0.3, 1, 1), (0.2, 3, 0), (1.5, 0, 7), (math.nan, 2, 3), (0.9, 1, -1)),
+        ((0.0, 0, 1), (0.5, 1, 0)),
+        (),
+    ]
+    for events in histories:
+        for tau in (1.0, 0.0):
+            hist = EventHistory(events=events, tau=tau, n_actors=3)
+            for r in (risk, bad_risk):
+                assert validate(hist, r) == oracle.validate(hist, r), (events, tau, r)
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        times = np.round(np.sort(rng.uniform(-0.2, 1.2, size=8)), 1)
+        events = tuple((float(t), int(i), int(j))
+                       for t, i, j in zip(times, rng.integers(-1, 5, 8), rng.integers(0, 5, 8)))
+        hist = EventHistory(events=events, tau=1.0, n_actors=3)
+        assert validate(hist, risk) == oracle.validate(hist, risk), events
+
+
+def test_risk_rows_match_the_dyad_index():
+    risk = build_risk_set(4, include_broadcast=True)
+    pairs = [(i, j) for i in range(-1, 7) for j in range(-1, 7)] + [(0.5, 1), (1, math.nan)]
+    senders, recipients = np.array(pairs, dtype=float).T
+    assert risk.rows(senders, recipients).tolist() == [risk.dyads.index(p) if p in risk.dyads else -1 for p in pairs]
+    assert risk.row_index.shape == (5, 5) and risk.row_index.dtype == np.intp
+    from hrem.stats import Baserate, StatisticSpec, unique_stat_table
+
+    hist = EventHistory(events=((0.5, 0, 1), (1.0, 2, 2)), tau=2.0, n_actors=4)
+    with pytest.raises(ValueError, match=r"event 1: dyad \(2, 2\) not in risk set"):
+        unique_stat_table(StatisticSpec((Baserate(),)), hist, risk, CovariateSet())

@@ -109,7 +109,7 @@ def test_loglik_order_single_event_is_log_choice_probability():
     hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=1, seed=4)
     (t, i, j), = hist.events
     probs = event_choice_probabilities(d.beta, d.spec, d.risk, d.cov, SeqState(10))
-    row = d.risk.index[(i, j)]
+    row = d.risk.row_index[i, j]
     assert score_events(d.beta, hist, d.spec, d.risk, d.cov).log_prob.sum() == pytest.approx(
         math.log(probs[row]), rel=1e-10
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrem.stats
 from hrem.events import CovariateSet, EventHistory, build_risk_set
 from hrem.presets import classroom_spec, syn52
 from hrem.simulate import simulate_history
@@ -544,40 +545,39 @@ def block_design(track="switches"):
     return spec, history, risk, cov
 
 
-def oracle_segments(spec, history, risk, cov, start=0):
-    """(duration, context, event, row, matrix) of every segment the walk yields from `start`."""
-    out = []
-    for m, (state, pieces, event) in enumerate(oracle._intervals(history, risk, cov)):
-        if m < start:
-            continue
-        segs = [(d, c, -1, -1) for d, c in pieces]
-        if event is not None:
-            i, j, ctx = event
-            if segs and segs[-1][1] == ctx:
-                segs[-1] = (segs[-1][0], ctx, m, risk.index[(i, j)])
-            else:
-                segs.append((0.0, ctx, m, risk.index[(i, j)]))
-        for d, c, ev, row in segs:
-            x = np.array([oracle.vector(spec, state, cov, i, j, c) for i, j in risk.dyads])
-            out.append((d, c, ev, row, x))
-    return out
-
-
 def walk_sizes(risk):
-    """Values of _WALK_BLOCK giving 1, 2 and 3 segments a block, and the default."""
-    import hrem.stats
-
+    """Values of _WALK_BLOCK giving 1, 2 and 3 keys a block, and the default."""
     return (1, 2 * len(risk), 3 * len(risk) + 5, hrem.stats._WALK_BLOCK)
+
+
+def walked_segments(spec, history, risk, cov, start, size):
+    """(duration, context, event, row, matrix) of every segment of the walk, `size` rows a block."""
+    w = hrem.stats.walk(spec, history, risk, cov, start=start)
+    blocks, ready = [], []
+    for block, parts in w.blocks():
+        blocks.append(block)
+        for part, slots in parts:  # each segment once, in order, once its key is built
+            assert part.start == len(ready) and part.stop - part.start <= max(1, size // len(risk))
+            ready.extend(range(part.start, part.stop))
+            assert w.key[part].max() < block.keys.stop
+            assert np.array_equal(np.arange(w.n_slots)[slots], w.key[part] % w.n_slots)
+    assert ready == list(range(len(w.dur)))
+    per = max(1, size // len(risk))
+    assert all(len(b.codes) == per for b in blocks[:-1]) and len(blocks[-1].codes) <= per
+    mats = np.concatenate([b.matrices() for b in blocks])
+    assert len(mats) == len(w.first) and np.array_equal(w.key[w.first], np.arange(len(w.first)))
+    assert [k for b in blocks for k in range(len(w.first))[b.keys]] == list(range(len(w.first)))
+    assert all(b.slots == slice(b.keys.start % w.n_slots, b.keys.start % w.n_slots + len(b.codes))
+               and b.slots.stop <= w.n_slots for b in blocks)
+    return list(zip(w.dur.tolist(), w.contexts, w.event.tolist(), w.row.tolist(), mats[w.key]))
 
 
 @pytest.mark.parametrize("start", [0, 3])
 def test_walk_blocks_match_the_scalar_oracle_for_every_segment_and_block_size(monkeypatch,
                                                                                 start):
-    import hrem.stats
-
     for track in ("switches", "repeats"):
         spec, history, risk, cov = block_design(track)
-        want = oracle_segments(spec, history, risk, cov, start)
+        want = oracle.segments(spec, history, risk, cov, start)
         assert any(d == 0.0 for d, *_ in want) and want[0][2] == start  # event-only, first event
         if track == "repeats":
             ends = {ev: n for n, (_, _, ev, _, _) in enumerate(want) if ev >= 0}
@@ -585,11 +585,7 @@ def test_walk_blocks_match_the_scalar_oracle_for_every_segment_and_block_size(mo
             assert ends[12] - ends[11] == 5  # the four switches cut the interval in five
         for size in walk_sizes(risk):
             monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
-            blocks = list(hrem.stats.walk(spec, history, risk, cov, start=start))
-            per = max(1, size // len(risk))
-            assert all(len(b.dur) == per for b in blocks[:-1]) and len(blocks[-1].dur) <= per
-            got = [(d, c, ev, row, b.matrices()[k]) for b in blocks for k, (d, c, ev, row) in
-                   enumerate(zip(b.dur.tolist(), b.contexts, b.event.tolist(), b.row.tolist()))]
+            got = walked_segments(spec, history, risk, cov, start, size)
             assert len(got) == len(want), (track, size)
             for n, (g, w) in enumerate(zip(got, want)):
                 assert g[:4] == w[:4], (track, size, n)
@@ -597,7 +593,6 @@ def test_walk_blocks_match_the_scalar_oracle_for_every_segment_and_block_size(mo
 
 
 def test_tables_and_scores_are_the_same_for_any_walk_block(monkeypatch):
-    import hrem.stats
     from hrem.likelihood import score_events
 
     cases = [block_design("switches"), block_design("repeats")]
@@ -637,3 +632,140 @@ def test_matrix_follows_a_new_covariate_set():
     # a different risk set over the same covariates is a new cache entry too
     smaller = build_risk_set(3)
     assert spec.matrix(state, first, smaller).shape == (len(smaller), spec.p)
+
+
+def without_state(spec):
+    """The spec's columns that read no walk state."""
+    return StatisticSpec(tuple(eff for eff in spec.effects if not eff.reads_state))
+
+
+@pytest.mark.parametrize("budget", [hrem.stats._KEY_BUDGET, 0], ids=["keyed", "per_segment"])
+@pytest.mark.parametrize("track", ["switches", "repeats"])
+def test_keyed_walk_builds_tables_and_scores_as_the_per_segment_references(monkeypatch, track,
+                                                                           budget):
+    from hrem.likelihood import score_events
+
+    monkeypatch.setattr(hrem.stats, "_KEY_BUDGET", budget)
+    full, history, risk, cov = block_design(track)
+    for spec in (without_state(full), full):
+        vectors, q, m = oracle.table(spec, history, risk, cov)
+        beta = np.linspace(-0.5, 0.4, spec.p)
+        want = {start: oracle.scores(beta, history, spec, risk, cov, start) for start in (0, 11)}
+        segments = {start: oracle.segments(spec, history, risk, cov, start) for start in (0, 11)}
+        for size in walk_sizes(risk):
+            monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", size)
+            table = unique_stat_table(spec, history, risk, cov)
+            assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q), size
+            assert same_bits(table.m, m), size
+            for start in (0, 11):
+                walked = hrem.stats.walk(spec, history, risk, cov, start=start)
+                # A spec that reads no state shares keys within the budget; an
+                # event-only segment has its own.
+                shared = len(walked.first) < len(walked.dur)
+                assert shared == (not spec._stateful and budget > 0), (size, start)
+                got = walked_segments(spec, history, risk, cov, start, size)
+                assert len(got) == len(segments[start])
+                for g, w in zip(got, segments[start]):
+                    assert g[:4] == w[:4] and same_bits(g[4], w[4]), (size, start, g[:4])
+                scores = score_events(beta, history, spec, risk, cov, start=start)
+                for name in ("log_hazard", "exposure", "prob", "log_prob", "higher", "ties"):
+                    assert same_bits(getattr(scores, name), want[start][name]), (size, name)
+                assert same_bits(np.float64(scores.tail_exposure),
+                                 np.float64(want[start]["tail_exposure"]))
+
+
+def test_an_event_only_segment_is_a_key_of_its_own():
+    from hrem.likelihood import score_events
+
+    # Event 1 falls on the switch to "b", so its segment holds only the
+    # event, after the event (0, 1); the interval after event 2, also
+    # (0, 1), lies in "b" too, so its exposed segment has the same context
+    # and previous event.
+    cov = CovariateSet(context_track=((0.0, "a"), (2.0, "b"), (2.5, "a"), (2.8, "b")))
+    risk = build_risk_set(3)
+    history = EventHistory(events=((1.0, 0, 1), (2.0, 1, 2), (3.0, 0, 1), (4.0, 1, 2)), tau=5.0,
+                           n_actors=3)
+    spec = StatisticSpec((Baserate(), ContextIndicator("b"), PShift("AB-BA"), PShift("AB-BY"),
+                          ContextInteraction(PShift("AB-XA"), "b")))
+    walked = hrem.stats.walk(spec, history, risk, cov)
+    assert walked.dur[2] == 0.0 and walked.key[2] not in walked.key[walked.dur > 0]
+    assert len(walked.first) < len(walked.dur)
+    table = unique_stat_table(spec, history, risk, cov)
+    vectors, q, m = oracle.table(spec, history, risk, cov)
+    assert same_bits(table.vectors, vectors) and np.array_equal(table.q, q)
+    assert same_bits(table.m, m)
+    beta = np.array([-1.0, 0.5, 0.25, -0.75, 1.5])
+    scores = score_events(beta, history, spec, risk, cov)
+    want = oracle.scores(beta, history, spec, risk, cov)
+    for name in ("log_hazard", "exposure", "prob", "log_prob", "higher", "ties"):
+        assert same_bits(getattr(scores, name), want[name]), name
+
+
+def test_a_stateless_walk_over_a_large_risk_set_keeps_one_blocks_rows(monkeypatch):
+    from hrem.likelihood import score_events
+
+    risk = build_risk_set(80)
+    rows = np.random.default_rng(3).choice(len(risk), size=300, replace=False)
+    events = tuple((0.01 * (n + 1), *risk.dyads[r]) for n, r in enumerate(rows.tolist()))
+    history = EventHistory(events=events, tau=4.0, n_actors=80)
+    spec = StatisticSpec((Baserate(), PShift("AB-BA"), PShift("AB-XA")))
+    assert not spec._stateful
+    walked = hrem.stats.walk(spec, history, risk, COV)
+    # Its distinct keys would need more rows than the budget allows.
+    assert len(set(map(tuple, history.array[:, 1:].tolist()))) * len(risk) > hrem.stats._KEY_BUDGET
+    assert walked.n_slots == max(1, hrem.stats._WALK_BLOCK // len(risk))
+    assert np.array_equal(walked.key, np.arange(len(walked.dur)))
+    beta = np.array([-1.0, 0.75, -0.5])
+    table = unique_stat_table(spec, history, risk, COV)
+    scores = score_events(beta, history, spec, risk, COV, start=7)
+    # Past no budget, every key is distinct and kept, three a block.
+    monkeypatch.setattr(hrem.stats, "_KEY_BUDGET", 1 << 40)
+    monkeypatch.setattr(hrem.stats, "_WALK_BLOCK", 3 * len(risk))
+    assert hrem.stats.walk(spec, history, risk, COV).n_slots == len(walked.dur)
+    keyed = unique_stat_table(spec, history, risk, COV)
+    assert same_bits(table.vectors, keyed.vectors) and np.array_equal(table.q, keyed.q)
+    assert same_bits(table.m, keyed.m)
+    want = score_events(beta, history, spec, risk, COV, start=7)
+    for name in ("log_hazard", "exposure", "prob", "log_prob", "higher", "ties"):
+        assert same_bits(getattr(scores, name), getattr(want, name)), name
+    assert scores.tail_exposure == want.tail_exposure
+
+
+def test_a_syn52_walk_builds_one_matrix_per_distinct_key(monkeypatch):
+    from hrem.likelihood import score_events
+
+    d = syn52(baserate=-1.0)
+    hist = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=400, seed=9)
+    keys, own = set(), 0  # (context, previous event) of every piece, and event-only segments
+    for past, pieces, event in oracle._intervals(hist, d.risk, d.cov):
+        pieces = list(pieces)
+        keys |= {(ctx, past.last_event) for _, ctx in pieces}
+        own += event is not None and (not pieces or pieces[-1][1] != event[2])
+    assert len(keys) + own <= len(d.risk) + 1 < hist.m
+    built = []
+    block = StatisticSpec._block
+
+    def counting(self, segs, cov, risk, dyn):
+        built.append(len(segs.contexts) * len(risk))
+        return block(self, segs, cov, risk, dyn)
+
+    monkeypatch.setattr(StatisticSpec, "_block", counting)
+    unique_stat_table(d.spec, hist, d.risk, d.cov)
+    assert sum(built) == (len(keys) + own) * len(d.risk)
+    built.clear()
+    score_events(d.beta, hist, d.spec, d.risk, d.cov)
+    assert sum(built) == (len(keys) + own) * len(d.risk)
+
+
+def test_a_state_without_the_risk_sets_nodes_is_refused():
+    from hrem.simulate import event_choice_probabilities
+
+    risk = build_risk_set(4, include_broadcast=True)
+    spec = StatisticSpec((Baserate(), RecencySend()))
+    message = "the state has 4 nodes, fewer than the 5 of the risk set"
+    with pytest.raises(ValueError, match=message):
+        spec.matrix(SeqState(4), COV, risk)
+    with pytest.raises(ValueError, match=message):
+        event_choice_probabilities(np.zeros(2), spec, risk, COV, SeqState(4))
+    state = SeqState(4, broadcast=4).apply((0.5, 0, 4))
+    assert spec.matrix(state, COV, risk)[risk.row_index[0, 4]].tolist() == [1.0, 1.0]
