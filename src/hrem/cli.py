@@ -599,15 +599,16 @@ def cmd_diagnose(args):
     sur_rows = ["sequence,sender,recipient,q,n_events"]
     for k, hist in enumerate(histories):
         scores = score_events(beta_hat[k], hist, spec, risk, cov)
-        d, probs = scores.deviance, scores.prob
-        prev = None
-        for m, (t, i, j) in enumerate(hist.events):
-            label = pshift_label(prev, (t, i, j)) or ""
-            res_rows.append("%d,%d,%r,%s,%s,%s,%r"
-                            % (k, m, t, names[i], names[j], label, float(d[m])))
-            prob_rows.append("%d,%d,%r,%s,%s,%r" % (k, m, t, names[i], names[j], float(probs[m])))
-            prev = (t, i, j)
-        q = diagnostics.surprise(scores.higher, scores.ties, hist.events,
+        s, r = hist.senders.tolist(), hist.recipients.tolist()
+        # The columns that start each event's rows: sequence, event, t, sender and recipient.
+        event = list(map(",".join, zip([str(k)] * hist.m, map(str, range(hist.m)),
+                                       map(repr, hist.times.tolist()),
+                                       map(names.__getitem__, s), map(names.__getitem__, r))))
+        labels = list(map(pshift_label, [None, *zip(s, r)], zip(s, r)))
+        pshift = map({None: ""}.get, labels, labels)  # an event of no kind: an empty field
+        res_rows += map(",".join, zip(event, pshift, map(repr, scores.deviance.tolist())))
+        prob_rows += map(",".join, zip(event, map(repr, scores.prob.tolist())))
+        q = diagnostics.surprise(scores.higher, scores.ties, hist.senders, hist.recipients,
                                  args.surprise_threshold, rng)
         for (i, j), (qij, n) in sorted(q.items()):
             sur_rows.append("%d,%s,%s,%r,%d" % (k, names[i], names[j], qij, n))

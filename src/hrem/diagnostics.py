@@ -8,7 +8,6 @@ the per-dyad "surprise" matrix built from predicted ranks.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 
 import numpy as np
 
@@ -103,7 +102,7 @@ def baseline_counts(history: EventHistory, risk: RiskSet, n_train: int):
     The baseline ranks dyads by their training-segment event counts, so
     unseen dyads tie at zero.
     """
-    rows = risk.rows(*history.array[:, 1:].T)
+    rows = risk.rows(history.senders, history.recipients)
     counts = np.bincount(rows[:n_train], minlength=len(risk))
     observed = counts[rows[n_train:]]
     ordered = np.sort(counts)
@@ -138,23 +137,25 @@ def event_probabilities(beta, history: EventHistory, spec: StatisticSpec,
     return score_events(beta, history, spec, risk, cov).prob
 
 
-def surprise(higher: np.ndarray, ties: np.ndarray, events, threshold: int, rng) -> dict:
+def surprise(higher: np.ndarray, ties: np.ndarray, senders, recipients, threshold: int,
+             rng) -> dict:
     """Per-dyad surprise: proportion of its events ranked beyond the threshold.
 
-    Returns {(i, j): (q_ij, n_events)} for dyads with at least one
-    observed event; dyads with none are simply absent.
+    Event m is (senders[m], recipients[m]).  Returns {(i, j): (q_ij,
+    n_events)} for dyads with at least one observed event, in dyad order;
+    dyads with none are simply absent.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    dyads = [(i, j) for (t, i, j) in events]
-    ranks = _ranks(higher, ties, rng)
-    surprised = Counter(d for d, rank in zip(dyads, ranks) if rank > threshold)
-    return {d: (surprised[d] / n, n) for d, n in Counter(dyads).items()}
+    dyads, inverse, n = np.unique(np.column_stack([senders, recipients]), axis=0,
+                                  return_inverse=True, return_counts=True)
+    hits = np.bincount(inverse.ravel(), _ranks(higher, ties, rng) > threshold, len(n))
+    return dict(zip(map(tuple, dyads.tolist()), zip((hits / n).tolist(), n.tolist())))
 
 
 def surprise_matrix(beta, history: EventHistory, spec: StatisticSpec, risk: RiskSet,
                     cov: CovariateSet, threshold: int, rng=None) -> dict:
     """Per-dyad surprise of a history's events under beta (see :func:`surprise`)."""
     scores = score_events(beta, history, spec, risk, cov)
-    return surprise(scores.higher, scores.ties, history.events, threshold,
+    return surprise(scores.higher, scores.ties, history.senders, history.recipients, threshold,
                     rng or np.random.default_rng(0))

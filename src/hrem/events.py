@@ -1,9 +1,9 @@
 """Event sequence data model, ingestion, and validation.
 
 An event history is an ordered sequence of (time, sender, recipient)
-triples over a fixed actor set observed on the window [0, tau).  Actor
-ids are dense integers 0..N-1 after ingestion; the optional broadcast
-actor ("send to all") gets id N and only ever appears as a recipient.
+triples, held as three arrays, over a fixed actor set observed inside the
+window (0, tau).  Actor ids are dense integers 0..N-1 after ingestion; the
+broadcast actor ("send to all"), if any, gets id N and is only a recipient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,37 +37,38 @@ class ValidationError(ValueError):
     """Raised when ingested data violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventHistory:
-    """Ordered sequence of dyadic events on [0, tau).
+    """Ordered sequence of dyadic events inside the window (0, tau).
 
-    events: tuple of (t, sender, recipient) with strictly increasing t.
-    actor_labels maps dense ids back to the original labels when the
-    history came from a file.
+    Event m is (times[m], senders[m], recipients[m]): three read-only
+    arrays of one length, float64 times that increase strictly and intp
+    dense actor ids.  actor_labels maps dense ids back to the original
+    labels when the history came from a file.
     """
 
-    events: tuple
+    times: np.ndarray
+    senders: np.ndarray
+    recipients: np.ndarray
     tau: float
     n_actors: int
     sequence_id: str = "seq"
     actor_labels: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(map(tuple, self.events)))
+        for name, dtype in (("times", np.float64), ("senders", np.intp), ("recipients", np.intp)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
-        return len(self.events)
+        return len(self.times)
 
     @property
-    def times(self) -> np.ndarray:
-        return self.array[:, 0].copy()
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The events as an (m, 3) float array of times, senders and recipients."""
-        flat = itertools.chain.from_iterable(self.events)
-        return np.fromiter(flat, dtype=float, count=3 * self.m).reshape(self.m, 3)
+    def events(self) -> tuple:
+        """The events as (t, sender, recipient) tuples of Python scalars."""
+        return tuple(zip(self.times.tolist(), self.senders.tolist(), self.recipients.tolist()))
 
     def truncate(self, n_events: int) -> "EventHistory":
         """First `n_events` events with the window shortened accordingly.
@@ -78,15 +79,9 @@ class EventHistory:
         """
         if n_events <= 0 or n_events > self.m:
             raise ValueError("n_events must be in 1..M")
-        kept = self.events[:n_events]
-        t_last = kept[-1][0]
-        return EventHistory(
-            events=kept,
-            tau=t_last + t_last / n_events,
-            n_actors=self.n_actors,
-            sequence_id=self.sequence_id,
-            actor_labels=self.actor_labels,
-        )
+        t_last, kept = float(self.times[n_events - 1]), slice(n_events)
+        return replace(self, times=self.times[kept], senders=self.senders[kept],
+                       recipients=self.recipients[kept], tau=t_last + t_last / n_events)
 
 
 @dataclass(frozen=True)
@@ -246,20 +241,19 @@ def validate(history: EventHistory, risk: RiskSet, cov: CovariateSet | None = No
         report.append("tau must be positive, got %r" % history.tau)
     if history.n_actors < 1:
         report.append("n_actors must be positive, got %r" % history.n_actors)
-    ev, bc = history.events, risk.broadcast_actor
-    t, i, j = history.array.T
-    earlier = np.append(0.0, t[:-1])
+    t, i, j, bc = history.times, history.senders, history.recipients, risk.broadcast_actor
+    earlier = np.append(-np.inf, t[:-1])
     checks = [  # (flags over the events, the message of the event at an index)
-        (np.isnan(t), lambda m: "event %d: time %g is not a number" % (m, ev[m][0])),
+        (np.isnan(t), lambda m: "event %d: time %g is not a number" % (m, t[m])),
         (t <= earlier, lambda m: "event %d: times not strictly increasing (%g after %g)"
-         % (m, ev[m][0], earlier[m])),
-        (window & (t >= history.tau), lambda m: "event %d: time %g outside observation window"
-         " [0, %g)" % (m, ev[m][0], history.tau)),
+         % (m, t[m], earlier[m])),
+        (window & ((t <= 0) | (t >= history.tau)), lambda m: "event %d: time %g outside"
+         " observation window (0, %g)" % (m, t[m], history.tau)),
         (risk.rows(i, j) < 0, lambda m: "event %d: dyad (%d, %d) not in risk set"
-         % (m, *ev[m][1:])),
-        (i == j, lambda m: "event %d: reflexive event (%d, %d)" % (m, *ev[m][1:])),
+         % (m, i[m], j[m])),
+        (i == j, lambda m: "event %d: reflexive event (%d, %d)" % (m, i[m], j[m])),
         (bc is not None and i == bc, lambda m: "event %d: broadcast actor %d cannot send"
-         % (m, ev[m][1])),
+         % (m, i[m])),
     ]
     # Event by event, and in the order of the checks within one.
     hits = sorted((m, k) for k, (flags, _) in enumerate(checks) for m in np.flatnonzero(flags))
@@ -290,9 +284,8 @@ def validate_track(history: EventHistory, cov: CovariateSet) -> list:
                           % (n, starts[n], n - 1, starts[n - 1]))
             break
     # An event before the first start has no context (CovariateSet.context_at).
-    for m in np.flatnonzero(history.array[:, 0] < starts[0]).tolist():
-        report.append("event %d: time %g not covered by context track" % (m, history.events[m][0]))
-    return report
+    return report + ["event %d: time %g not covered by context track" % (m, history.times[m])
+                     for m in np.flatnonzero(history.times < starts[0])]
 
 
 def _tokens(text: str) -> tuple:
@@ -301,7 +294,11 @@ def _tokens(text: str) -> tuple:
     The csv module cuts the text into rows.  An empty later row holds one
     empty field.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a carriage return inside a line
+        raise ValidationError("line %d: %s" % (reader.line_num, exc))
     body = [row or [""] for row in rows[1:]]
     return (rows[0] if rows else None, np.fromiter(map(len, body), np.intp, len(body)),
             list(itertools.chain.from_iterable(body)))
@@ -374,7 +371,8 @@ def load_history(
     """Parse and validate an event CSV from a byte/text stream or path.
 
     The CSV carries only events (header `t,sender,recipient`), so tau comes
-    from the `tau` argument.  `format` must be "csv".
+    from the `tau` argument.  `format` must be "csv".  `n_actors` pads the
+    labels with unused integers up to that count, and refuses a file with more.
 
     Returns (EventHistory, CovariateSet); the covariate set is always empty,
     because covariates come from :func:`load_covariates`.
@@ -388,6 +386,9 @@ def load_history(
     broadcast_label = _label(broadcast_label)
     read = {x: _label(x) for x in {*senders, *recipients}}  # each distinct string once
     labels = set(read.values()) - {broadcast_label}
+    if n_actors is not None and len(labels) > n_actors:
+        raise ValidationError("the file has %d actor labels, more than n_actors %d"
+                              % (len(labels), n_actors))
     if n_actors is not None:
         # Pad with unused integer labels so silent actors stay in the risk set.
         pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
@@ -400,14 +401,9 @@ def load_history(
     if broadcast_label is not None:
         mapping[broadcast_label] = len(labels)
     ids = {x: mapping[lab] for x, lab in read.items()}
-    history = EventHistory(
-        events=tuple(zip(times.tolist(), map(ids.__getitem__, senders),
-                         map(ids.__getitem__, recipients))),
-        tau=float(tau),
-        n_actors=len(labels),
-        sequence_id=sequence_id,
-        actor_labels=labels,
-    )
+    history = EventHistory(times, *(list(map(ids.__getitem__, x)) for x in (senders, recipients)),
+                           tau=float(tau), n_actors=len(labels), sequence_id=sequence_id,
+                           actor_labels=labels)
     risk = build_risk_set(len(labels), include_broadcast=broadcast_label is not None)
     report = validate(history, risk)
     if report:
@@ -435,10 +431,9 @@ def load_covariates(source) -> CovariateSet:
 
 def events_to_csv(history: EventHistory) -> str:
     """Serialize events in the ingestion CSV format (dense ids)."""
-    out = ["t,sender,recipient"]
-    for t, i, j in history.events:
-        out.append("%r,%d,%d" % (t, i, j))
-    return "\n".join(out) + "\n"
+    columns = (history.times, history.senders, history.recipients)
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    return "\n".join(["t,sender,recipient", *rows]) + "\n"
 
 
 def _covariates_document(cov: CovariateSet, n_actors: int) -> dict:

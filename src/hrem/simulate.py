@@ -136,12 +136,11 @@ def simulate_history(beta, spec: StatisticSpec, risk: RiskSet, cov: CovariateSet
                     "event cap %d exceeded before horizon" % max_events, peak, len(events)
                 )
 
+    times, senders, recipients = zip(*events) if events else ((), (), ())
     if tau is None:
-        t_last = events[-1][0]
-        tau = t_last + t_last / len(events)
-    history = EventHistory(
-        events=tuple(events), tau=float(tau), n_actors=risk.n_actors, sequence_id=sequence_id
-    )
+        tau = times[-1] + times[-1] / len(times)
+    history = EventHistory(times, senders, recipients, tau=float(tau), n_actors=risk.n_actors,
+                           sequence_id=sequence_id)
     if return_peak_rate:
         return history, peak
     return history

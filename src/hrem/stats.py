@@ -714,6 +714,8 @@ class Walk:
         spec, history, risk, cov = self._args
         contexts, prev, interval = self._by_key  # of each key's first segment
         state = SeqState(history.n_actors, broadcast=risk.broadcast_actor, cov=cov)
+        # The state folds the events in order, as tuples of Python scalars.
+        events = zip(history.times.tolist(), history.senders.tolist(), history.recipients.tolist())
         size = max(1, _WALK_BLOCK // len(risk))
         own = len(self.first) == len(self.dur)  # each segment is its own key
         done = 0
@@ -722,7 +724,7 @@ class Walk:
             dyn = np.empty((len(spec._dynamic), keys.stop - at, len(risk)))
             for b, m in enumerate(interval[keys].tolist() if spec._stateful else ()):
                 while state.n_applied < m:
-                    state.apply(history.events[state.n_applied], cov)
+                    state.apply(next(events), cov)
                 one = Segments([contexts[at + b]], state=state)
                 for d, eff in spec._stateful:
                     dyn[d, b] = eff.column(one, cov, risk)
@@ -765,7 +767,7 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
     whole history: a bisection of the track's starts finds the pieces and
     the contexts, and one sort the keys.
     """
-    times, senders, recipients = history.array.T
+    times, senders, recipients = history.times, history.senders, history.recipients
     earlier = np.append(-np.inf, times)[:-1]
     late = np.flatnonzero(~(times > earlier))
     if len(late):
@@ -774,7 +776,7 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
     rows = risk.rows(senders[start:], recipients[start:])
     if (rows < 0).any():
         m = start + int(np.argmin(rows))
-        raise ValueError("event %d: dyad (%d, %d) not in risk set" % (m, *history.events[m][1:]))
+        raise ValueError("event %d: dyad (%d, %d) not in risk set" % (m, senders[m], recipients[m]))
     # Interval m runs from event m-1 (or 0) to event m, or to tau for m = M.
     ivl = np.arange(start, history.m + 1)
     t0, t1 = np.append(0.0, times)[ivl], np.append(times, history.tau)[ivl]
@@ -799,7 +801,7 @@ def walk(spec: StatisticSpec, history: EventHistory, risk: RiskSet, cov: Covaria
     w.dur, w.contexts, w.interval = dur, [labels[x] for x in lab.tolist()], seg
     w.event = np.where(np.append(seg[1:] != seg[:-1], True) & (seg < history.m), seg, -1)
     w.row = np.append(rows, -1)[np.where(w.event >= 0, w.event - start, -1)]
-    prev = np.concatenate([[(-1, -1)], history.array[:, 1:].astype(np.intp)])[seg]
+    prev = np.column_stack([np.append(-1, senders), np.append(-1, recipients)])[seg]
     w._args = (spec, history, risk, cov)
     w.key = w.first = np.arange(len(dur))
     w.n_slots = max(1, _WALK_BLOCK // len(risk))

@@ -9,8 +9,11 @@ past events (:class:`Past`), so a slip in how :class:`hrem.stats.SeqState`
 folds an event cannot pass as the reference.  Its later sections pin
 random streams the same way: the ranks' tie-break, the collapsed sweep and
 the simulator's event draw, each written out as the library first had it.
-The last section reads an event CSV row by row with the csv module: the
-reference for the array reader of :func:`hrem.events.load_history`.
+The last sections read an event CSV row by row with the csv module, the
+reference for the array reader of :func:`hrem.events.load_history`, and
+write the event-level CSVs one event at a time with `%`, the reference for
+the column-built writers.  :func:`event_history` builds a history from
+(t, sender, recipient) tuples.
 """
 
 import collections
@@ -37,6 +40,7 @@ from hrem.stats import (
     SenderAttr,
     SeqState,
     ToBroadcast,
+    pshift_label,
 )
 
 
@@ -435,6 +439,13 @@ def label(x):
 def read_history(text, tau, n_actors=None, broadcast_label=None):
     """The EventHistory of an event CSV; raises ValidationError as load_history does."""
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _read_rows(reader, tau, n_actors, broadcast_label)
+    except csv.Error as exc:
+        raise ValidationError("line %d: %s" % (reader.line_num, exc))
+
+
+def _read_rows(reader, tau, n_actors, broadcast_label):
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["t", "sender", "recipient"]:
         raise ValidationError("expected CSV header 't,sender,recipient', got %r" % header)
@@ -451,6 +462,9 @@ def read_history(text, tau, n_actors=None, broadcast_label=None):
         raw.append((t, label(row[1].strip()), label(row[2].strip())))
     broadcast_label = label(broadcast_label)
     labels = {lab for _, i, j in raw for lab in (i, j)} - {broadcast_label}
+    if n_actors is not None and len(labels) > n_actors:
+        raise ValidationError("the file has %d actor labels, more than n_actors %d"
+                              % (len(labels), n_actors))
     if n_actors is not None:
         pool = (x for x in range(2 * n_actors) if x not in labels and x != broadcast_label)
         while len(labels) < n_actors:
@@ -459,8 +473,8 @@ def read_history(text, tau, n_actors=None, broadcast_label=None):
     mapping = {lab: i for i, lab in enumerate(labels)}
     if broadcast_label is not None:
         mapping[broadcast_label] = len(labels)
-    history = EventHistory(events=tuple((t, mapping[i], mapping[j]) for t, i, j in raw),
-                           tau=float(tau), n_actors=len(labels), actor_labels=labels)
+    history = event_history(tuple((t, mapping[i], mapping[j]) for t, i, j in raw),
+                            tau=float(tau), n_actors=len(labels), actor_labels=labels)
     report = validate(history, build_risk_set(len(labels),
                                               include_broadcast=broadcast_label is not None))
     if report:
@@ -477,15 +491,15 @@ def validate(history, risk):
     if history.n_actors < 1:
         report.append("n_actors must be positive, got %r" % history.n_actors)
     dyads = set(risk.dyads)
-    prev_t = 0.0
+    prev_t = None
     for m, (t, i, j) in enumerate(history.events):
         if t != t:
             report.append("event %d: time %g is not a number" % (m, t))
-        if t <= prev_t:
+        if prev_t is not None and t <= prev_t:
             report.append("event %d: times not strictly increasing (%g after %g)" % (m, t, prev_t))
         prev_t = t
-        if window and t >= history.tau:
-            report.append("event %d: time %g outside observation window [0, %g)"
+        if window and (t <= 0 or t >= history.tau):
+            report.append("event %d: time %g outside observation window (0, %g)"
                           % (m, t, history.tau))
         if (i, j) not in dyads:
             report.append("event %d: dyad (%d, %d) not in risk set" % (m, i, j))
@@ -499,3 +513,34 @@ def validate(history, risk):
         if risk.broadcast_actor is not None and i == risk.broadcast_actor:
             report.append("risk set has broadcast actor %d as sender" % i)
     return report
+
+
+def event_history(events, tau, n_actors, **kw):
+    """The EventHistory of (t, sender, recipient) tuples."""
+    columns = list(zip(*events)) or [(), (), ()]
+    return EventHistory(*columns, tau=tau, n_actors=n_actors, **kw)
+
+
+# The event-level CSVs, one event at a time: the reference for events_to_csv
+# and for the residual and probability files of `hrem diagnose`.
+
+
+def events_csv(history):
+    """events_to_csv's text."""
+    out = ["t,sender,recipient"]
+    for t, i, j in history.events:
+        out.append("%r,%d,%d" % (t, i, j))
+    return "\n".join(out) + "\n"
+
+
+def diagnose_rows(k, history, names, deviance, prob):
+    """(residual rows, probability rows) of sequence k, with actor names `names`."""
+    res_rows, prob_rows = [], []
+    prev = None
+    for m, (t, i, j) in enumerate(history.events):
+        label = pshift_label(prev, (t, i, j)) or ""
+        res_rows.append("%d,%d,%r,%s,%s,%s,%r"
+                        % (k, m, t, names[i], names[j], label, float(deviance[m])))
+        prob_rows.append("%d,%d,%r,%s,%s,%r" % (k, m, t, names[i], names[j], float(prob[m])))
+        prev = (t, i, j)
+    return res_rows, prob_rows

@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, stats
 
 from hrem import diagnostics
-from hrem.events import CovariateSet, EventHistory, build_risk_set
+from hrem.events import CovariateSet, build_risk_set
 from hrem.inference import (
     CollapsedGibbs,
     Hyperparams,
@@ -509,8 +509,8 @@ def test_criterion_10_sampler_correctness():
                                  seed=int(rng.integers(1 << 30)))
             # count-stopped data: the density has no censoring past the
             # last event, so exposure must end exactly at t_M
-            h = EventHistory(events=h.events, tau=h.events[-1][0],
-                             n_actors=h.n_actors)
+            h = scalar_oracle.event_history(h.events, tau=h.events[-1][0],
+                                            n_actors=h.n_actors)
             tables.append(unique_stat_table(spec5, h, risk5, cov))
         return tables
 

@@ -995,3 +995,60 @@ def test_a_file_entry_that_is_not_a_string_exits_one_naming_the_entry(sim_dir, c
         assert "%s: %s: 'file' must be a string, got %d" % (where, name, fd) in err, err
     with pytest.raises(OSError):
         os.fstat(fd)
+
+
+def test_an_event_file_the_csv_module_rejects_exits_one_naming_it(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_bytes(b"t,sender,recipient\n0.5,0,1\r0.6,1,0\n")
+    cfg = write_json(tmp_path / "fit.json", {
+        "seed": 1, "sequences": [{"file": str(events), "tau": 2.0}],
+        "spec": [{"type": "baserate"}], "sampler": "map", "out_dir": str(tmp_path / "fit")})
+    assert main(["fit", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(events) in err and "line 2: new-line character seen" in err, err
+
+
+def test_a_manifest_with_fewer_actors_than_its_event_files_exits_one_naming_both_counts(
+        sim_dir, capsys):
+    path = sim_dir / "sim" / "manifest.json"
+    manifest = json.load(open(path))
+    manifest["n_actors"] = 2
+    write_json(path, manifest)
+    assert main(["fit", "--config", fit_config(sim_dir, sampler="map")]) == 1
+    err = capsys.readouterr().err
+    assert manifest["sequences"][0]["file"] in err, err
+    assert "the file has 10 actor labels, more than n_actors 2" in err, err
+    assert not (sim_dir / "fit" / "manifest.json").exists()
+
+
+def test_diagnose_event_csvs_have_the_bytes_of_the_per_event_writer(tmp_path):
+    # String labels, a broadcast recipient, a context track and repeated dyads.
+    import scalar_oracle as oracle
+    from hrem.likelihood import score_events
+
+    pairs = [("ann", "bob"), ("ann", "bob"), ("bob", "ann"), ("cy", "all"), ("bob", "cy"),
+             ("cy", "ann"), ("ann", "cy")]
+    rows = ["t,sender,recipient"] + ["%r,%s,%s" % (0.37 * (m + 1), *pairs[m % 7])
+                                     for m in range(60)]
+    (tmp_path / "events.csv").write_text("\n".join(rows) + "\n")
+    cov = write_json(tmp_path / "cov.json", {"contexts": [
+        {"start": 0.0, "label": "a"}, {"start": 7.3, "label": "b"}, {"start": 15.1, "label": "a"}]})
+    cfg = write_json(tmp_path / "fit.json", {
+        "seed": 1, "sequences": [{"file": str(tmp_path / "events.csv"), "tau": 25.0}],
+        "covariates": {"file": cov}, "broadcast": "all",
+        "spec": [{"type": "baserate"}, {"type": "context", "label": "b"},
+                 {"type": "pshift", "kind": "AB-BA"}],
+        "sampler": "map", "out_dir": str(tmp_path / "fit")})
+    assert main(["fit", "--config", cfg]) == 0
+    path = str(tmp_path / "fit" / "manifest.json")
+    assert main(["diagnose", "--manifest", path]) == 0
+    manifest, spec, risk, cov, histories, samples = cli._reload_fit(path)
+    (hist,) = histories
+    scores = score_events(samples.beta_mean()[0], hist, spec, risk, cov)
+    res, prob = oracle.diagnose_rows(0, hist, ["ann", "bob", "cy", "all"], scores.deviance,
+                                     scores.prob)
+    assert len({r.split(",")[5] for r in res}) > 1  # rows with and without a shift
+    assert open(tmp_path / "fit" / "residuals.csv").read() == "\n".join(
+        ["sequence,event,t,sender,recipient,pshift,deviance"] + res) + "\n"
+    assert open(tmp_path / "fit" / "probabilities.csv").read() == "\n".join(
+        ["sequence,event,t,sender,recipient,probability"] + prob) + "\n"

@@ -5,7 +5,7 @@ import pytest
 
 import scalar_oracle as oracle
 from hrem import diagnostics
-from hrem.events import CovariateSet, EventHistory, build_risk_set
+from hrem.events import CovariateSet, build_risk_set
 from hrem.inference import PosteriorSamples
 from hrem.likelihood import loglik_full, score_events
 from hrem.presets import syn52
@@ -112,8 +112,8 @@ def test_recall_accepts_draw_matrix():
 def test_empirical_baseline_ordering():
     risk = build_risk_set(3)
     # training counts: (1,2) twice, (2,1) once, every other dyad never
-    hist = EventHistory(
-        events=((0.1, 1, 2), (0.2, 1, 2), (0.3, 2, 1), (0.5, 0, 1), (0.6, 1, 2), (0.7, 2, 1)),
+    hist = oracle.event_history(
+        ((0.1, 1, 2), (0.2, 1, 2), (0.3, 2, 1), (0.5, 0, 1), (0.6, 1, 2), (0.7, 2, 1)),
         tau=1.0, n_actors=3,
     )
     higher, ties = diagnostics.baseline_counts(hist, risk, n_train=3)
@@ -140,7 +140,7 @@ def test_deviance_residual_hand_case():
     # beta=0, |R|=2, gap 0.5: d = -2 [0 - 0.5 * 2] = 2
     risk = build_risk_set(2)
     spec = StatisticSpec((Baserate(),))
-    hist = EventHistory(events=((0.5, 0, 1),), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((0.5, 0, 1),), tau=1.0, n_actors=2)
     d = diagnostics.deviance_residuals(np.zeros(1), hist, spec, risk, COV)
     assert d[0] == pytest.approx(2.0)
 
@@ -191,7 +191,7 @@ def test_surprise_threshold_full_risk_set_is_zero():
 def test_surprise_absent_dyads_omitted():
     risk = build_risk_set(3)
     spec = StatisticSpec((Baserate(),))
-    hist = EventHistory(events=((0.2, 0, 1), (0.4, 0, 1)), tau=1.0, n_actors=3)
+    hist = oracle.event_history(((0.2, 0, 1), (0.4, 0, 1)), tau=1.0, n_actors=3)
     q = diagnostics.surprise_matrix(np.zeros(1), hist, spec, risk, COV, 3)
     assert set(q) == {(0, 1)}
     assert q[(0, 1)][1] == 2

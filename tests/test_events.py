@@ -9,7 +9,6 @@ import pytest
 import scalar_oracle as oracle
 from hrem.events import (
     CovariateSet,
-    EventHistory,
     RiskSet,
     ValidationError,
     build_risk_set,
@@ -61,18 +60,18 @@ def test_load_requires_tau():
 
 
 def test_validate_clean_history_empty_report():
-    hist = EventHistory(events=((0.3, 0, 1), (0.7, 1, 0)), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((0.3, 0, 1), (0.7, 1, 0)), tau=1.0, n_actors=2)
     assert validate(hist, build_risk_set(2)) == []
 
 
 def test_validate_reflexive_event_reported_with_index():
-    hist = EventHistory(events=((0.3, 0, 1), (0.5, 2, 2)), tau=1.0, n_actors=3)
+    hist = oracle.event_history(((0.3, 0, 1), (0.5, 2, 2)), tau=1.0, n_actors=3)
     report = validate(hist, build_risk_set(3))
     assert any("event 1" in r and "reflexive" in r for r in report)
 
 
 def test_validate_event_beyond_tau():
-    hist = EventHistory(events=((1.5, 0, 1),), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((1.5, 0, 1),), tau=1.0, n_actors=2)
     report = validate(hist, build_risk_set(2))
     assert any("window" in r for r in report)
 
@@ -80,7 +79,7 @@ def test_validate_event_beyond_tau():
 @pytest.mark.parametrize("tau", [-1.0, 0.0])
 def test_validate_without_a_window_says_so_once_not_once_per_event(tau):
     events = tuple((0.5 * (m + 1), m % 2, 1 - m % 2) for m in range(50))
-    report = validate(EventHistory(events=events, tau=tau, n_actors=2), build_risk_set(2))
+    report = validate(oracle.event_history(events, tau=tau, n_actors=2), build_risk_set(2))
     assert report == ["tau must be positive, got %r" % tau]
     csv = "t,sender,recipient\n" + "".join("%r,%d,%d\n" % e for e in events)
     with pytest.raises(ValidationError) as exc:
@@ -106,7 +105,7 @@ def test_broadcast_never_sends():
 
 
 def test_csv_round_trip():
-    hist = EventHistory(events=((0.25, 0, 1), (0.75, 1, 2)), tau=1.5, n_actors=3)
+    hist = oracle.event_history(((0.25, 0, 1), (0.75, 1, 2)), tau=1.5, n_actors=3)
     hist2, _ = load_history(io.StringIO(events_to_csv(hist)), "csv", tau=1.5)
     assert hist2.events == hist.events
     assert hist2.tau == hist.tau
@@ -134,7 +133,7 @@ def test_validate_catches_random_corruptions():
         for t in times:
             i, j = rng.choice(4, size=2, replace=False)
             events.append((float(t), int(i), int(j)))
-        hist = EventHistory(events=tuple(events), tau=1.0, n_actors=4)
+        hist = oracle.event_history(tuple(events), tau=1.0, n_actors=4)
         assert validate(hist, risk) == []
         # corrupt one event
         bad = list(events)
@@ -148,7 +147,7 @@ def test_validate_catches_random_corruptions():
         else:
             t, i, j = bad[2]
             bad[2] = (2.0, i, j)
-        corrupted = EventHistory(events=tuple(bad), tau=1.0, n_actors=4)
+        corrupted = oracle.event_history(tuple(bad), tau=1.0, n_actors=4)
         assert validate(corrupted, risk) != []
 
 
@@ -202,7 +201,7 @@ def test_context_lookups_by_bisection_match_a_scan_of_the_track():
 
 
 def test_truncate_shortens_window():
-    hist = EventHistory(events=((1.0, 0, 1), (2.0, 1, 0), (3.0, 0, 1)), tau=4.0, n_actors=2)
+    hist = oracle.event_history(((1.0, 0, 1), (2.0, 1, 0), (3.0, 0, 1)), tau=4.0, n_actors=2)
     cut = hist.truncate(2)
     assert cut.m == 2
     assert cut.tau == pytest.approx(3.0)  # 2.0 + mean gap 1.0
@@ -221,11 +220,12 @@ def test_n_actors_padding_keeps_silent_actors():
 
 
 def read(reader, text, **kw):
-    """("ok", history) or (exception class, message) of reading `text` with `reader`."""
+    """("ok", the history's fields) or (exception class, message) of `reader` on `text`."""
     try:
-        return "ok", reader(text, **kw)
+        h = reader(text, **kw)
     except Exception as exc:  # the same class and text on both sides
         return type(exc), str(exc)
+    return "ok", (h.events, h.tau, h.n_actors, h.sequence_id, h.actor_labels)
 
 
 HEADER = "t,sender,recipient\n"
@@ -263,9 +263,11 @@ def test_array_reader_reads_what_the_row_by_row_reader_reads(text):
                    tau=2.0, sequence_id="seq", **kw)
         assert got == want, (text, kw)
         if got[0] == "ok":
+            hist = load_history(io.StringIO(text), "csv", tau=2.0, **kw)[0]
             assert all(type(t) is float and type(i) is int and type(j) is int
-                       for t, i, j in got[1].events)
-            assert np.array_equal(got[1].array, np.array(got[1].events, dtype=float).reshape(-1, 3))
+                       for t, i, j in got[1][0])
+            assert [hist.times.dtype, hist.senders.dtype, hist.recipients.dtype] == \
+                [np.float64, np.intp, np.intp]
 
 
 def test_a_nan_time_fails_validation_and_the_walk():
@@ -279,7 +281,7 @@ def test_a_nan_time_fails_validation_and_the_walk():
     for at in (0, 1, 2):  # a hand-built history with a NaN time anywhere
         events = [(0.5, 0, 1), (1.0, 1, 2), (1.5, 2, 0)]
         events[at] = (math.nan, *events[at][1:])
-        hist = EventHistory(events=tuple(events), tau=3.0, n_actors=3)
+        hist = oracle.event_history(tuple(events), tau=3.0, n_actors=3)
         assert validate(hist, risk) == ["event %d: time nan is not a number" % at]
         with pytest.raises(ValueError, match="out-of-order event at t=nan"):
             unique_stat_table(spec, hist, risk, CovariateSet())
@@ -295,7 +297,7 @@ def test_validate_reports_what_one_loop_over_the_events_reports():
     ]
     for events in histories:
         for tau in (1.0, 0.0):
-            hist = EventHistory(events=events, tau=tau, n_actors=3)
+            hist = oracle.event_history(events, tau=tau, n_actors=3)
             for r in (risk, bad_risk):
                 assert validate(hist, r) == oracle.validate(hist, r), (events, tau, r)
     rng = np.random.default_rng(1)
@@ -303,7 +305,7 @@ def test_validate_reports_what_one_loop_over_the_events_reports():
         times = np.round(np.sort(rng.uniform(-0.2, 1.2, size=8)), 1)
         events = tuple((float(t), int(i), int(j))
                        for t, i, j in zip(times, rng.integers(-1, 5, 8), rng.integers(0, 5, 8)))
-        hist = EventHistory(events=events, tau=1.0, n_actors=3)
+        hist = oracle.event_history(events, tau=1.0, n_actors=3)
         assert validate(hist, risk) == oracle.validate(hist, risk), events
 
 
@@ -315,6 +317,82 @@ def test_risk_rows_match_the_dyad_index():
     assert risk.row_index.shape == (5, 5) and risk.row_index.dtype == np.intp
     from hrem.stats import Baserate, StatisticSpec, unique_stat_table
 
-    hist = EventHistory(events=((0.5, 0, 1), (1.0, 2, 2)), tau=2.0, n_actors=4)
+    hist = oracle.event_history(((0.5, 0, 1), (1.0, 2, 2)), tau=2.0, n_actors=4)
     with pytest.raises(ValueError, match=r"event 1: dyad \(2, 2\) not in risk set"):
         unique_stat_table(StatisticSpec((Baserate(),)), hist, risk, CovariateSet())
+
+
+# ---------------------------------------------------------------------------
+# The columnar history and the window
+
+
+@pytest.mark.parametrize("t, shown", [(0.0, "0"), (-0.5, "-0.5")])
+def test_a_first_event_at_or_before_zero_is_outside_the_window(t, shown):
+    message = "event 0: time %s outside observation window (0, 1)" % shown
+    hist = oracle.event_history(((t, 0, 1), (0.5, 1, 0)), tau=1.0, n_actors=2)
+    assert validate(hist, build_risk_set(2)) == [message]
+    with pytest.raises(ValidationError) as exc:
+        load_history(io.StringIO("t,sender,recipient\n%r,0,1\n0.5,1,0\n" % t), "csv", tau=1.0)
+    assert str(exc.value) == message
+
+
+def test_a_carriage_return_inside_a_line_names_the_line():
+    text = "t,sender,recipient\n0.5,0,1\r0.6,1,0\n"
+    with pytest.raises(ValidationError, match="^line 2: new-line character seen"):
+        load_history(io.StringIO(text), "csv", tau=1.0)
+
+
+def test_more_labels_than_n_actors_are_refused_naming_both_counts():
+    text = "t,sender,recipient\n0.5,0,7\n0.7,7,3\n"
+    with pytest.raises(ValidationError) as exc:
+        load_history(io.StringIO(text), "csv", tau=1.0, n_actors=2)
+    assert str(exc.value) == "the file has 3 actor labels, more than n_actors 2"
+    assert load_history(io.StringIO(text), "csv", tau=1.0, n_actors=3)[0].n_actors == 3
+
+
+def _histories():
+    """(name, history): one loaded from a file, one simulated and a truncation of each."""
+    from hrem.presets import syn52
+    from hrem.simulate import simulate_history
+
+    text = "t,sender,recipient\n0.25,ann,bob\n0.5,bob,all\n0.75,cy,ann\n"
+    loaded, _ = load_history(io.StringIO(text), "csv", tau=1.0, broadcast_label="all")
+    d = syn52()
+    simulated = simulate_history(d.beta, d.spec, d.risk, d.cov, n_events=50, seed=3)
+    return [("loaded", loaded), ("simulated", simulated), ("loaded, truncated", loaded.truncate(2)),
+            ("simulated, truncated", simulated.truncate(20))]
+
+
+def test_a_history_holds_three_read_only_arrays():
+    for name, hist in _histories():
+        for column, dtype in (("times", np.float64), ("senders", np.intp), ("recipients", np.intp)):
+            a = getattr(hist, column)
+            assert a.dtype == dtype and len(a) == hist.m, (name, column)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert not hasattr(hist, "array")
+
+
+def test_events_are_the_tuples_of_python_scalars_the_producers_drew():
+    from hrem.presets import syn52
+
+    hist = dict(_histories())
+    assert hist["loaded"].events == ((0.25, 0, 1), (0.5, 1, 3), (0.75, 2, 0))
+    assert hist["loaded, truncated"].events == hist["loaded"].events[:2]
+    d = syn52()
+    events, _ = oracle.simulate_by_choice(d.beta, d.spec, d.risk, d.cov, 50,
+                                          np.random.default_rng(3))
+    assert hist["simulated"].events == events
+    assert hist["simulated, truncated"].events == events[:20]
+    for h in hist.values():
+        assert all(type(t) is float and type(i) is int and type(j) is int
+                   for t, i, j in h.events)
+
+
+def test_events_to_csv_writes_the_bytes_of_the_per_event_writer():
+    text = "t,sender,recipient\n" + "".join(
+        "%r,%s,%s\n" % (0.1 * (m + 1), *pair) for m, pair in enumerate(
+            [("ann", "bob"), ("ann", "bob"), ("bob", "all"), ("cy", "ann"), ("bob", "all")] * 4))
+    hist, _ = load_history(io.StringIO(text), "csv", tau=3.0, broadcast_label="all")
+    for h in (hist, hist.truncate(1), oracle.event_history((), tau=1.0, n_actors=2)):
+        assert events_to_csv(h) == oracle.events_csv(h)

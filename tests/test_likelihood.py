@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hrem.events import CovariateSet, EventHistory, build_risk_set
+import scalar_oracle as oracle
+from hrem.events import CovariateSet, build_risk_set
 from hrem.likelihood import (
     explosion_check,
     grad_loglik_full,
@@ -28,7 +29,7 @@ COV = CovariateSet()
 
 
 def intercept_table(events, tau, n_actors):
-    hist = EventHistory(events=events, tau=tau, n_actors=n_actors)
+    hist = oracle.event_history(events, tau=tau, n_actors=n_actors)
     risk = build_risk_set(n_actors)
     spec = StatisticSpec((Baserate(),))
     return hist, risk, spec, unique_stat_table(spec, hist, risk, COV)
@@ -68,8 +69,8 @@ def test_loglik_naive_finite_on_random_history():
 def test_loglik_finite_for_explosion_prone_spec():
     # observed data likelihood is always finite, even for runaway specs
     spec = StatisticSpec((Baserate(), EventCount(power=2)))
-    hist = EventHistory(
-        events=tuple((0.1 * (m + 1), 0, 1) for m in range(10)), tau=1.5, n_actors=2
+    hist = oracle.event_history(
+        tuple((0.1 * (m + 1), 0, 1) for m in range(10)), tau=1.5, n_actors=2
     )
     risk = build_risk_set(2)
     beta = np.array([0.0, 0.5])

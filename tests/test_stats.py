@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrem.stats
-from hrem.events import CovariateSet, EventHistory, build_risk_set
+from hrem.events import CovariateSet, build_risk_set
 from hrem.presets import classroom_spec, syn52
 from hrem.simulate import simulate_history
 from hrem.stats import (
@@ -141,7 +141,7 @@ def test_update_state_rejects_out_of_order():
             s.apply((t, 1, 0))
         assert s.n_applied == 1 and s.counts[1, 0] == 0
         # The walk rejects them too, for a spec with no column that reads the state.
-        history = EventHistory(events=((0.5, 0, 1), (t, 1, 0)), tau=1.0, n_actors=4)
+        history = oracle.event_history(((0.5, 0, 1), (t, 1, 0)), tau=1.0, n_actors=4)
         with pytest.raises(ValueError, match="out-of-order"):
             unique_stat_table(StatisticSpec((Baserate(), PShift("AB-BA"))), history, RISK, COV)
 
@@ -280,7 +280,7 @@ def test_compute_stat_vector_deterministic():
 
 
 def test_unique_table_intercept_only():
-    hist = EventHistory(events=((0.2, 0, 1), (0.5, 1, 2)), tau=1.0, n_actors=3)
+    hist = oracle.event_history(((0.2, 0, 1), (0.5, 1, 2)), tau=1.0, n_actors=3)
     risk = build_risk_set(3)
     table = unique_stat_table(StatisticSpec((Baserate(),)), hist, risk, COV)
     assert table.n_unique == 1
@@ -289,7 +289,7 @@ def test_unique_table_intercept_only():
 
 
 def test_unique_table_two_actor_abba():
-    hist = EventHistory(events=((0.2, 0, 1), (0.5, 1, 0), (0.7, 0, 1)), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((0.2, 0, 1), (0.5, 1, 0), (0.7, 0, 1)), tau=1.0, n_actors=2)
     risk = build_risk_set(2)
     table = unique_stat_table(StatisticSpec((PShift("AB-BA"),)), hist, risk, COV)
     assert table.n_unique <= 2
@@ -311,7 +311,7 @@ def test_unique_table_invariants_random():
 def test_unique_table_with_contexts():
     cov = CovariateSet(context_track=((0.0, "a"), (0.4, "b")))
     spec = StatisticSpec((Baserate(), ContextIndicator("b")))
-    hist = EventHistory(events=((0.2, 0, 1), (0.6, 1, 0)), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((0.2, 0, 1), (0.6, 1, 0)), tau=1.0, n_actors=2)
     risk = build_risk_set(2)
     table = unique_stat_table(spec, hist, risk, cov)
     # exposure splits at the context switch: 0.4 under "a", 0.6 under "b", per dyad
@@ -327,7 +327,7 @@ def test_unique_table_keeps_zero_and_minus_zero_rows_across_a_context_switch():
     cov = CovariateSet(actor_attrs={"x": {0: -0.0, 1: -0.0}},
                        context_track=((0.0, "a"), (0.4, "b")))
     spec = StatisticSpec((ContextInteraction(SenderAttr("x"), "b"),))
-    hist = EventHistory(events=((0.2, 0, 1), (0.6, 1, 0)), tau=1.0, n_actors=2)
+    hist = oracle.event_history(((0.2, 0, 1), (0.6, 1, 0)), tau=1.0, n_actors=2)
     risk = build_risk_set(2)
     table = unique_stat_table(spec, hist, risk, cov)
     assert table.n_unique == 2
@@ -409,7 +409,7 @@ def designs(draw):
     pool = effect_pool()
     chosen = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9, unique=True))
     spec = StatisticSpec(tuple(pool[c] for c in chosen))
-    return spec, EventHistory(events=events, tau=tau, n_actors=n), risk, cov
+    return spec, oracle.event_history(events, tau=tau, n_actors=n), risk, cov
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,7 +428,7 @@ def test_broadcast_recipient_counts_under_its_room_mean_row():
     cov = CovariateSet(actor_attrs={"x": {0: 1, 1: 0, 2: 0, 3: 1, 4: 1}})
     risk = build_risk_set(4, include_broadcast=True)
     spec = StatisticSpec((ReceiverAttr("x"), Mix("x", 1, 1)))
-    hist = EventHistory(events=((0.5, 0, 4), (1.0, 1, 2), (1.5, 0, 4)), tau=2.0, n_actors=4)
+    hist = oracle.event_history(((0.5, 0, 4), (1.0, 1, 2), (1.5, 0, 4)), tau=2.0, n_actors=4)
     table = unique_stat_table(spec, hist, risk, cov)
     q = {tuple(v): n for v, n in zip(table.vectors.tolist(), table.q)}
     assert q[(0.5, 0.5)] == 2  # both (0, 4) events
@@ -533,7 +533,7 @@ def block_design(track="switches"):
                  (times[-1] + 0.5, "a"))
     cov = CovariateSet(actor_attrs={"teacher": {i: int(i == 0) for i in range(n)}},
                        context_track=track)
-    history = EventHistory(events=tuple(events), n_actors=n, tau=times[-1] + 1.0)
+    history = oracle.event_history(tuple(events), n_actors=n, tau=times[-1] + 1.0)
     spec = StatisticSpec((
         Baserate(), SenderAttr("teacher", 1), ContextIndicator("b"),
         *(PShift(k) for k in PSHIFT_KINDS),
@@ -683,8 +683,8 @@ def test_an_event_only_segment_is_a_key_of_its_own():
     # and previous event.
     cov = CovariateSet(context_track=((0.0, "a"), (2.0, "b"), (2.5, "a"), (2.8, "b")))
     risk = build_risk_set(3)
-    history = EventHistory(events=((1.0, 0, 1), (2.0, 1, 2), (3.0, 0, 1), (4.0, 1, 2)), tau=5.0,
-                           n_actors=3)
+    history = oracle.event_history(((1.0, 0, 1), (2.0, 1, 2), (3.0, 0, 1), (4.0, 1, 2)),
+                                   tau=5.0, n_actors=3)
     spec = StatisticSpec((Baserate(), ContextIndicator("b"), PShift("AB-BA"), PShift("AB-BY"),
                           ContextInteraction(PShift("AB-XA"), "b")))
     walked = hrem.stats.walk(spec, history, risk, cov)
@@ -707,12 +707,13 @@ def test_a_stateless_walk_over_a_large_risk_set_keeps_one_blocks_rows(monkeypatc
     risk = build_risk_set(80)
     rows = np.random.default_rng(3).choice(len(risk), size=300, replace=False)
     events = tuple((0.01 * (n + 1), *risk.dyads[r]) for n, r in enumerate(rows.tolist()))
-    history = EventHistory(events=events, tau=4.0, n_actors=80)
+    history = oracle.event_history(events, tau=4.0, n_actors=80)
     spec = StatisticSpec((Baserate(), PShift("AB-BA"), PShift("AB-XA")))
     assert not spec._stateful
     walked = hrem.stats.walk(spec, history, risk, COV)
     # Its distinct keys would need more rows than the budget allows.
-    assert len(set(map(tuple, history.array[:, 1:].tolist()))) * len(risk) > hrem.stats._KEY_BUDGET
+    pairs = set(zip(history.senders.tolist(), history.recipients.tolist()))
+    assert len(pairs) * len(risk) > hrem.stats._KEY_BUDGET
     assert walked.n_slots == max(1, hrem.stats._WALK_BLOCK // len(risk))
     assert np.array_equal(walked.key, np.arange(len(walked.dur)))
     beta = np.array([-1.0, 0.75, -0.5])
