@@ -107,7 +107,7 @@ def slice_sample(x0: float, logf, width: float, rng, return_counts: bool = False
     """
     if logf0 is None:
         logf0 = logf(x0)
-    if not np.isfinite(logf0):
+    if not math.isfinite(logf0):
         raise FloatingPointError("slice sampler started at non-finite target")
     logy = logf0 + math.log(rng.random())
     u = rng.random()
@@ -242,15 +242,16 @@ def split_rhat(x: np.ndarray) -> float:
 def _column_terms(table: UniqueStatTable, p: int):
     """What an update of beta_p reads of `table`: (values, codes, q'U_p).
 
-    The values are column p's sorted distinct values, and the codes index
-    each row's value among them, in the smallest unsigned dtype.
+    The values are column p's sorted distinct values, as a list of floats,
+    and the codes index each row's value among them, in the smallest
+    unsigned dtype.
     """
     column = table.vectors[:, p]
     vals = np.unique(column)
     # The codes that unique's return_inverse gives, without its argsort and
     # its intp temporaries, which raised classroom's peak resident set 0.6 MB.
     codes = np.searchsorted(vals, column).astype(np.min_scalar_type(max(vals.size - 1, 0)))
-    return vals, codes, float(table.q @ column)
+    return vals.tolist(), codes, float(table.q @ column)
 
 
 class CollapsedGibbs:
@@ -297,7 +298,9 @@ class CollapsedGibbs:
         An update of beta_{k,p} first forms, in one O(|U|) pass, the sums
         S_v of m_r exp(eta_r) over the rows r whose column-p value is v.
         Each slice evaluation then scores sum_v exp((x - beta_{k,p}) v) S_v
-        in O(V_p), where V_p is the number of distinct values in the column.
+        in O(V_p), the number of distinct values in the column, with
+        `math.exp` over (S_v, v) float pairs.  An overflowing term makes it
+        -inf.
         """
         rng = self.rng
         hyper = self.hyper
@@ -307,18 +310,24 @@ class CollapsedGibbs:
         # hazard overflows makes it NaN (so -inf too); one errstate covers all.
         with np.errstate(over="ignore", invalid="ignore"):
             for p in range(self.p):
-                mu_p = self.mu[p]
+                mu_p = float(self.mu[p])
                 sq_total = float(np.sum((self.betas[:, p] - mu_p) ** 2))
                 for k in range(self.k):
                     table = self.tables[k]
                     eta = self._etas[k]
                     vals, codes, q_lin = self._columns[k][p]
                     sums = np.bincount(codes, weights=table.m * np.exp(eta))
-                    cur = self.betas[k, p]
+                    terms = list(zip(sums.tolist(), vals))
+                    cur, width = float(self.betas[k, p]), float(self.widths[k, p])
                     sq_others = sq_total - (cur - mu_p) ** 2
 
                     def target(x):
-                        expo = float(sums @ np.exp((x - cur) * vals))
+                        d, expo = x - cur, 0.0
+                        try:
+                            for s_v, v in terms:
+                                expo += s_v * math.exp(d * v)
+                        except OverflowError:
+                            return -math.inf
                         if not math.isfinite(expo):
                             return -math.inf
                         return (q_lin * x - expo
@@ -330,7 +339,7 @@ class CollapsedGibbs:
                             "non-finite log-posterior at sequence %d, effect %d" % (k, p)
                         )
                     new, n_out, n_shrink = slice_sample(
-                        cur, target, self.widths[k, p], rng, return_counts=True, logf0=start
+                        cur, target, width, rng, return_counts=True, logf0=start
                     )
                     if self.adapt:
                         # steer toward ~0.5 expected shrinkage steps

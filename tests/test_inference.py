@@ -237,6 +237,69 @@ def test_collapsed_sampler_matches_the_scalar_sweep_bitwise_on_many_valued_colum
     assert_sampler_matches_the_scalar_sweep(tables, seed)
 
 
+def test_collapsed_sampler_matches_the_scalar_sweep_bitwise_on_a_continuous_column():
+    # A continuous dyad attribute gives its column about one value per dyad,
+    # so each of its slice evaluations sums about 90 float terms.
+    n, k = 10, 3
+    rng = np.random.default_rng(21)
+    spec = StatisticSpec((Baserate(), DyadValue("w")))
+    risk = build_risk_set(n)
+    cov = CovariateSet(dyad_attrs={"w": {d: float(rng.normal()) for d in risk.dyads}})
+    pairs = simulate_hierarchical(np.array([-1.0, 0.5]), 0.3, k, spec, risk, cov, n_events=60,
+                                  seed=21)
+    tables = [unique_stat_table(spec, hist, risk, cov) for hist, _ in pairs]
+    assert min(np.unique(t.vectors[:, 1]).size for t in tables) > 60
+    assert_sampler_matches_the_scalar_sweep(tables, seed=5)
+
+
+def _scored_targets(monkeypatch, sampler, offsets):
+    """[(x0, target(x0 + offsets))] of each update in one sweep of `sampler`.
+
+    The updates keep every beta where it is.
+    """
+    scores = []
+
+    def slice_sample(x0, logf, *args, **kw):
+        scores.append((x0, [logf(x0 + o) for o in offsets]))
+        return x0, 0, 0
+
+    monkeypatch.setattr(inference, "slice_sample", slice_sample)
+    sampler.sweep()
+    return scores
+
+
+def test_float_slice_evaluation_agrees_with_the_numpy_per_value_form(monkeypatch):
+    rng = np.random.default_rng(13)
+    shape = HYPER.alpha_sigma + 0.5
+    for n_values in range(1, 41):
+        table = UniqueStatTable(
+            vectors=np.column_stack([np.ones(n_values), rng.normal(size=n_values)]),
+            q=rng.integers(0, 5, size=n_values), m=rng.uniform(0.1, 5.0, size=n_values))
+        init = (rng.normal(size=(1, 2)), rng.normal(size=2), [1.0, 1.0])
+        offsets = rng.uniform(-3.0, 3.0, size=6)
+        sampler = inference.CollapsedGibbs([table], HYPER, np.random.default_rng(0), init=init)
+        eta = table.vectors @ init[0][0]
+        for p, (cur, scores) in enumerate(_scored_targets(monkeypatch, sampler, offsets)):
+            vals, codes = np.unique(table.vectors[:, p], return_inverse=True)
+            sums = np.bincount(codes, weights=table.m * np.exp(eta))
+            x = cur + offsets
+            expected = [float(table.q @ table.vectors[:, p]) * xi
+                        - float(sums @ np.exp((xi - cur) * vals))
+                        - shape * math.log(HYPER.beta_sigma + 0.5 * (xi - init[1][p]) ** 2)
+                        for xi in x]
+            np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0, err_msg=n_values)
+
+
+def test_slice_evaluation_whose_sum_overflows_from_finite_terms_is_minus_inf(monkeypatch):
+    # at +30 no exp overflows, but its product with the 1e300 exposure does
+    table = UniqueStatTable(vectors=np.array([[0.0], [1.0], [-2.0]]), q=np.array([3, 4, 0]),
+                            m=np.array([2.0, 1e300, 0.0]))
+    sampler = inference.CollapsedGibbs([table], HYPER, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scored_targets(monkeypatch, sampler, (30.0,)) == [(0.0, [-math.inf])]
+
+
 def _overflow_table(top):
     """One effect; the last row, unexposed, has the value `top`."""
     return UniqueStatTable(vectors=np.array([[0.0], [1.0], [top]]), q=np.array([3, 4, 0]),
