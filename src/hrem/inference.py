@@ -7,6 +7,8 @@ closed-form conditional draws.  An update makes one O(|U|) pass over its
 table; each slice evaluation then costs O(V_p), the number of distinct
 values in column p.  A MAP routine with mode-pathology warnings is also
 provided; parallel tempering lives in :mod:`hrem.tempering`.
+Every sampler starts at `_chain_start`; both MCMC runners check their run
+settings with `_check_chain` and package their kept draws with `_package`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ class Hyperparams:
         for name in ("mu_prior_sd", "alpha_sigma", "beta_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
+
+
+def _chain_start(k: int, p: int, hyper: Hyperparams):
+    """Where every sampler starts: (betas, mu, sigma2), with betas (K, P) and mu zero.
+
+    Each sigma^2_p starts at the Inv-Gamma(a, b) prior's mean b/(a-1), or at
+    its mode b/(a+1) where a <= 1 and the prior has no mean.
+    """
+    if hyper.alpha_sigma > 1:
+        sigma2 = hyper.beta_sigma / (hyper.alpha_sigma - 1)
+    else:
+        sigma2 = hyper.beta_sigma / (hyper.alpha_sigma + 1)
+    return np.zeros((k, p)), np.zeros(p), np.full(p, sigma2)
 
 
 def gibbs_sigma(betas_p: np.ndarray, mu_p: float, hyper: Hyperparams, rng) -> float:
@@ -176,38 +191,12 @@ class PosteriorSamples:
             np.quantile(self.betas, 0.975, axis=0),
         )
 
-    def compute_diagnostics(self):
-        """Per-scalar effective sample size and split-chain R-hat."""
-        ess_mu = np.array([effective_sample_size(self.mu[:, p]) for p in range(self.n_effects)])
-        rhat_mu = np.array([split_rhat(self.mu[:, p]) for p in range(self.n_effects)])
-        ess_b = np.array(
-            [
-                [effective_sample_size(self.betas[:, k, p]) for p in range(self.n_effects)]
-                for k in range(self.k_sequences)
-            ]
-        )
-        rhat_b = np.array(
-            [
-                [split_rhat(self.betas[:, k, p]) for p in range(self.n_effects)]
-                for k in range(self.k_sequences)
-            ]
-        )
-        self.diagnostics = {
-            "ess_mu": ess_mu,
-            "rhat_mu": rhat_mu,
-            "ess_beta": ess_b,
-            "rhat_beta": rhat_b,
-            "max_rhat": float(max(rhat_mu.max(), rhat_b.max())),
-            "min_ess": float(min(ess_mu.min(), ess_b.min())),
-        }
-        return self.diagnostics
-
 
 def effective_sample_size(x: np.ndarray) -> float:
     """ESS via the initial positive sequence of autocorrelations."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if n < 4 or np.var(x) == 0:
+    if n < 4 or (x == x[0]).all():
         return float(n)
     x = x - x.mean()
     nfft = int(2 ** np.ceil(np.log2(2 * n)))
@@ -231,10 +220,10 @@ def split_rhat(x: np.ndarray) -> float:
     if n < 2:
         return float("nan")
     halves = np.stack([x[:n], x[-n:]])
+    if (halves == halves[:, :1]).all():
+        return 1.0
     w = halves.var(axis=1, ddof=1).mean()
     b = n * halves.mean(axis=1).var(ddof=1)
-    if w == 0:
-        return 1.0
     var_plus = (n - 1) / n * w + b / n
     return float(math.sqrt(var_plus / w))
 
@@ -272,12 +261,8 @@ class CollapsedGibbs:
         self.k = len(tables)
         self.p = tables[0].vectors.shape[1]
         if init is None:
-            self.betas = np.zeros((self.k, self.p))
-            self.mu = np.zeros(self.p)
-            prior_mean = hyper.beta_sigma / (hyper.alpha_sigma - 1)
-            self.sigma2 = np.full(self.p, prior_mean)
-        else:
-            self.betas, self.mu, self.sigma2 = (np.array(v, dtype=float) for v in init)
+            init = _chain_start(self.k, self.p, hyper)
+        self.betas, self.mu, self.sigma2 = (np.array(v, dtype=float) for v in init)
         self.widths = np.ones((self.k, self.p))
         self.adapt = True
         self.set_tables(tables)
@@ -374,6 +359,39 @@ def joint_log_posterior(betas, mu, sigma2, tables, hyper: Hyperparams) -> float:
     return lp
 
 
+def _check_chain(n_burnin: int, n_keep: int, thin: int):
+    """Refuse run settings that no chain can honour."""
+    if n_burnin < 0:
+        raise ValueError("n_burnin must be >= 0")
+    if n_keep < 1:
+        raise ValueError("n_keep must be positive")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+
+
+def _package(betas, mu, sigma2, logpost, n_burnin: int, n_keep: int,
+             thin: int) -> PosteriorSamples:
+    """Kept draws (betas (L, K, P), mu and sigma2 (L, P)) and their log posteriors as samples.
+
+    The diagnostics hold the effective sample size and split R-hat of every
+    mu_p and beta_kp, their minimum and their maximum.
+    """
+    samples = PosteriorSamples(betas=betas, mu=mu, sigma2=sigma2, logpost=np.array(logpost),
+                               n_burnin=n_burnin, n_keep=n_keep, thin=thin)
+    n, k, p = betas.shape
+    chains = np.concatenate([mu, betas.reshape(n, k * p)], axis=1).T
+    ess, rhat = np.array([(effective_sample_size(c), split_rhat(c)) for c in chains]).T
+    samples.diagnostics = {
+        "ess_mu": ess[:p],
+        "rhat_mu": rhat[:p],
+        "ess_beta": ess[p:].reshape(k, p),
+        "rhat_beta": rhat[p:].reshape(k, p),
+        "max_rhat": float(rhat.max()),
+        "min_ess": float(ess.min()),
+    }
+    return samples
+
+
 def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
                           n_burnin: int = 500, n_keep: int = 500, thin: int = 1,
                           seed: int | None = None, mu_update: str = "conjugate",
@@ -383,10 +401,7 @@ def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
     Slice widths adapt during burn-in only and are frozen afterwards so
     the kept draws target the exact posterior.
     """
-    if n_keep <= 0:
-        raise ValueError("n_keep must be positive")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    _check_chain(n_burnin, n_keep, thin)
     if hyper is None:
         hyper = Hyperparams()
     rng = np.random.default_rng(seed)
@@ -394,28 +409,16 @@ def run_collapsed_sampler(tables, hyper: Hyperparams | None = None,
     for _ in range(n_burnin):
         sampler.sweep()
     sampler.adapt = False
-    kept_b, kept_mu, kept_s2, kept_lp = [], [], [], []
+    kept, kept_lp = [], []
     for it in range(n_keep):
         sampler.sweep()
         if it % thin == 0:
             lp = sampler.log_posterior()
             if not np.isfinite(lp):
                 raise FloatingPointError("non-finite log-posterior in kept draw")
-            kept_b.append(sampler.betas.copy())
-            kept_mu.append(sampler.mu.copy())
-            kept_s2.append(sampler.sigma2.copy())
+            kept.append((sampler.betas.copy(), sampler.mu.copy(), sampler.sigma2.copy()))
             kept_lp.append(lp)
-    samples = PosteriorSamples(
-        betas=np.array(kept_b),
-        mu=np.array(kept_mu),
-        sigma2=np.array(kept_s2),
-        logpost=np.array(kept_lp),
-        n_burnin=n_burnin,
-        n_keep=n_keep,
-        thin=thin,
-    )
-    samples.compute_diagnostics()
-    return samples
+    return _package(*map(np.array, zip(*kept)), kept_lp, n_burnin, n_keep, thin)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
     if k < 1:
         raise ValueError("need at least one sequence")
     p = tables[0].vectors.shape[1]
-    sigma2 = np.full(p, hyper.beta_sigma / (hyper.alpha_sigma - 1))
+    betas, mu, sigma2 = _chain_start(k, p, hyper)
     floor = 1e-6
 
     def split(x):
@@ -547,7 +550,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
         sigma2 = np.maximum(sigma2, floor)
         return objective(x)
 
-    x, iters, gain = _newton_ascent(objective, newton_step, np.zeros((k + 1) * p),
+    x, iters, gain = _newton_ascent(objective, newton_step, np.append(betas, mu),
                                     max_iters, tol, refit)
     betas, mu = split(x)
     g_betas, g_mu = _joint_gradient(betas, mu, sigma2, tables, hyper)

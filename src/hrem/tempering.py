@@ -12,7 +12,8 @@ callable is scored whole at every proposal.  The hierarchical model's
 eta_k = U_k beta_k and log-likelihood, so a beta_kp move re-scores one
 table and a mu_p or log sigma^2_p move is scalar arithmetic over column p.
 Swap energies and the kept draws' log posteriors are full
-`joint_log_posterior` evaluations.
+`joint_log_posterior` evaluations plus the Jacobian sum_p log sigma^2_p of
+the log-variance coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 
 import numpy as np
 
-from hrem.inference import Hyperparams, PosteriorSamples, joint_log_posterior
+from hrem.inference import (Hyperparams, PosteriorSamples, _chain_start, _check_chain, _package,
+                            joint_log_posterior)
 
 __all__ = [
     "swap_log_acceptance",
@@ -113,8 +115,10 @@ class HierarchicalTarget(Target):
         self._columns = [np.ascontiguousarray(t.vectors.T) for t in tables]
 
     def unpack(self, x):
+        """(betas, mu, sigma2) of a state x, or of each row of a stack of states."""
         k, p = self.k, self.p
-        return x[: k * p].reshape(k, p), x[k * p : k * p + p], np.exp(x[k * p + p :])
+        return (x[..., : k * p].reshape(*x.shape[:-1], k, p), x[..., k * p : k * p + p],
+                np.exp(x[..., k * p + p :]))
 
     def full(self, x) -> float:
         """The log density at x, scored over every table."""
@@ -240,42 +244,24 @@ def run_parallel_tempering(tables, hyper: Hyperparams | None = None,
                            ladder=(1.0, 2.0, 4.0, 8.0, 16.0), t_swap: int = 10,
                            n_burnin: int = 500, n_keep: int = 500, thin: int = 1,
                            seed: int | None = None, step_size: float = 0.2) -> PosteriorSamples:
-    """Parallel tempering over (beta, mu, log sigma^2) of the hierarchical model."""
-    if n_keep <= 0:
-        raise ValueError("n_keep must be positive")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    """Parallel tempering over (beta, mu, log sigma^2) of the hierarchical model.
+
+    The kept draws' log posteriors are `HierarchicalTarget.full`, so they
+    include the Jacobian sum_p log sigma^2_p of the log-variance coordinates.
+    """
+    _check_chain(n_burnin, n_keep, thin)
     if hyper is None:
         hyper = Hyperparams()
     ladder = _check_ladder(ladder)
     target = HierarchicalTarget(tables, hyper)
-    k, p = target.k, target.p
-    x0 = np.concatenate(
-        [
-            np.zeros(k * p),
-            np.zeros(p),
-            np.full(p, math.log(hyper.beta_sigma / (hyper.alpha_sigma - 1))),
-        ]
-    )
+    betas, mu, sigma2 = _chain_start(target.k, target.p, hyper)
     draws, info = tempered_sample(
-        target, x0, ladder, n_steps=n_keep, t_swap=t_swap,
-        step_size=step_size, seed=seed, n_burnin=n_burnin,
+        target, np.concatenate([betas.ravel(), mu, np.log(sigma2)]), ladder, n_steps=n_keep,
+        t_swap=t_swap, step_size=step_size, seed=seed, n_burnin=n_burnin,
     )
     kept = draws[::thin]
-    betas = kept[:, : k * p].reshape(-1, k, p)
-    mu = kept[:, k * p : k * p + p]
-    sigma2 = np.exp(kept[:, k * p + p :])
-    logposts = np.array([target.full(x) for x in kept])
-    samples = PosteriorSamples(
-        betas=betas,
-        mu=mu,
-        sigma2=sigma2,
-        logpost=logposts,
-        n_burnin=n_burnin,
-        n_keep=n_keep,
-        thin=thin,
-    )
-    samples.compute_diagnostics()
+    samples = _package(*target.unpack(kept), [target.full(x) for x in kept],
+                       n_burnin, n_keep, thin)
     proposed, accepted = info["swaps_proposed"].tolist(), info["swaps_accepted"].tolist()
     samples.diagnostics.update({
         # None, not NaN, where no swap was proposed: a manifest is strict JSON

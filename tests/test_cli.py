@@ -163,6 +163,32 @@ def test_fit_chain_settings_out_of_range_exit_one_naming_the_key(sim_dir, capsys
         assert not os.path.exists(sim_dir / "fit_bad" / "manifest.json")
 
 
+_CHAIN_DIAGNOSTICS = {"ess_mu", "rhat_mu", "ess_beta", "rhat_beta", "max_rhat", "min_ess"}
+
+
+def test_fit_manifest_diagnostics_keys_per_sampler(sim_dir):
+    want = {
+        "collapsed": _CHAIN_DIAGNOSTICS,
+        "tempering": _CHAIN_DIAGNOSTICS | {"swap_rate", "swap_rate_per_pair", "swaps_proposed",
+                                           "swaps_accepted", "accept_rate", "ladder", "t_swap"},
+        "map": {"warnings", "iterations", "converged", "grad_norm"},
+    }
+    for sampler, keys in want.items():
+        run = {} if sampler == "map" else {"n_burnin": 5, "n_keep": 5}
+        cfg = fit_config(sim_dir, out="fit_" + sampler, sampler=sampler, **run)
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) in (0, 2)
+        diag = json.load(open(sim_dir / ("fit_" + sampler) / "manifest.json"))["diagnostics"]
+        assert set(diag) == keys, sampler
+
+
+@pytest.mark.parametrize("sampler", ["collapsed", "tempering", "map"])
+def test_fit_under_an_inverse_gamma_prior_without_a_mean_runs(sim_dir, sampler, capsys):
+    run = {} if sampler == "map" else {"n_burnin": 5, "n_keep": 5}
+    cfg = fit_config(sim_dir, out="fit_a1", sampler=sampler, hyper={"alpha_sigma": 1}, **run)
+    assert main(["fit", "--config", cfg]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_fit_map_sampler(sim_dir):
     cfg = fit_config(sim_dir, out="fit_map", sampler="map")
     assert main(["fit", "--config", cfg]) == 0

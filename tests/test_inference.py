@@ -7,8 +7,10 @@ from scipy import optimize, stats
 
 from hrem.events import CovariateSet, build_risk_set
 from hrem.inference import (
+    CollapsedGibbs,
     Hyperparams,
     collapsed_prior_logpdf,
+    effective_sample_size,
     gibbs_mu,
     gibbs_sigma,
     joint_log_posterior,
@@ -16,6 +18,7 @@ from hrem.inference import (
     penalized_mle,
     run_collapsed_sampler,
     slice_sample,
+    split_rhat,
 )
 from hrem import inference
 from hrem.likelihood import grad_loglik_full, loglik_full
@@ -33,6 +36,7 @@ from hrem.stats import (
     UniqueStatTable,
     unique_stat_table,
 )
+from hrem.tempering import run_parallel_tempering
 
 import scalar_oracle as oracle
 
@@ -338,6 +342,31 @@ def test_run_collapsed_sampler_rejects_empty_chain():
     table = unique_stat_table(d.spec, hist, d.risk, d.cov)
     with pytest.raises(ValueError):
         run_collapsed_sampler([table], n_keep=0)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.5])
+def test_a_constant_chain_reads_every_draw_effective_and_rhat_one(value):
+    # a mean of 4,000 draws of 0.1 rounds, so its variance is not exactly 0
+    chain = np.full(4000, value)
+    assert effective_sample_size(chain) == 4000.0
+    assert split_rhat(chain) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_every_sampler_starts_and_runs_under_an_inverse_gamma_prior_without_a_mean(alpha):
+    # Inv-Gamma(a, 1) has no mean for a <= 1, so sigma^2 starts at the mode 1/(a+1)
+    hyper = Hyperparams(alpha_sigma=alpha)
+    tables = _syn52_tables(2, 40, 3)
+    mode = np.full(6, 1.0 / (alpha + 1.0))
+    sampler = CollapsedGibbs(tables, hyper, np.random.default_rng(0))
+    np.testing.assert_array_equal(sampler.sigma2, mode)
+    np.testing.assert_array_equal(map_estimate(tables, hyper, tol=math.inf)[2], mode)
+    for run in (run_collapsed_sampler, run_parallel_tempering):
+        samples = run(tables, hyper, n_burnin=5, n_keep=5, seed=1)
+        assert np.all(np.isfinite(samples.logpost)), run.__name__
+    betas, mu, sigma2, report = map_estimate(tables, hyper)
+    assert report["converged"]
+    assert np.isfinite(joint_log_posterior(betas, mu, sigma2, tables, hyper))
 
 
 def test_single_sequence_intercept_recovers_rate():

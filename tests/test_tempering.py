@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hrem.tempering
-from hrem.inference import Hyperparams, joint_log_posterior
+from hrem.inference import Hyperparams, joint_log_posterior, run_collapsed_sampler
 from hrem.presets import syn52
 from hrem.simulate import simulate_hierarchical
 from hrem.stats import UniqueStatTable, unique_stat_table
@@ -151,5 +151,6 @@ def test_tempering_without_a_swap_records_no_swap_rate():
 @pytest.mark.parametrize("bad", [{"n_burnin": -3}, {"thin": 0}, {"n_keep": 0}])
 def test_run_parallel_tempering_rejects_chain_settings_out_of_range(bad):
     run = {"n_burnin": 5, "n_keep": 5, "thin": 1, "seed": 1, **bad}
-    with pytest.raises(ValueError, match=next(iter(bad))):
-        run_parallel_tempering(_syn52_tables(), **run)
+    for runner in (run_parallel_tempering, run_collapsed_sampler):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            runner(_syn52_tables(), **run)
