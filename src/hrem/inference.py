@@ -3,12 +3,14 @@
 The default sampler is a collapsed Gibbs scheme: each beta_{k,p} is
 updated by univariate slice sampling under a marginal in which the
 upper-level variance is integrated out, then sigma^2 and mu get their
-closed-form conditional draws.  An update makes one O(|U|) pass over its
-table; each slice evaluation then costs O(V_p), the number of distinct
-values in column p.  A MAP routine with mode-pathology warnings is also
-provided; parallel tempering lives in :mod:`hrem.tempering`.
-Every sampler starts at `_chain_start`; both MCMC runners check their run
-settings with `_check_chain` and package their kept draws with `_package`.
+closed-form conditional draws.  The sampler lays the K tables' rows end to
+end, so the K updates of one effect share one O(sum_k |U_k|) pass before
+them and one after; each slice evaluation then costs O(V_p), the number
+of distinct values in column p of its table.  A MAP routine with
+mode-pathology warnings is also provided; parallel tempering lives in
+:mod:`hrem.tempering`.  Every sampler checks its tables and start with
+`_check_input` and starts at `_chain_start`; both MCMC runners check their
+run settings with `_check_chain` and package their draws with `_package`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,32 @@ class Hyperparams:
         for name in ("mu_prior_sd", "alpha_sigma", "beta_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
+
+
+def _check_input(tables, init=None, k: int | None = None, p: int | None = None):
+    """(K, P) of `tables`, after refusing, by name, tables or an `init` of mismatched shapes.
+
+    Where given, `k` is the number of tables and `p` their columns; else P
+    is table 0's.  Each table has one event count and one exposure a row,
+    which the sampler's rows laid end to end rely on.  `init` is (betas,
+    mu, sigma2) of shapes (K, P), (P,) and (P,).
+    """
+    if not tables:
+        raise ValueError("need at least one sequence table")
+    if k not in (None, len(tables)):
+        raise ValueError("expected %d sequence tables, got %d" % (k, len(tables)))
+    k, p = len(tables), tables[0].vectors.shape[1] if p is None else p
+    for s, table in enumerate(tables):
+        if table.vectors.shape[1:] != (p,):
+            raise ValueError("sequence table %d has statistic vectors of shape %s, not (rows, %d)"
+                             % (s, table.vectors.shape, p))
+        if not len(table.vectors) == len(table.q) == len(table.m):
+            raise ValueError("sequence table %d has %d rows, %d event counts and %d exposures"
+                             % (s, len(table.vectors), len(table.q), len(table.m)))
+    for name, value, shape in zip(("betas", "mu", "sigma2"), init or (), ((k, p), (p,), (p,))):
+        if np.shape(value) != shape:
+            raise ValueError("init's %s has shape %s, not %s" % (name, np.shape(value), shape))
+    return k, p
 
 
 def _chain_start(k: int, p: int, hyper: Hyperparams):
@@ -214,33 +242,51 @@ def effective_sample_size(x: np.ndarray) -> float:
 
 
 def split_rhat(x: np.ndarray) -> float:
-    """Potential scale reduction from the two halves of a single chain."""
+    """Potential scale reduction from the two halves of a single chain.
+
+    It is 1.0 where every value is equal, and infinite where each half is
+    constant but the two differ.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size // 2
     if n < 2:
         return float("nan")
     halves = np.stack([x[:n], x[-n:]])
     if (halves == halves[:, :1]).all():
-        return 1.0
+        # two constant halves: equal, or apart with no spread within either
+        return 1.0 if halves[0, 0] == halves[1, 0] else math.inf
     w = halves.var(axis=1, ddof=1).mean()
     b = n * halves.mean(axis=1).var(ddof=1)
     var_plus = (n - 1) / n * w + b / n
     return float(math.sqrt(var_plus / w))
 
 
-def _column_terms(table: UniqueStatTable, p: int):
-    """What an update of beta_p reads of `table`: (values, codes, q'U_p).
+def _column_terms(tables, p: int):
+    """What the K updates of beta_p read of `tables`, laid end to end.
 
-    The values are column p's sorted distinct values, as a list of floats,
-    and the codes index each row's value among them, in the smallest
-    unsigned dtype.
+    Returns (vals, spans, codes, values, owner, q_lins).  `values` holds each
+    table's sorted distinct column-p values, one table after another (`vals`
+    as floats); table k's lie at `spans[k]`, a (start, stop) pair, and
+    `owner` gives each value's table.  `codes`, in the smallest unsigned
+    dtype, indexes each stacked row's value, so a table's codes are shifted
+    by its start.  `q_lins` holds each table's q'U_p.
     """
-    column = table.vectors[:, p]
-    vals = np.unique(column)
-    # The codes that unique's return_inverse gives, without its argsort and
-    # its intp temporaries, which raised classroom's peak resident set 0.6 MB.
-    codes = np.searchsorted(vals, column).astype(np.min_scalar_type(max(vals.size - 1, 0)))
-    return vals.tolist(), codes, float(table.q @ column)
+    uniques = [np.unique(t.vectors[:, p]) for t in tables]
+    sizes = [u.size for u in uniques]
+    stops = np.cumsum(sizes).tolist()
+    starts = [0] + stops[:-1]
+    values = np.concatenate(uniques)
+    codes = np.empty(sum(len(t.vectors) for t in tables),
+                     dtype=np.min_scalar_type(max(values.size - 1, 0)))
+    row = 0
+    for t, u, start in zip(tables, uniques, starts):
+        # searchsorted gives the codes that unique's return_inverse would,
+        # without its argsort and its intp temporaries over every row
+        codes[row : row + len(t.vectors)] = np.searchsorted(u, t.vectors[:, p]) + start
+        row += len(t.vectors)
+    owner = np.repeat(np.arange(len(tables)), sizes)
+    q_lins = [float(t.q @ t.vectors[:, p]) for t in tables]
+    return values.tolist(), list(zip(starts, stops)), codes, values, owner, q_lins
 
 
 class CollapsedGibbs:
@@ -252,14 +298,11 @@ class CollapsedGibbs:
 
     def __init__(self, tables, hyper: Hyperparams, rng, mu_update: str = "conjugate",
                  init=None):
-        if not tables:
-            raise ValueError("need at least one sequence table")
         tables = list(tables)
+        self.k, self.p = _check_input(tables, init)
         self.hyper = hyper
         self.rng = rng
         self.mu_update = mu_update
-        self.k = len(tables)
-        self.p = tables[0].vectors.shape[1]
         if init is None:
             init = _chain_start(self.k, self.p, hyper)
         self.betas, self.mu, self.sigma2 = (np.array(v, dtype=float) for v in init)
@@ -268,42 +311,50 @@ class CollapsedGibbs:
         self.set_tables(tables)
 
     def set_tables(self, tables):
-        """Score `tables` from now on, at the current betas.
+        """Score `tables`, K tables of P columns, from now on, at the current betas.
 
-        Per table this keeps the linear predictors eta = U beta and, per
-        column, the terms that the column's updates read (`_column_terms`).
+        The tables' rows are laid end to end: this keeps one array of the
+        linear predictors eta = U_k beta_k of every row, one of the
+        exposures m and, per column, the terms that the column's K updates
+        read (`_column_terms`).
         """
-        self.tables = list(tables)
-        self._etas = [t.vectors @ self.betas[k] for k, t in enumerate(self.tables)]
-        self._columns = [[_column_terms(t, p) for p in range(self.p)] for t in self.tables]
+        tables = list(tables)
+        _check_input(tables, k=self.k, p=self.p)
+        self.tables = tables
+        self._eta = np.concatenate([t.vectors @ b for t, b in zip(tables, self.betas)])
+        self._m = np.concatenate([t.m for t in tables])
+        self._columns = [_column_terms(tables, p) for p in range(self.p)]
 
     def sweep(self):
         """One full iteration: all beta_{k,p}, then sigma^2, then mu.
 
-        An update of beta_{k,p} first forms, in one O(|U|) pass, the sums
-        S_v of m_r exp(eta_r) over the rows r whose column-p value is v.
-        Each slice evaluation then scores sum_v exp((x - beta_{k,p}) v) S_v
-        in O(V_p), the number of distinct values in the column, with
-        `math.exp` over (S_v, v) float pairs.  An overflowing term makes it
-        -inf.
+        Per effect p, one O(sum_k |U_k|) pass over the stacked rows forms
+        every table's sums S_v of m_r exp(eta_r) over the rows r whose
+        column-p value is v.  The K updates of beta_{k,p} then run in turn
+        on Python floats: each slice evaluation scores
+        sum_v exp((x - beta_{k,p}) v) S_v over table k's values, in O(V_p),
+        with `math.exp` over (S_v, v) float pairs; an overflowing term makes
+        it -inf.  A final pass moves every row's eta by its table's step.
+        Update (k, p) reads and writes only eta_k, so this equals K updates
+        made one after the other.
         """
         rng = self.rng
         hyper = self.hyper
         shape = hyper.alpha_sigma + self.k / 2.0
         b = hyper.beta_sigma
+        eta, m = self._eta, self._m
         # Overflowing hazards make the target -inf, and an unexposed row whose
         # hazard overflows makes it NaN (so -inf too); one errstate covers all.
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in range(self.p):
+            for p, (vals, spans, codes, values, owner, q_lins) in enumerate(self._columns):
                 mu_p = float(self.mu[p])
                 sq_total = float(np.sum((self.betas[:, p] - mu_p) ** 2))
-                for k in range(self.k):
-                    table = self.tables[k]
-                    eta = self._etas[k]
-                    vals, codes, q_lin = self._columns[k][p]
-                    sums = np.bincount(codes, weights=table.m * np.exp(eta))
-                    terms = list(zip(sums.tolist(), vals))
-                    cur, width = float(self.betas[k, p]), float(self.widths[k, p])
+                sums = np.bincount(codes, weights=m * np.exp(eta), minlength=len(vals)).tolist()
+                olds, widths = self.betas[:, p].tolist(), self.widths[:, p].tolist()
+                news = []
+                for k, (lo, hi) in enumerate(spans):
+                    terms = list(zip(sums[lo:hi], vals[lo:hi]))
+                    q_lin, cur = q_lins[k], olds[k]
                     sq_others = sq_total - (cur - mu_p) ** 2
 
                     def target(x):
@@ -324,17 +375,18 @@ class CollapsedGibbs:
                             "non-finite log-posterior at sequence %d, effect %d" % (k, p)
                         )
                     new, n_out, n_shrink = slice_sample(
-                        cur, target, width, rng, return_counts=True, logf0=start
+                        cur, target, widths[k], rng, return_counts=True, logf0=start
                     )
                     if self.adapt:
                         # steer toward ~0.5 expected shrinkage steps
                         if n_shrink > 2:
-                            self.widths[k, p] *= 0.5
+                            widths[k] *= 0.5
                         elif n_shrink == 0 and n_out > 1:
-                            self.widths[k, p] *= 2.0
-                    self.betas[k, p] = new
-                    eta += (new - cur) * table.vectors[:, p]
+                            widths[k] *= 2.0
+                    news.append(new)
                     sq_total = sq_others + (new - mu_p) ** 2
+                self.betas[:, p], self.widths[:, p] = news, widths
+                eta += ((np.array(news) - olds)[owner] * values)[codes]
         for p in range(self.p):
             self.sigma2[p] = gibbs_sigma(self.betas[:, p], self.mu[p], hyper, rng)
             self.mu[p] = gibbs_mu(
@@ -515,10 +567,7 @@ def map_estimate(tables, hyper: Hyperparams | None = None, max_iters: int = 200,
     """
     if hyper is None:
         hyper = Hyperparams()
-    k = len(tables)
-    if k < 1:
-        raise ValueError("need at least one sequence")
-    p = tables[0].vectors.shape[1]
+    k, p = _check_input(tables)
     betas, mu, sigma2 = _chain_start(k, p, hyper)
     floor = 1e-6
 

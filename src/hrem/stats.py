@@ -611,7 +611,8 @@ class UniqueStatTable:
     sum_r [q_r * beta'U_r - m_r * exp(beta'U_r)], so a likelihood costs
     O(P * |U|) instead of O(M * P * N^2).  A collapsed slice evaluation
     costs O(V_p), the number of distinct values in column p, after one
-    O(|U|) pass per update (:meth:`hrem.inference.CollapsedGibbs.sweep`).
+    pass per effect over the K tables' rows laid end to end
+    (:meth:`hrem.inference.CollapsedGibbs.sweep`).
     :func:`unique_stat_table` builds it a block of the walk's keys at a
     time: it compares the endogenous columns of consecutive keys in one
     array operation per block and hashes only the rows that changed, so a

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from hrem.inference import (Hyperparams, PosteriorSamples, _chain_start, _check_chain, _package,
-                            joint_log_posterior)
+from hrem.inference import (Hyperparams, PosteriorSamples, _chain_start, _check_chain,
+                            _check_input, _package, joint_log_posterior)
 
 __all__ = [
     "swap_log_acceptance",
@@ -110,8 +110,7 @@ class HierarchicalTarget(Target):
         super().__init__(self.full)
         self.tables = tables
         self.hyper = hyper
-        self.k = len(tables)
-        self.p = tables[0].vectors.shape[1]
+        self.k, self.p = _check_input(tables)
         self._columns = [np.ascontiguousarray(t.vectors.T) for t in tables]
 
     def unpack(self, x):

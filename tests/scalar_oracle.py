@@ -359,8 +359,17 @@ def slice_update(x0, logf, width, rng):
         n_shrink += 1
 
 
-def collapsed_sweep(sampler):
-    """One sweep of a CollapsedGibbs `sampler`, moving its state in place."""
+def linear_predictors(sampler):
+    """Each table's eta_k = U_k beta_k at `sampler`'s betas: where `collapsed_sweep` starts."""
+    return [table.vectors @ beta for table, beta in zip(sampler.tables, sampler.betas)]
+
+
+def collapsed_sweep(sampler, etas):
+    """One sweep of a CollapsedGibbs `sampler`, moving its state and the per-table `etas` in place.
+
+    `etas` starts as `linear_predictors(sampler)`, and again whenever the
+    sampler's tables change.
+    """
     hyper, rng = sampler.hyper, sampler.rng
     a, b = hyper.alpha_sigma, hyper.beta_sigma
     for p in range(sampler.p):
@@ -369,7 +378,7 @@ def collapsed_sweep(sampler):
             table = sampler.tables[k]
             u_p = table.vectors[:, p]
             cur = sampler.betas[k, p]
-            base = sampler._etas[k] - cur * u_p
+            base = etas[k] - cur * u_p
             q_lin = float(table.q @ u_p)
             sq_others = sq_total - (cur - sampler.mu[p]) ** 2
             mu_p = sampler.mu[p]
@@ -392,7 +401,7 @@ def collapsed_sweep(sampler):
                 elif n_shrink == 0 and n_out > 1:
                     sampler.widths[k, p] *= 2.0
             sampler.betas[k, p] = new
-            sampler._etas[k] = base + new * u_p
+            etas[k] = base + new * u_p
             sq_total = sq_others + (new - sampler.mu[p]) ** 2
     for p in range(sampler.p):
         sampler.sigma2[p] = gibbs_sigma(sampler.betas[:, p], sampler.mu[p], hyper, rng)

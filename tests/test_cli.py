@@ -274,6 +274,28 @@ def test_fit_with_an_undefined_rhat_fails_the_gate_and_keeps_nan_in_the_manifest
         assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 0
 
 
+def test_fit_whose_chain_jumps_between_two_stuck_states_fails_the_gate_with_infinity(
+        sim_dir, capsys, monkeypatch):
+    # A slice sampler that never moves, except that beta_00 jumps once,
+    # halfway: its kept draws are 10 of one value, then 10 of another.
+    from hrem import inference
+    calls = [0]
+
+    def stuck(x0, logf, width, rng, return_counts=False, logf0=None):
+        calls[0] += 1
+        return x0 + (calls[0] == 10 * 12 + 1), 0, 0  # 12 updates a sweep: 2 sequences x 6
+
+    monkeypatch.setattr(inference, "slice_sample", stuck)
+    cfg = fit_config(sim_dir, out="fit_stuck", n_burnin=0, n_keep=20)
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "max_rhat=inf" in captured.out, captured.out
+    assert "chains failed the convergence threshold (rhat_max=1.200)" in captured.err
+    text = open(sim_dir / "fit_stuck" / "manifest.json").read()
+    assert '"max_rhat": Infinity' in text
+    assert json.loads(text)["diagnostics"]["rhat_beta"][0][0] == float("inf")
+
+
 def test_fit_bad_ladder_exits_one_naming_the_config_and_key(sim_dir, capsys):
     for ladder, words in (([2, 4], "base temperature must be 1"),
                           ([1], "at least two chains"),

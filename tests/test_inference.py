@@ -36,7 +36,7 @@ from hrem.stats import (
     UniqueStatTable,
     unique_stat_table,
 )
-from hrem.tempering import run_parallel_tempering
+from hrem.tempering import HierarchicalTarget, run_parallel_tempering
 
 import scalar_oracle as oracle
 
@@ -179,11 +179,12 @@ def assert_sampler_matches_the_scalar_sweep(tables, seed):
     samples = run_collapsed_sampler(tables, HYPER, n_burnin=n_burnin, n_keep=n_keep, seed=seed)
     lib = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
     ref = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(seed))
+    etas = oracle.linear_predictors(ref)
     widths = set()
     for it in range(n_burnin + n_keep):
         lib.adapt = ref.adapt = it < n_burnin
         lib.sweep()
-        oracle.collapsed_sweep(ref)
+        oracle.collapsed_sweep(ref, etas)
         for name in ("betas", "mu", "sigma2", "widths"):
             assert getattr(lib, name).tobytes() == getattr(ref, name).tobytes(), (it, name)
         widths.update(ref.widths.ravel().tolist())
@@ -197,6 +198,80 @@ def assert_sampler_matches_the_scalar_sweep(tables, seed):
 
 def test_collapsed_sampler_matches_the_scalar_sweep_bitwise():
     assert_sampler_matches_the_scalar_sweep(_syn52_tables(k=5, n_events=60, seed=12), seed=3)
+
+
+def _synthetic_tables(rng, sizes, levels, beta=(-1.0, 0.4, 0.3)):
+    """Tables of three columns: ones, `levels[k]` integer levels, and a distinct normal per row.
+
+    Table k has `sizes[k]` rows, exposures in [0.5, 2) and Poisson event
+    counts at `beta`.
+    """
+    tables = []
+    for n, v in zip(sizes, levels):
+        vectors = np.column_stack([np.ones(n), rng.integers(0, v, n), rng.normal(size=n)])
+        m = rng.uniform(0.5, 2.0, n)
+        tables.append(UniqueStatTable(vectors=vectors, q=rng.poisson(m * np.exp(vectors @ beta)),
+                                      m=m))
+    return tables
+
+
+def test_collapsed_sampler_matches_the_scalar_sweep_bitwise_on_tables_of_unequal_sizes():
+    # The sweep lays the K tables' rows end to end and shifts each table's
+    # codes by the number of values before it; a shift off by one scores a
+    # neighbour's value.  Column 2's 380 values need 16-bit stacked codes,
+    # while each table's own would fit in 8 bits.
+    tables = _synthetic_tables(np.random.default_rng(31), (120, 0, 170, 90), (3, 1, 7, 5))
+    assert sorted(len(t.q) for t in tables) == [0, 90, 120, 170]
+    assert [np.unique(t.vectors[:, 1]).size for t in tables] == [3, 0, 7, 5]
+    distinct = [np.unique(t.vectors[:, 2]).size for t in tables]
+    assert max(distinct) <= 255 < sum(distinct)
+    assert_sampler_matches_the_scalar_sweep(tables, seed=6)
+
+
+def test_swapping_in_tables_of_other_sizes_keeps_the_sampler_on_the_scalar_sweep():
+    # As criterion 10 does: set_tables between sweeps, here with tables
+    # whose sizes and value counts change, one of them to zero rows.
+    rng = np.random.default_rng(32)
+    swaps = {0: _synthetic_tables(rng, (60, 40, 0), (2, 4, 1)),
+             8: _synthetic_tables(rng, (0, 150, 200), (1, 6, 3)),
+             16: _synthetic_tables(rng, (90, 5, 30), (5, 2, 2))}
+    lib = inference.CollapsedGibbs(swaps[0], HYPER, np.random.default_rng(7))
+    ref = inference.CollapsedGibbs(swaps[0], HYPER, np.random.default_rng(7))
+    for it in range(24):
+        if it in swaps:
+            lib.set_tables(swaps[it])
+            ref.set_tables(swaps[it])
+            etas = oracle.linear_predictors(ref)
+        lib.adapt = ref.adapt = it < 12
+        lib.sweep()
+        oracle.collapsed_sweep(ref, etas)
+        for name in ("betas", "mu", "sigma2", "widths"):
+            assert getattr(lib, name).tobytes() == getattr(ref, name).tobytes(), (it, name)
+    assert lib.log_posterior() == ref.log_posterior()
+
+
+def test_malformed_sampler_input_is_refused_by_name():
+    tables = _syn52_tables(2, 40, 3)
+    narrow = UniqueStatTable(tables[1].vectors[:, :5], tables[1].q, tables[1].m)
+    for build in (lambda t: inference.CollapsedGibbs(t, HYPER, np.random.default_rng(0)),
+                  map_estimate, lambda t: HierarchicalTarget(t, HYPER)):
+        with pytest.raises(ValueError, match=r"sequence table 1 .* shape \(\d+, 5\), not \(rows, 6\)"):
+            build([tables[0], narrow])
+    short = UniqueStatTable(tables[1].vectors, tables[1].q, tables[1].m[1:])
+    with pytest.raises(ValueError, match=r"sequence table 1 has (\d+) rows, \1 event counts and"):
+        inference.CollapsedGibbs([tables[0], short], HYPER, np.random.default_rng(0))
+    betas, mu, sigma2 = np.zeros((2, 6)), np.zeros(6), np.ones(6)
+    for init, name, shape in (((betas[:1], mu, sigma2), "betas", r"\(1, 6\)"),
+                              ((betas, mu[:5], sigma2), "mu", r"\(5,\)"),
+                              ((betas, mu, sigma2[:, None]), "sigma2", r"\(6, 1\)")):
+        with pytest.raises(ValueError, match=r"init's %s has shape %s" % (name, shape)):
+            inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(0), init=init)
+    sampler = inference.CollapsedGibbs(tables, HYPER, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="expected 2 sequence tables, got 3"):
+        sampler.set_tables(tables + tables[:1])
+    with pytest.raises(ValueError, match=r"sequence table 0 .* not \(rows, 6\)"):
+        sampler.set_tables([narrow, narrow])
+    assert sampler.tables == tables  # a refused swap keeps the tables scored before it
 
 
 def _classroom_tables(k, n_events, seed):
@@ -350,6 +425,13 @@ def test_a_constant_chain_reads_every_draw_effective_and_rhat_one(value):
     chain = np.full(4000, value)
     assert effective_sample_size(chain) == 4000.0
     assert split_rhat(chain) == 1.0
+
+
+def test_a_chain_stuck_in_one_state_then_another_reads_an_infinite_rhat():
+    # each half is constant, so there is no spread within either to scale by
+    assert split_rhat(np.r_[np.zeros(50), np.ones(50)]) == math.inf
+    assert split_rhat(np.r_[np.full(50, 1.5), np.full(50, 0.1)]) == math.inf
+    assert split_rhat(np.r_[np.zeros(50), 1.0, np.zeros(50)]) == 1.0  # the halves skip the middle
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
