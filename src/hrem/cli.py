@@ -17,6 +17,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -146,7 +147,10 @@ _Key = collections.namedtuple("_Key", "type default least modes unread recorded"
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float: not true or false, NaN or an infinity."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 def _one_of(*choices):

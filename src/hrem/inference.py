@@ -49,8 +49,8 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("mu_prior_sd", "alpha_sigma", "beta_sigma"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
 
 
 def _check_input(tables, init=None, k: int | None = None, p: int | None = None):

@@ -8,12 +8,13 @@ Only base-chain draws are reported.
 
 `tempered_sample` moves the replicas of a :class:`Target`.  A plain
 callable is scored whole at every proposal.  The hierarchical model's
-:class:`HierarchicalTarget` keeps, per replica, each sequence's
-eta_k = U_k beta_k and log-likelihood, so a beta_kp move re-scores one
-table and a mu_p or log sigma^2_p move is scalar arithmetic over column p.
-Swap energies and the kept draws' log posteriors are full
-`joint_log_posterior` evaluations plus the Jacobian sum_p log sigma^2_p of
-the log-variance coordinates.
+:class:`HierarchicalTarget` keeps, per replica and as Python floats, its
+state and each sequence's eta_k = U_k beta_k and hazards m * exp(eta_k).
+A beta_kp move is then scored over the rows of table k whose column p is
+nonzero, and a mu_p or log sigma^2_p move over the K floats of column p,
+with no numpy call.  Swap energies and the kept draws' log posteriors are
+full `joint_log_posterior` evaluations plus the Jacobian
+sum_p log sigma^2_p of the log-variance coordinates.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _check_ladder(ladder):
     ladder = tuple(float(t) for t in ladder)
     if len(ladder) < 2:
         raise ValueError("temperature ladder needs at least two chains")
+    if not all(map(math.isfinite, ladder)):
+        raise ValueError("temperatures must be finite")
     if ladder[0] != 1.0:
         raise ValueError("base temperature must be 1")
     if any(b < a for a, b in zip(ladder[:-1], ladder[1:])):
@@ -55,12 +58,12 @@ def _check_ladder(ladder):
 
 
 class _Replica:
-    """One chain's state `x` and what its target caches about it."""
+    """One chain's state `x` (an array, or a list of floats) and what its target caches."""
 
-    __slots__ = ("x", "lp", "eta", "ll")
+    __slots__ = ("x", "lp", "eta", "w")
 
-    def __init__(self, x, lp=None, eta=None, ll=None):
-        self.x, self.lp, self.eta, self.ll = x, lp, eta, ll
+    def __init__(self, x, lp=None, eta=None, w=None):
+        self.x, self.lp, self.eta, self.w = x, lp, eta, w
 
 
 class Target:
@@ -102,8 +105,13 @@ class HierarchicalTarget(Target):
     """log p(beta, mu, log sigma^2 | tables) with the Jacobian of the log variances.
 
     x packs beta (K x P, row-major), mu (P) and log sigma^2 (P).  A replica
-    keeps eta_k = U_k beta_k and the log-likelihood of each table, so a
-    beta_kp move costs one table and a mu_p or log sigma^2_p move none.
+    holds x, and each table's eta = U_k beta_k and hazards w = m * exp(eta),
+    as lists of Python floats.  A beta_kp move by delta is scored over the
+    rows u whose value v_u in column p is nonzero:
+    delta * q'U_p - sum_u (m_u exp(eta_u + delta v_u) - w_u) plus its prior
+    term, or -inf where a hazard overflows; `accept` writes those rows' eta
+    and w.  A mu_p or log sigma^2_p move is scalar arithmetic over the K
+    floats of column p.
     """
 
     def __init__(self, tables, hyper: Hyperparams):
@@ -111,7 +119,13 @@ class HierarchicalTarget(Target):
         self.tables = tables
         self.hyper = hyper
         self.k, self.p = _check_input(tables)
-        self._columns = [np.ascontiguousarray(t.vectors.T) for t in tables]
+        # per table and column: the rows a beta move touches (those where the
+        # column is nonzero), their values and exposures, and q'U_c
+        self._touched = []
+        for t in tables:
+            nonzero = [np.flatnonzero(col) for col in t.vectors.T]
+            self._touched.append([(rows.tolist(), col[rows].tolist(), t.m[rows].tolist(),
+                                   float(t.q @ col)) for rows, col in zip(nonzero, t.vectors.T)])
 
     def unpack(self, x):
         """(betas, mu, sigma2) of a state x, or of each row of a stack of states."""
@@ -129,39 +143,41 @@ class HierarchicalTarget(Target):
         # Jacobian of the log-variance transform
         return lp + float(np.sum(np.log(sigma2)))
 
-    def _loglik(self, s: int, eta) -> float:
-        """Table s's log-likelihood at eta; non-finite when a hazard overflows."""
-        table = self.tables[s]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(table.q @ eta - table.m @ np.exp(eta))
-
     def replicas(self, x0, n: int):
-        betas = self.unpack(x0)[0]
-        etas = [t.vectors @ b for t, b in zip(self.tables, betas)]
-        lls = [self._loglik(s, eta) for s, eta in enumerate(etas)]
-        return [_Replica(x0.copy(), eta=list(etas), ll=list(lls)) for _ in range(n)]
+        etas = [(t.vectors @ b).tolist() for t, b in zip(self.tables, self.unpack(x0)[0])]
+        try:
+            ws = [[m * math.exp(e) for m, e in zip(t.m.tolist(), eta)]
+                  for t, eta in zip(self.tables, etas)]
+        except OverflowError:
+            raise FloatingPointError("non-finite log posterior at initial state") from None
+        return [_Replica(x0.tolist(), eta=[e.copy() for e in etas], w=[w.copy() for w in ws])
+                for _ in range(n)]
 
     def propose(self, rep, d: int, value) -> float:
         k, p, x = self.k, self.p, rep.x
         old = x[d]
-        if d < k * p:  # beta_sc: table s and its one prior term
+        if d < k * p:  # beta_sc: the rows of table s whose column c is nonzero, and one prior term
             s, c = divmod(d, p)
-            mu, sigma2 = x[k * p + c], math.exp(x[k * p + p + c])
-            eta = rep.eta[s] + (value - old) * self._columns[s][c]
-            ll = self._loglik(s, eta)
-            self._pending = (d, value, s, eta, ll)
-            if not math.isfinite(ll):
+            rows, values, ms, qu = self._touched[s][c]
+            delta = value - old
+            eta, w = rep.eta[s], rep.w[s]
+            new_eta = [eta[u] + delta * v for u, v in zip(rows, values)]
+            try:
+                new_w = [m * math.exp(e) for m, e in zip(ms, new_eta)]
+            except OverflowError:
                 return -math.inf
-            return ll - rep.ll[s] + ((old - mu) ** 2 - (value - mu) ** 2) / (2 * sigma2)
-        self._pending = (d, value, None, None, None)
+            self._pending = (d, value, s, rows, new_eta, new_w)
+            mu, sigma2 = x[k * p + c], math.exp(x[k * p + p + c])
+            return (delta * qu - sum([nw - w[u] for u, nw in zip(rows, new_w)])
+                    + ((old - mu) ** 2 - (value - mu) ** 2) / (2 * sigma2))
+        self._pending = (d, value, None, None, None, None)
         c = (d - k * p) % p
         col = x[c : k * p : p]  # beta_kc over the sequences
         if d < k * p + p:  # mu_c: its normal terms and its prior
             sigma2 = math.exp(x[d + p])
-            dev_old, dev_new = col - old, col - value
             sd = self.hyper.mu_prior_sd
-            return ((float(dev_old @ dev_old) - float(dev_new @ dev_new)) / (2 * sigma2)
-                    + 0.5 * ((old / sd) ** 2 - (value / sd) ** 2))
+            return ((sum([(b - old) ** 2 for b in col]) - sum([(b - value) ** 2 for b in col]))
+                    / (2 * sigma2) + 0.5 * ((old / sd) ** 2 - (value / sd) ** 2))
         # log sigma^2_c: its normal terms, its inverse-gamma prior and the Jacobian
         try:
             sigma2 = math.exp(value)
@@ -169,20 +185,21 @@ class HierarchicalTarget(Target):
             return -math.inf
         if sigma2 == 0.0:
             return -math.inf
-        dev = col - x[k * p + c]
-        half_ss = 0.5 * float(dev @ dev) + self.hyper.beta_sigma
+        mu = x[k * p + c]
+        half_ss = 0.5 * sum([(b - mu) ** 2 for b in col]) + self.hyper.beta_sigma
         return (-(0.5 * k + self.hyper.alpha_sigma) * (value - old)
                 - half_ss * (1.0 / sigma2 - 1.0 / math.exp(old)))
 
     def accept(self, rep):
-        d, value, s, eta, ll = self._pending
+        d, value, s, rows, new_eta, new_w = self._pending
         rep.x[d] = value
         if s is not None:
-            rep.eta[s] = eta
-            rep.ll[s] = ll
+            eta, w = rep.eta[s], rep.w[s]
+            for u, e, nw in zip(rows, new_eta, new_w):
+                eta[u], w[u] = e, nw
 
     def log_density(self, rep) -> float:
-        return self.full(rep.x)
+        return self.full(np.array(rep.x))
 
 
 def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
@@ -194,8 +211,9 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
     rates and per-pair swap counts).
     """
     ladder = _check_ladder(ladder)
-    if n_burnin < 0:
-        raise ValueError("n_burnin must be >= 0")
+    _check_chain(n_burnin, n_steps, 1)
+    if t_swap < 0:
+        raise ValueError("t_swap must be >= 0")
     target = logpost if isinstance(logpost, Target) else Target(logpost)
     rng = np.random.default_rng(seed)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -208,7 +226,7 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
     draws = np.empty((n_steps, dim))
     swaps_proposed = np.zeros(n_chains - 1, dtype=int)
     swaps_accepted = np.zeros(n_chains - 1, dtype=int)
-    accepts = np.zeros(n_chains)
+    accepts = [0] * n_chains
     for step in range(n_burnin + n_steps):
         for j, temp in enumerate(ladder):
             rep = states[j]
@@ -234,7 +252,7 @@ def tempered_sample(logpost, x0, ladder, n_steps: int, t_swap: int = 10,
         "swap_rate": int(swaps_accepted.sum()) / n_swaps if n_swaps else float("nan"),
         "swaps_proposed": swaps_proposed,
         "swaps_accepted": swaps_accepted,
-        "accept_rate": accepts / ((n_burnin + n_steps) * dim),
+        "accept_rate": np.array(accepts) / ((n_burnin + n_steps) * dim),
     }
     return draws, info
 

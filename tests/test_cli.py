@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -306,6 +307,33 @@ def test_fit_bad_ladder_exits_one_naming_the_config_and_key(sim_dir, capsys):
         err = capsys.readouterr().err
         assert cfg in err and "ladder" in err and words in err, err
         assert not os.path.exists(sim_dir / "fit_l" / "manifest.json")
+
+
+def test_fit_non_finite_number_exits_one_naming_the_config_and_key(sim_dir, capsys):
+    for key, value, words in (("ladder", [1, math.nan], "must be a list of numbers, not [1, NaN]"),
+                              ("ladder", [1, math.inf], "must be a list of numbers"),
+                              ("rhat_max", math.nan, "must be a number, not NaN"),
+                              ("rhat_max", math.inf, "must be a number, not Infinity"),
+                              ("hyper", {"mu_prior_sd": math.nan}, "mu_prior_sd must be a number"),
+                              ("hyper", {"beta_sigma": -math.inf}, "beta_sigma must be a number")):
+        cfg = fit_config(sim_dir, out="fit_nf", sampler="tempering", n_burnin=2, n_keep=4,
+                         **{key: value})
+        assert main(["fit", "--config", cfg, "--allow-nonconverged"]) == 1, (key, value)
+        err = capsys.readouterr().err
+        assert "%s: %s %s" % (cfg, key, words) in err and "Traceback" not in err, err
+        assert not os.path.exists(sim_dir / "fit_nf" / "manifest.json")
+
+
+def test_simulate_non_finite_number_exits_one_naming_the_config_and_key(tmp_path, capsys):
+    for key, value in (("baserate", math.nan), ("sigma", math.inf), ("tau", math.inf),
+                       ("mu", [math.nan] * 6)):
+        doc = {"seed": 7, "preset": "syn52", "k": 2, "out_dir": str(tmp_path / "sim"),
+               "n_events": None if key == "tau" else 20, key: value}
+        cfg = write_json(tmp_path / "sim.json", doc)
+        assert main(["simulate", "--config", cfg]) == 1, key
+        err = capsys.readouterr().err
+        assert "%s: %s must be" % (cfg, key) in err and "Traceback" not in err, err
+        assert not os.path.exists(tmp_path / "sim" / "manifest.json")
 
 
 @pytest.mark.parametrize("key, value, words", [

@@ -52,6 +52,13 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(alpha_sigma=0.0)
 
 
+@pytest.mark.parametrize("name", ["mu_prior_sd", "alpha_sigma", "beta_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_hyperparams_refuse_a_non_finite_value_by_name(name, value):
+    with pytest.raises(ValueError, match="%s must be positive and finite" % name):
+        Hyperparams(**{name: value})
+
+
 def test_gibbs_sigma_matches_invgamma():
     rng = np.random.default_rng(0)
     # all betas equal mu, K=4: Inv-Gamma(7, 1)

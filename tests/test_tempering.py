@@ -8,7 +8,8 @@ from hrem.inference import Hyperparams, joint_log_posterior, run_collapsed_sampl
 from hrem.presets import syn52
 from hrem.simulate import simulate_hierarchical
 from hrem.stats import UniqueStatTable, unique_stat_table
-from hrem.tempering import run_parallel_tempering, swap_log_acceptance, tempered_sample
+from hrem.tempering import (HierarchicalTarget, run_parallel_tempering, swap_log_acceptance,
+                            tempered_sample)
 
 
 def test_equal_states_swap_log_acceptance_is_exactly_zero():
@@ -154,3 +155,79 @@ def test_run_parallel_tempering_rejects_chain_settings_out_of_range(bad):
     for runner in (run_parallel_tempering, run_collapsed_sampler):
         with pytest.raises(ValueError, match=next(iter(bad))):
             runner(_syn52_tables(), **run)
+
+
+def _norm(x):
+    return -0.5 * float(x @ x)
+
+
+@pytest.mark.parametrize("ladder", [[1.0, math.nan], [1.0, math.inf], [math.nan, 2.0]])
+def test_ladder_refuses_non_finite_temperatures(ladder):
+    with pytest.raises(ValueError, match="temperatures must be finite"):
+        tempered_sample(_norm, np.zeros(1), ladder, n_steps=10, seed=0)
+    with pytest.raises(ValueError, match="temperatures must be finite"):
+        run_parallel_tempering(_syn52_tables(), ladder=ladder, n_burnin=2, n_keep=2, seed=0)
+
+
+@pytest.mark.parametrize("bad, words", [({"n_steps": 0}, "must be positive"),
+                                        ({"n_steps": -2}, "must be positive"),
+                                        ({"n_burnin": -1}, "n_burnin must be >= 0"),
+                                        ({"t_swap": -1}, "t_swap must be >= 0")])
+def test_tempered_sample_refuses_run_settings_out_of_range(bad, words):
+    run = {"n_steps": 10, "t_swap": 2, "seed": 0, **bad}
+    with pytest.raises(ValueError, match=words):
+        tempered_sample(_norm, np.zeros(1), [1.0, 2.0], **run)
+
+
+def test_run_parallel_tempering_refuses_a_negative_swap_interval():
+    with pytest.raises(ValueError, match="t_swap must be >= 0"):
+        run_parallel_tempering(_syn52_tables(), t_swap=-1, n_burnin=2, n_keep=2, seed=0)
+
+
+def _hand_tables():
+    """Three P=3 tables: table 0's column 1 is all zero, table 1 has no rows, and rows 1
+    and 4 of table 0 are event-only (m = 0); columns of distinct values, some negative."""
+    return [
+        UniqueStatTable(np.array([[1.0, 0.0, 0.5], [-0.5, 0.0, 0.0], [2.0, 0.0, -1.0],
+                                  [0.0, 0.0, 0.25], [-1.5, 0.0, 3.0]]),
+                        np.array([1, 2, 0, 3, 1]), np.array([2.0, 0.0, 1.5, 3.0, 0.0])),
+        UniqueStatTable(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0)),
+        UniqueStatTable(np.array([[0.3, 1.0, 0.0], [-0.7, -2.0, 1.0], [0.3, 0.5, 0.0]]),
+                        np.array([2, 1, 0]), np.array([0.5, 1.0, 4.0])),
+    ]
+
+
+def test_hierarchical_move_scores_equal_the_change_of_the_full_log_density():
+    target = HierarchicalTarget(_hand_tables(), Hyperparams())
+    rng = np.random.default_rng(12)
+    x = rng.normal(0.0, 0.5, target.k * target.p + 2 * target.p)
+    (rep,) = target.replicas(x, 1)
+    accepted = 0
+    for _ in range(20):
+        for d in range(x.size):  # every beta, mu and log sigma^2 coordinate
+            prop = x.copy()
+            prop[d] += rng.normal(0.0, 0.7)
+            ratio = target.propose(rep, d, prop[d])
+            assert ratio == pytest.approx(target.full(prop) - target.full(x), rel=1e-9), d
+            if rng.random() < 0.5:  # later moves then score from the accepted caches
+                target.accept(rep)
+                x = prop
+                accepted += 1
+    assert accepted > 100 and np.array_equal(rep.x, x)
+    assert target.log_density(rep) == target.full(x)
+
+
+@pytest.mark.parametrize("d, value", [
+    (0, 600.0),  # table 0, row 2: eta = 1200
+    (0, -600.0),  # table 0, event-only row 4: eta = 900
+    (2, 300.0),  # table 0, event-only row 4: eta = 900
+    (6, 2363.7),  # table 2: finite hazards whose exposure sum overflows
+])
+def test_hierarchical_move_that_overflows_a_hazard_scores_minus_inf(d, value):
+    target = HierarchicalTarget(_hand_tables(), Hyperparams())
+    x = np.zeros(target.k * target.p + 2 * target.p)
+    (rep,) = target.replicas(x, 1)
+    prop = x.copy()
+    prop[d] = value
+    assert target.full(prop) == -math.inf
+    assert target.propose(rep, d, value) == -math.inf
